@@ -5,8 +5,8 @@
 //! Run with: `cargo run --release -p wave-lab --example report_all`
 
 use wave_lab::{
-    engine, fig4, fig5, fig6, fleet, mem, mem_scaling, rebalance, scaling, table2, table3, tenancy,
-    traces, upi,
+    fig4, fig5, fig6, fleet, mem, mem_scaling, rebalance, scaling, table2, table3, tenancy, traces,
+    upi,
 };
 
 fn main() {
@@ -29,20 +29,5 @@ fn main() {
     traces::report(&traces::TracesConfig::quick()).print();
     tenancy::report(&tenancy::TenancyConfig::quick()).print();
     fleet::report(&fleet::FleetSweepConfig::quick()).print();
-    let bench = engine::run(&engine::EngineBenchConfig::quick());
-    engine::report_from(&bench).print();
-    // Carry the committed quick_reference and history forward; this
-    // quick pass refreshes only the workload rows.
-    let path = std::path::Path::new("BENCH_engine.json");
-    let committed = std::fs::read_to_string(path).unwrap_or_default();
-    let artifact = engine::BenchArtifact {
-        mode: "quick".to_string(),
-        quick_reference: engine::extract_quick_reference(&committed),
-        history: engine::extract_history(&committed),
-        result: bench,
-        cores: engine::bench_cores(),
-    };
-    engine::write_bench_json(path, &artifact).expect("write BENCH_engine.json");
-    println!("wrote {}", path.display());
     println!("\nall experiments regenerated in {:.1?}", t0.elapsed());
 }

@@ -12,12 +12,12 @@
 //! (30 µs slice) with the 99.5%/0.5% GET/RANGE mix. The ablation repeats
 //! Wave-16 at each [`OptLevel`] rung.
 
-use serde::Serialize;
 use wave_core::workload::WorkloadSpec;
 use wave_core::OptLevel;
 use wave_ghost::policies::{FifoPolicy, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedReport, SchedSim, ServiceMix};
+use wave_sim::par::par_map;
 use wave_sim::stats::Curve;
 use wave_sim::SimTime;
 
@@ -159,7 +159,7 @@ pub fn run_point(cfg: &Fig4Config, scenario: Scenario, offered: f64) -> SchedRep
 /// simulation thread per load point.
 pub fn run_curve(cfg: &Fig4Config, scenario: Scenario, loads: &[f64]) -> Curve {
     let mut curve = Curve::new(scenario.label());
-    let points = crate::par::par_map(loads, |&offered| {
+    let points = par_map(loads, |&offered| {
         let rep = run_point(cfg, scenario, offered);
         (rep.achieved / 1_000.0, rep.latency.p99.as_us_f64())
     });
@@ -205,7 +205,7 @@ pub fn saturation(cfg: &Fig4Config, scenario: Scenario) -> f64 {
 }
 
 /// Full figure result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig4Result {
     /// Saturation throughput per scenario (req/s): on-host, wave-15,
     /// wave-16.
@@ -232,7 +232,7 @@ impl Fig4Result {
 /// Runs the saturation comparison for a figure, the three independent
 /// scenario searches in parallel.
 pub fn run(cfg: &Fig4Config) -> Fig4Result {
-    let sats = crate::par::par_map(
+    let sats = par_map(
         &[Scenario::OnHost16, Scenario::Wave15, Scenario::Wave16],
         |&sc| saturation(cfg, sc),
     );
@@ -248,7 +248,7 @@ pub fn run(cfg: &Fig4Config) -> Fig4Result {
 /// `(label, saturation req/s)` in ladder order.
 pub fn ablation(cfg: &Fig4Config) -> Vec<(&'static str, f64)> {
     let ladder = OptLevel::ablation_ladder();
-    let sats = crate::par::par_map(&ladder, |(_, opts)| {
+    let sats = par_map(&ladder, |(_, opts)| {
         let c = Fig4Config {
             opts: *opts,
             ..cfg.clone()

@@ -10,7 +10,6 @@
 //! Anchors: +11.2% at 1 active vCPU, ≈+9.7% at 31, +1.7% at 128 (pure
 //! tick overhead once turbo headroom is gone).
 
-use serde::Serialize;
 use wave_sim::cpu::SmtModel;
 use wave_sim::stats::Curve;
 use wave_sim::turbo::{vcpu_work_rate, TickModel, TurboModel};
@@ -46,7 +45,7 @@ impl Default for Fig5Config {
 }
 
 /// One sweep point.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig5Point {
     /// Busy vCPUs (`busy_loop` instances).
     pub vcpus: u32,

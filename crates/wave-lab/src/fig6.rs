@@ -1,10 +1,10 @@
 //! Figure 6 — RPC stack placement scenarios (§7.3).
 
-use serde::Serialize;
 use wave_ghost::policies::{MultiQueueShinjuku, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{SchedReport, SchedSim};
 use wave_rpc::{Fig6Scenario, SchedulerKind};
+use wave_sim::par::par_map;
 use wave_sim::stats::Curve;
 use wave_sim::SimTime;
 
@@ -87,7 +87,7 @@ pub fn run_point(cfg: &Fig6Config, scenario: Fig6Scenario, offered: f64) -> Sche
 /// point.
 pub fn run_curve(cfg: &Fig6Config, scenario: Fig6Scenario, loads: &[f64]) -> Curve {
     let mut curve = Curve::new(scenario.label());
-    let points = crate::par::par_map(loads, |&offered| {
+    let points = par_map(loads, |&offered| {
         let rep = run_point(cfg, scenario, offered);
         (rep.achieved / 1_000.0, rep.latency.p99.as_us_f64())
     });
@@ -129,7 +129,7 @@ pub fn saturation(cfg: &Fig6Config, scenario: Fig6Scenario) -> f64 {
 }
 
 /// Figure-level result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6Result {
     /// OnHost-All saturation (req/s).
     pub onhost_all: f64,
@@ -163,7 +163,7 @@ impl Fig6Result {
 /// Runs the full scenario comparison, the four independent saturation
 /// searches in parallel.
 pub fn run(cfg: &Fig6Config) -> Fig6Result {
-    let sats = crate::par::par_map(
+    let sats = par_map(
         &[
             Fig6Scenario::OnHostAll,
             Fig6Scenario::OnHostSchedule,

@@ -17,7 +17,6 @@
 
 use std::time::Instant;
 
-use serde::Serialize;
 use wave_fleet::{FleetConfig, LbPolicy};
 use wave_sim::SimTime;
 
@@ -83,7 +82,7 @@ impl FleetSweepConfig {
 }
 
 /// One (hosts, workers) cell.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetPoint {
     /// Hosts simulated.
     pub hosts: u32,
@@ -116,7 +115,7 @@ pub struct FleetPoint {
 }
 
 /// Complete sweep output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FleetSweepResult {
     /// CPU cores the wall-clock numbers were measured on.
     pub cores: usize,

@@ -5,7 +5,7 @@
 //!
 //! * a `*Config` with a `paper()` (full-fidelity) and `quick()` (CI-
 //!   speed) constructor,
-//! * a runner that produces a serializable result struct, and
+//! * a runner that produces a plain result struct, and
 //! * a `report()` pretty-printer emitting a *paper vs. measured* table.
 //!
 //! | Module | Paper artifact |
@@ -22,20 +22,19 @@
 //! | [`rebalance`] | dynamic shard rebalancing under skewed load, both agents |
 //! | [`traces`] | trace-driven production workloads (diurnal/bursty/heavy-tailed), both agents |
 //! | [`tenancy`] | multi-tenant NIC — victim p99 isolation under a flooding neighbor |
-//! | [`engine`] | engine throughput — sim-events/sec, tracked in `BENCH_engine.json` |
 //! | [`fleet`] | fleet-scale parallel execution — a simulated datacenter of Wave hosts |
 //!
 //! Independent load points run in parallel on `std::thread` workers
-//! ([`par::par_map`]); each point is its own deterministic simulation.
+//! ([`wave_sim::par::par_map`]); each point is its own deterministic
+//! simulation. Host-side performance (wall, CPU, RSS) is measured by the
+//! separate `wavebench` benchmark, not here.
 
-pub mod engine;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
 pub mod fleet;
 pub mod mem;
 pub mod mem_scaling;
-pub mod par;
 pub mod rebalance;
 pub mod report;
 pub mod scaling;

@@ -9,7 +9,6 @@
 //!    (median 12 µs, p99 31 µs) barely affected.
 
 use rand::Rng;
-use serde::Serialize;
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::runner::duration_table;
 use wave_memmgr::{
@@ -156,7 +155,7 @@ pub fn runtime_iteration_report() -> Report {
 }
 
 /// Result of the footprint experiment.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FootprintResult {
     /// Resident fraction at start (1.0).
     pub start_fraction: f64,

@@ -18,10 +18,10 @@
 //! exactly, and with K=1 both are bit-identical to the pinned §7.4.2
 //! goldens.
 
-use serde::Serialize;
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -62,7 +62,7 @@ impl MemScalingConfig {
 }
 
 /// One cell of the sweep grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemScalingPoint {
     /// Agent shards.
     pub shards: u32,
@@ -84,7 +84,7 @@ pub struct MemScalingPoint {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemScalingResult {
     /// All grid cells, in (scale-major, shards-minor) order.
     pub points: Vec<MemScalingPoint>,
@@ -149,20 +149,15 @@ pub fn run_point(cfg: &MemScalingConfig, shards: u32, scale: f64) -> MemScalingP
     }
 }
 
-/// Runs the whole grid through the [`sweep`](crate::par::sweep)
-/// launcher, cells in parallel across OS threads (each cell
+/// Runs the whole grid, cells in parallel across OS threads (each cell
 /// additionally fans its shards out on threads of its own).
 pub fn run(cfg: &MemScalingConfig) -> MemScalingResult {
-    let grid: Vec<(String, (u32, f64))> = cfg
+    let grid: Vec<(u32, f64)> = cfg
         .scales
         .iter()
-        .flat_map(|&s| {
-            cfg.shard_counts
-                .iter()
-                .map(move |&k| (format!("shards={k} scale={s}"), (k, s)))
-        })
+        .flat_map(|&s| cfg.shard_counts.iter().map(move |&k| (k, s)))
         .collect();
-    let points = crate::par::sweep("mem-scaling", grid, |&(k, s)| run_point(cfg, k, s)).results();
+    let points = par_map(&grid, |&(k, s)| run_point(cfg, k, s));
     MemScalingResult { points }
 }
 

@@ -26,7 +26,6 @@
 //! [`FeedDemand`]: wave_core::shard_map::FeedDemand
 //! [`ShedLoad`]: wave_core::shard_map::ShedLoad
 
-use serde::Serialize;
 use wave_core::shard_map::RebalanceConfig;
 use wave_core::OptLevel;
 use wave_ghost::policies::FifoPolicy;
@@ -34,6 +33,7 @@ use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -103,7 +103,7 @@ impl RebalanceSweepConfig {
 }
 
 /// One scheduler cell (one run, static or dynamic).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchedRebalancePoint {
     /// Whether rebalancing was on.
     pub dynamic: bool,
@@ -121,7 +121,7 @@ pub struct SchedRebalancePoint {
 }
 
 /// One memory-agent cell (one run, static or dynamic).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemRebalancePoint {
     /// Whether rebalancing was on.
     pub dynamic: bool,
@@ -140,7 +140,7 @@ pub struct MemRebalancePoint {
 }
 
 /// The sweep result: each agent measured statically and dynamically.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RebalanceResult {
     /// Scheduler, static partition.
     pub sched_static: SchedRebalancePoint,
@@ -227,23 +227,16 @@ pub fn run_mem(cfg: &RebalanceSweepConfig, dynamic: bool) -> MemRebalancePoint {
     }
 }
 
-/// Runs all four cells through the [`sweep`](crate::par::sweep)
-/// launcher, in parallel across OS threads.
+/// Runs all four `(mem, dynamic)` cells in parallel across OS threads.
 pub fn run(cfg: &RebalanceSweepConfig) -> RebalanceResult {
-    let cells: Vec<(String, (bool, bool))> = vec![
-        ("sched static".to_string(), (false, false)),
-        ("sched dynamic".to_string(), (false, true)),
-        ("mem static".to_string(), (true, false)),
-        ("mem dynamic".to_string(), (true, true)),
-    ];
-    let out = crate::par::sweep("rebalance-ablation", cells, |&(mem, dynamic)| {
+    let cells = [(false, false), (false, true), (true, false), (true, true)];
+    let out = par_map(&cells, |&(mem, dynamic)| {
         if mem {
             (None, Some(run_mem(cfg, dynamic)))
         } else {
             (Some(run_sched(cfg, dynamic)), None)
         }
-    })
-    .results();
+    });
     // Select by each point's own labels, not by cell order.
     let sched = |want: bool| {
         out.iter()

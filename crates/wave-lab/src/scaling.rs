@@ -9,10 +9,10 @@
 //! the curve should rise monotonically from 1 to 4 agents; at low worker
 //! counts the workers saturate first and extra agents buy nothing.
 
-use serde::Serialize;
 use wave_core::OptLevel;
 use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -63,7 +63,7 @@ impl ScalingConfig {
 }
 
 /// One cell of the sweep grid.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingPoint {
     /// Agent shards.
     pub agents: u32,
@@ -80,7 +80,7 @@ pub struct ScalingPoint {
 }
 
 /// The full sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ScalingResult {
     /// All grid cells, in (workers-major, agents-minor) order.
     pub points: Vec<ScalingPoint>,
@@ -135,19 +135,14 @@ pub fn run_point(cfg: &ScalingConfig, agents: u32, workers: u32) -> ScalingPoint
     }
 }
 
-/// Runs the whole grid through the [`sweep`](crate::par::sweep)
-/// launcher, load points in parallel across OS threads.
+/// Runs the whole grid, load points in parallel across OS threads.
 pub fn run(cfg: &ScalingConfig) -> ScalingResult {
-    let grid: Vec<(String, (u32, u32))> = cfg
+    let grid: Vec<(u32, u32)> = cfg
         .worker_counts
         .iter()
-        .flat_map(|&w| {
-            cfg.agent_counts
-                .iter()
-                .map(move |&a| (format!("agents={a} workers={w}"), (a, w)))
-        })
+        .flat_map(|&w| cfg.agent_counts.iter().map(move |&a| (a, w)))
         .collect();
-    let points = crate::par::sweep("agent-scaling", grid, |&(a, w)| run_point(cfg, a, w)).results();
+    let points = par_map(&grid, |&(a, w)| run_point(cfg, a, w));
     ScalingResult { points }
 }
 

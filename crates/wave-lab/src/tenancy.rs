@@ -34,13 +34,13 @@
 //! * a [`FeedDemand`](wave_core::FeedDemand) rebalancer moves NIC
 //!   cores between tenants from per-tenant served-load counters.
 
-use serde::Serialize;
 use wave_core::tenant::Arbitration;
 use wave_core::{OptLevel, RebalanceConfig, TenantId, TenantRegistry, TenantSpec};
 use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave_pcie::config::Side;
 use wave_pcie::{DmaArbiter, DmaDirection, DmaMode, Interconnect};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{LatencyCdf, PaperRow, Report};
@@ -101,7 +101,7 @@ impl TenancyConfig {
 }
 
 /// One tenant's outcome inside one sweep point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenantCell {
     /// Tenant slot (the last one is the flooder when T > 1).
     pub tenant: u32,
@@ -139,7 +139,7 @@ pub struct TenantCell {
 }
 
 /// One (T, arbitration) sweep point.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenancyPoint {
     /// Tenant count.
     pub tenants: u32,
@@ -152,7 +152,7 @@ pub struct TenancyPoint {
 }
 
 /// Complete sweep output.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TenancyResult {
     /// Calibrated single-tenant agent capacity (req/s) all demands are
     /// expressed against.
@@ -352,18 +352,12 @@ pub fn run_point(cfg: &TenancyConfig, tenants: u32, weighted: bool, capacity: f6
 /// point in parallel.
 pub fn run(cfg: &TenancyConfig) -> TenancyResult {
     let capacity = agent_capacity(cfg);
-    let grid: Vec<(String, (u32, bool))> = cfg
+    let grid: Vec<(u32, bool)> = cfg
         .tenant_counts
         .iter()
-        .flat_map(|&t| {
-            [
-                (format!("T={t} weighted-fair"), (t, true)),
-                (format!("T={t} fifo"), (t, false)),
-            ]
-        })
+        .flat_map(|&t| [(t, true), (t, false)])
         .collect();
-    let points =
-        crate::par::sweep("tenancy", grid, |&(t, w)| run_point(cfg, t, w, capacity)).results();
+    let points = par_map(&grid, |&(t, w)| run_point(cfg, t, w, capacity));
     TenancyResult { capacity, points }
 }
 

@@ -34,7 +34,6 @@
 //! [`SyntheticTraceGenerator`]: wave_core::workload::SyntheticTraceGenerator
 //! [`ShedLoad`]: wave_core::shard_map::ShedLoad
 
-use serde::Serialize;
 use wave_core::shard_map::RebalanceConfig;
 use wave_core::workload::{MemPhase, PhaseSchedule, SyntheticConfig, WorkloadSpec};
 use wave_core::OptLevel;
@@ -43,6 +42,7 @@ use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -146,7 +146,7 @@ impl TracesConfig {
 }
 
 /// Latency of one diurnal quarter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseLatency {
     /// Completions whose arrival fell in this quarter.
     pub count: u64,
@@ -157,7 +157,7 @@ pub struct PhaseLatency {
 }
 
 /// The scheduler cell's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SchedTracesPoint {
     /// Completions in the measured window.
     pub completed: u64,
@@ -184,7 +184,7 @@ impl SchedTracesPoint {
 }
 
 /// The memory-manager cell's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MemTracesPoint {
     /// Workload phases applied by the phased driver.
     pub phases_applied: u64,
@@ -210,7 +210,7 @@ impl MemTracesPoint {
 }
 
 /// The sweep result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct TracesResult {
     /// Scheduler under the synthetic production trace.
     pub sched: SchedTracesPoint,
@@ -319,21 +319,15 @@ pub fn run_mem(cfg: &TracesConfig) -> MemTracesPoint {
     }
 }
 
-/// Runs both cells in parallel through the [`sweep`](crate::par::sweep)
-/// launcher.
+/// Runs both cells (sched trace, mem phases) in parallel.
 pub fn run(cfg: &TracesConfig) -> TracesResult {
-    let cells = vec![
-        ("sched trace".to_string(), false),
-        ("mem phases".to_string(), true),
-    ];
-    let out = crate::par::sweep("production-traces", cells, |&mem| {
+    let out = par_map(&[false, true], |&mem| {
         if mem {
             (None, Some(run_mem(cfg)))
         } else {
             (Some(run_sched(cfg)), None)
         }
-    })
-    .results();
+    });
     TracesResult {
         sched: out
             .iter()

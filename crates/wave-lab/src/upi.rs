@@ -9,7 +9,6 @@
 //!   3.5% (2 GHz);
 //! * UPI at 3 GHz beats the real PCIe-attached SmartNIC by 0.9%.
 
-use serde::Serialize;
 use wave_core::workload::WorkloadSpec;
 use wave_core::OptLevel;
 use wave_ghost::policies::ShinjukuPolicy;
@@ -139,7 +138,7 @@ pub fn saturation(cfg: &UpiConfig, scenario: UpiScenario) -> f64 {
 }
 
 /// Full experiment result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct UpiResult {
     /// On-host saturation (req/s).
     pub onhost: f64,

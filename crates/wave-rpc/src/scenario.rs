@@ -128,25 +128,11 @@ impl Fig6Scenario {
             phases: Vec::new(),
         }
     }
-
-    /// Builds the full scheduling-simulation config for this scenario.
-    #[deprecated(note = "use `Fig6Scenario::config(kind).build()`")]
-    pub fn sched_config(self, kind: SchedulerKind) -> SchedConfig {
-        self.config(kind).build()
-    }
-
-    /// Like `sched_config`, but sharding the scheduler across `agents`
-    /// SmartNIC cores.
-    #[deprecated(note = "use `Fig6Scenario::config(kind).agents(n).build()`")]
-    pub fn sched_config_sharded(self, kind: SchedulerKind, agents: u32) -> SchedConfig {
-        self.config(kind).agents(agents).build()
-    }
 }
 
-/// Builder collapsing the Fig. 6 configuration knobs that used to
-/// accrete as positional `sched_config*` variants: scheduler kind,
-/// shard count, rebalancing, wakeup skew, and — with the streaming
-/// workload API — which [`WorkloadSpec`] drives the run.
+/// Builder collapsing the Fig. 6 configuration knobs: scheduler kind,
+/// shard count, rebalancing, wakeup skew, and which [`WorkloadSpec`]
+/// drives the run.
 ///
 /// Defaults match the paper's Fig. 6 setup: one agent, no rebalancing,
 /// the bimodal mix at 100k req/s, 600 ms / 100 ms timing.
@@ -347,20 +333,5 @@ mod tests {
         assert!((cfg.workload.offered() - 250_000.0).abs() < 1e-6);
         assert_eq!(cfg.seed, 7);
         assert_eq!(cfg.phases.len(), 1);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_builder() {
-        let shim = Fig6Scenario::OffloadAll.sched_config_sharded(SchedulerKind::MultiQueueSlo, 4);
-        let built = Fig6Scenario::OffloadAll
-            .config(SchedulerKind::MultiQueueSlo)
-            .agents(4)
-            .build();
-        assert_eq!(shim.agents, built.agents);
-        assert_eq!(shim.workers, built.workers);
-        assert_eq!(shim.duration, built.duration);
-        assert_eq!(shim.agent_decision_extra, built.agent_decision_extra);
-        assert!((shim.workload.offered() - built.workload.offered()).abs() < 1e-9);
     }
 }

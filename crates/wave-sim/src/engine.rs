@@ -40,11 +40,11 @@
 //!   nothing once the pool has warmed up. Oversized or over-aligned
 //!   closures fall back to a plain `Box` transparently.
 //!
-//! The `engine::` benches in the `bench` crate and `wave-lab`'s `engine`
-//! module track the resulting sim-events/sec; `wave-sim`'s
-//! `wheel_equivalence` proptest suite pins pop-order equivalence against
-//! a reference `BinaryHeap` model under arbitrary schedule/cancel/run
-//! interleavings.
+//! The repository's `wavebench` benchmark measures the host cost of the
+//! engine inside whole simulations, the root `alloc_audit` test pins the
+//! pooled steady state, and `wave-sim`'s `wheel_equivalence` proptest
+//! suite pins pop-order equivalence against a reference `BinaryHeap`
+//! model under arbitrary schedule/cancel/run interleavings.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -751,8 +751,7 @@ mod tests {
     /// Regression guard for the O(n²) lazy-cancellation scan: with the
     /// original `Vec` bookkeeping, 100k cancelled events cost ~10¹⁰
     /// probe steps and this test would hang; slot-generation checks
-    /// finish instantly. The `mechanisms` bench tracks the same path
-    /// (`des_engine_mass_cancellation`).
+    /// finish instantly.
     #[test]
     fn mass_cancellation_stays_linear() {
         let mut sim = Sim::new();

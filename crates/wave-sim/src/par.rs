@@ -87,28 +87,6 @@ where
         .collect()
 }
 
-/// Like [`par_map`], but also reports each item's wall-clock duration.
-///
-/// The duration covers only the closure call for that item (not queue
-/// wait), so a sweep launcher can attribute wall time to individual
-/// jobs even though the pool interleaves them.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn par_map_timed<T, R, F>(items: &[T], f: F) -> Vec<(R, std::time::Duration)>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map(items, |item| {
-        let start = std::time::Instant::now();
-        let r = f(item);
-        (r, start.elapsed())
-    })
-}
-
 /// Like [`par_map`], but over exclusive (`&mut`) items — one OS thread
 /// per item, results in input order.
 ///
@@ -193,16 +171,6 @@ mod tests {
         assert!(workers(2) <= 2);
         assert!(workers(0) >= 1);
         assert!(workers(10_000) >= 1);
-    }
-
-    #[test]
-    fn par_map_timed_preserves_order_and_times() {
-        let xs: Vec<u64> = (0..16).collect();
-        let ys = par_map_timed(&xs, |&x| x * 2);
-        for (i, (y, dur)) in ys.iter().enumerate() {
-            assert_eq!(*y, i as u64 * 2);
-            assert!(*dur < std::time::Duration::from_secs(5));
-        }
     }
 
     #[test]

@@ -1,23 +1,21 @@
-//! Cross-cutting mechanism microbenchmarks: queue push/poll, transaction
-//! round trips, and the DES engine itself. These are the library's own
-//! performance counters rather than paper artifacts.
+//! Allocation audit under a counting global allocator: steady-state
+//! event scheduling must not hit the global allocator (the engine's
+//! closure pool and recycled wheel buckets), and the scheduler model's
+//! agent pump must stay allocation-lean (reused `kicked`/prestage scratch
+//! buffers, arena thread table, intrusive run queues).
 //!
-//! This bench also runs an **allocation audit** under a counting global
-//! allocator: steady-state event scheduling must not hit the global
-//! allocator (the engine's closure pool and recycled wheel buckets), and
-//! the scheduler model's agent pump must stay allocation-lean (reused
-//! `kicked`/prestage scratch buffers). Both properties are asserted, not
-//! just printed — a regression fails `cargo bench mechanisms`.
+//! The counting allocator sees every thread in this test binary, so the
+//! three audits run in sequence inside ONE `#[test]`; a second test
+//! running concurrently would leak its allocations into the counts.
+//! Run with `cargo test --release --test alloc_audit -- --nocapture` to
+//! see the measured counts.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
-use wave_core::{ChannelConfig, MsixMode, OptLevel, WaveChannel};
-use wave_ghost::policies::FifoPolicy;
-use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
-use wave_pcie::Interconnect;
-use wave_sim::{Sim, SimTime};
+use wave::core::OptLevel;
+use wave::ghost::policies::FifoPolicy;
+use wave::ghost::sim::{Placement, SchedConfig, SchedSim};
+use wave::sim::{Sim, SimTime};
 
 /// Counts every global-allocator hit (alloc + realloc; frees are not
 /// interesting for the steady-state property).
@@ -25,18 +23,25 @@ struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s implementation upholds the `GlobalAlloc`
+// contract; the counter is a statistic and touches no allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `alloc` preconditions pass through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` via this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr`/`layout` came from `System` via this allocator, and
+        // the caller guarantees `new_size` is valid for `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -140,72 +145,9 @@ fn audit_sched_sim_steady_state() {
     println!("alloc-audit sched_sim_steady_state: {d_allocs} allocs / {d_events} marginal events");
 }
 
-fn mechanisms(c: &mut Criterion) {
-    bench::banner("mechanism microbenchmarks");
-
+#[test]
+fn hot_loops_stay_within_allocation_budgets() {
     audit_engine_steady_state();
     audit_sched_sim_pump();
     audit_sched_sim_steady_state();
-
-    c.bench_function("des_engine_1k_events", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            for i in 0..1_000u64 {
-                sim.schedule(SimTime::from_ns(i), |m: &mut u64, _| *m += 1);
-            }
-            let mut model = 0u64;
-            sim.run(&mut model);
-            black_box(model)
-        })
-    });
-
-    // Lazy cancellation must stay O(1) per event: this regressed to an
-    // O(n²) scan when `Sim::cancelled` was a Vec.
-    c.bench_function("des_engine_mass_cancellation", |b| {
-        b.iter(|| {
-            let mut sim: Sim<u64> = Sim::new();
-            let ids: Vec<_> = (0..10_000u64)
-                .map(|i| sim.schedule(SimTime::from_ns(i), |m: &mut u64, _| *m += 1))
-                .collect();
-            for id in ids {
-                sim.cancel(id);
-            }
-            let mut model = 0u64;
-            sim.run(&mut model);
-            black_box(model)
-        })
-    });
-
-    c.bench_function("channel_message_decision_round_trip", |b| {
-        let mut ic = Interconnect::pcie();
-        let mut ch: WaveChannel<u64, u64> =
-            WaveChannel::create(&mut ic, ChannelConfig::mmio(OptLevel::full()));
-        let mut table = wave_core::GenerationTable::new();
-        table.insert(1);
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 10_000;
-            let now = SimTime::from_ns(t);
-            ch.send_messages(now, &mut ic, [1u64]).unwrap();
-            let polled = ch.poll_messages(now + SimTime::from_us(1), &mut ic, 8);
-            let target = table.snapshot(1).unwrap();
-            let txn = ch.txn_create(target, 7);
-            let out = ch
-                .txns_commit(now + SimTime::from_us(2), &mut ic, [txn], MsixMode::Skip)
-                .unwrap();
-            ch.invalidate_txns(now + SimTime::from_us(3), &mut ic, 1);
-            let got = ch.poll_txns(now + SimTime::from_us(3), &mut ic, 8);
-            black_box((polled.items.len(), out.visible_at, got.items.len()))
-        })
-    });
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_millis(300))
-        .measurement_time(std::time::Duration::from_millis(900));
-    targets = mechanisms
-}
-criterion_main!(benches);
