@@ -51,8 +51,8 @@
 //! *stage*, host *consume*. This is the whole extension surface: a new
 //! resource manager implements `ResourcePolicy`, picks a transport in
 //! [`RuntimeConfig`], and drives exactly these calls from its event loop
-//! (sharded deployments instantiate K of everything below, one batch
-//! slice each — see [`shard_range`]).
+//! (sharded deployments instantiate K of everything below, each starting
+//! with one contiguous slice of the resources — see [`shard_range`]).
 //!
 //! ```
 //! use wave_core::runtime::{
@@ -141,17 +141,20 @@ use crate::agent::{Agent, AgentId};
 
 /// Index of a decision slot within one runtime's [`SlotTable`].
 ///
-/// Slots are runtime-local: a sharded deployment maps each global
-/// resource (e.g. a worker core) to `(shard, SlotId)`.
+/// A slot is addressed by the global id of the resource it decides for
+/// (a worker core, a page batch): every runtime of a sharded deployment
+/// maps a table over the whole resource space, and which shard owns a
+/// resource is a [`crate::shard_map::ShardMap`] fact, not a table
+/// layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlotId(pub u32);
 
 /// The static contiguous resource slice owned by shard `i` of `shards`:
 /// `[i·total/shards, (i+1)·total/shards)`, balanced to within one
-/// resource. This is the partition both sharded agents use — the
-/// scheduler over worker cores, the memory manager over page batches —
-/// so the global id of a shard's local slot `s` is always
-/// `shard_range(total, shards, i).start + s`.
+/// resource. This is the initial partition both sharded agents use —
+/// the scheduler over worker cores, the memory manager over page
+/// batches — before any rebalance moves ownership. It sizes no slot
+/// table: slots are indexed by global resource id ([`SlotId`]).
 ///
 /// ```
 /// use wave_core::runtime::shard_range;
@@ -447,8 +450,9 @@ pub struct RuntimeConfig {
     pub msg_words: u64,
     /// 64-bit words per staged decision.
     pub decision_words: u64,
-    /// Decision slots this runtime owns (e.g. its share of worker
-    /// cores).
+    /// Decision slots in the table: one per resource of the whole
+    /// space (every worker core, every page batch), since slots are
+    /// indexed by global resource id.
     pub slots: u32,
     /// Transport for the host→agent message queue: [`Transport::Mmio`]
     /// for µs-scale traffic (the scheduler), [`Transport::Dma`] for

@@ -148,9 +148,9 @@ impl ServiceMix {
 }
 
 /// Open-loop Poisson arrival clock: the `Exp` inter-arrival draw with
-/// the 1 ns floor every generator in the repo uses. Shared so the
-/// scheduler's [`PoissonSource`] and the kvstore's `LoadGen` sample
-/// identically instead of each re-implementing the idiom.
+/// the 1 ns floor every generator in the repo uses. [`PoissonSource`]
+/// draws its arrivals from it; a new open-loop source should too, so
+/// every Poisson stream samples identically.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoissonClock {
     exp: Exp,
@@ -916,8 +916,8 @@ impl WorkloadSpec {
 /// than a `Box<dyn WorkloadSource>` because the scheduler pulls from it
 /// twice per admitted arrival — static dispatch keeps that hot path
 /// inlinable and the source state inline in the sim struct. Sources
-/// outside the spec (e.g. the kvstore's `KvSource`) still implement the
-/// trait directly; only the scheduler's built-in path takes this shape.
+/// outside the spec still implement the trait directly; only the
+/// scheduler's built-in path takes this shape.
 #[derive(Debug)]
 pub enum AnySource {
     /// Open-loop Poisson sampling ([`PoissonSource`]).

@@ -18,15 +18,17 @@
 //! [`wave_core::runtime::AgentRuntime`], and [`SchedConfig::agents`]
 //! instantiates N of them. Core ownership lives in a generation-stamped
 //! [`ShardMap`]; without rebalancing it is the static contiguous
-//! partition of [`shard_range`] and never changes (bit-identical to the
-//! pre-map slices). New-thread wakeups are routed round-robin
-//! (`tid % agents`, or per [`SchedConfig::wakeup_weights`] when the
-//! experiment wants a skewed offered load); core-bound events go to the
-//! core's owning shard. With [`SchedConfig::steal`] an idle shard whose
-//! run queue is empty pulls work from a sibling — victims chosen **per
-//! SLO class** ([`crate::policy::steal_victim`]: tightest class first,
-//! depth only within a class), so a latency-class backlog is never
-//! starved by throughput-class depth.
+//! partition of [`ShardMap::contiguous`] and never changes. Every
+//! shard's decision-slot table spans all worker cores and is indexed by
+//! core id, so ownership is the map's business alone. New-thread
+//! wakeups are routed round-robin (`tid % agents`, or per
+//! [`SchedConfig::wakeup_weights`] when the experiment wants a skewed
+//! offered load); core-bound events go to the core's owning shard. With
+//! [`SchedConfig::steal`] an idle shard whose run queue is empty pulls
+//! work from a sibling — victims chosen **per SLO class**
+//! ([`crate::policy::steal_victim`]: tightest class first, depth only
+//! within a class), so a latency-class backlog is never starved by
+//! throughput-class depth.
 //!
 //! **Dynamic rebalancing:** with [`SchedConfig::rebalance`] set, a
 //! host-side [`Rebalancer`] samples per-shard decision rates
@@ -41,9 +43,7 @@
 
 use std::collections::BTreeMap;
 
-use wave_core::runtime::{
-    shard_range, AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost,
-};
+use wave_core::runtime::{AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost};
 use wave_core::shard_map::{
     FeedDemand, RebalanceConfig, RebalanceEvent, Rebalancer, ResourceMove, ShardMap,
 };
@@ -232,8 +232,9 @@ pub struct SchedReport {
     pub msix_suppressed: u64,
     /// Decisions the agents produced (all shards).
     pub agent_decisions: u64,
-    /// Simulation events the DES engine executed for this run (engine
-    /// throughput accounting; see `wave-lab`'s `engine` module).
+    /// Simulation events the DES engine executed for this run: the
+    /// deterministic work counter the repository benchmark reports as
+    /// `ghost.events` (see `wavebench/README.md`).
     pub events_executed: u64,
     /// Decisions per agent shard (length = `agents`).
     pub per_agent_decisions: Vec<u64>,
@@ -363,12 +364,6 @@ pub struct SchedSim {
     /// Generation-stamped core-ownership map (static contiguous until a
     /// rebalance commits).
     map: ShardMap,
-    /// Per-shard slot-id base: a core's slot in its owner's table is
-    /// `cpu − slot_base[owner]`. Static deployments keep slice-sized
-    /// tables (base = slice start); rebalancing deployments map every
-    /// shard's table over all cores (base = 0) so ownership can move
-    /// without re-mapping SmartNIC DRAM.
-    slot_base: Vec<u32>,
     /// Cached ascending core list per shard, rebuilt on rebalance
     /// commits (keeps the pump hot path allocation-free).
     owned_cores: Vec<Vec<u32>>,
@@ -483,26 +478,15 @@ impl SchedSim {
         // the same one the sharded memory manager applies to its batch
         // space — and only a rebalance commit ever changes it.
         let map = ShardMap::contiguous(cfg.workers as usize, cfg.agents);
-        let rebalancing = cfg.rebalance.is_some();
-        let mut slot_base = Vec::with_capacity(cfg.agents as usize);
         for (i, policy) in policies.into_iter().enumerate() {
-            let slice = shard_range(cfg.workers as usize, cfg.agents as usize, i);
-            let (start, end) = (slice.start as u32, slice.end as u32);
-            // Static deployments size each slot table to the shard's
-            // slice (bit-identical to the pre-map layout); rebalancing
-            // deployments map every table over all cores so a core can
-            // change owners without re-mapping SmartNIC DRAM.
-            let (base, slots) = if rebalancing {
-                (0, cfg.workers)
-            } else {
-                (start, end - start)
-            };
-            slot_base.push(base);
+            // Every shard's slot table spans all worker cores, indexed by
+            // core id, so a core can change owners without re-mapping
+            // SmartNIC DRAM.
             let rcfg = RuntimeConfig {
                 queue_capacity: 4096,
                 msg_words: cfg.cost.msg_words,
                 decision_words: cfg.cost.decision_words,
-                slots,
+                slots: cfg.workers,
                 // The scheduler is the µs-scale agent: MMIO queues (§4.1).
                 msg_transport: wave_queue::Transport::Mmio,
                 wire_bytes_per_msg: None,
@@ -547,7 +531,6 @@ impl SchedSim {
             ic,
             shards,
             map,
-            slot_base,
             owned_cores,
             rebalancer,
             wakeup_route,
@@ -585,11 +568,6 @@ impl SchedSim {
     /// Shard owning a worker core (dynamic: follows rebalance commits).
     fn shard_of(&self, cpu: CpuId) -> usize {
         self.map.owner(cpu.0 as usize) as usize
-    }
-
-    /// A core's slot index within its owning shard's slot table.
-    fn local_slot(&self, cpu: CpuId) -> SlotId {
-        SlotId(cpu.0 - self.slot_base[self.shard_of(cpu)])
     }
 
     /// Rebuilds the per-shard owned-core cache from the map (after a
@@ -845,10 +823,7 @@ impl SchedSim {
             // re-kick; otherwise try to stage a fresh pick — from this
             // shard's queue, then (optionally, and only once the local
             // queue is truly empty) stolen from a sibling.
-            let have = self.shards[si]
-                .rt
-                .slots_ref()
-                .is_staged(self.local_slot(cpu))
+            let have = self.shards[si].rt.slots_ref().is_staged(SlotId(cpu.0))
                 || self.stage_pick(now, si, cpu, &mut nic_cost)
                 || (self.cfg.steal
                     && self.shards[si].policy.queue_depth() == 0
@@ -880,7 +855,7 @@ impl SchedSim {
                 owned
                     .iter()
                     .filter(|&&c| matches!(self.cores[c as usize], CoreState::Busy { .. }))
-                    .map(|&c| self.local_slot(CpuId(c))),
+                    .map(|&c| SlotId(c)),
             );
             let stage_cost = self.stage_cost();
             let shard = &mut self.shards[si];
@@ -961,7 +936,7 @@ impl SchedSim {
 
     fn stage_pick(&mut self, now: SimTime, si: usize, cpu: CpuId, nic_cost: &mut SimTime) -> bool {
         let stage_cost = self.stage_cost();
-        let slot = self.local_slot(cpu);
+        let slot = SlotId(cpu.0);
         let shard = &mut self.shards[si];
         let mut producer = PickProducer {
             policy: shard.policy.as_mut(),
@@ -992,7 +967,7 @@ impl SchedSim {
             return false;
         };
         let stage_cost = self.stage_cost();
-        let slot = self.local_slot(cpu);
+        let slot = SlotId(cpu.0);
         // Split-borrow the thief's runtime and the victim's policy.
         let (lo, hi) = self.shards.split_at_mut(si.max(vi));
         let (thief, victim_policy) = if si < vi {
@@ -1060,9 +1035,8 @@ impl SchedSim {
     /// generations) needs no migration — it was never per-shard.
     fn apply_core_move(&mut self, sim: &mut S, now: SimTime, m: ResourceMove) {
         self.diag.rebalance_moves += 1;
-        let cpu = CpuId(m.resource as u32);
         let (from, to) = (m.from as usize, m.to as usize);
-        let slot = SlotId(cpu.0 - self.slot_base[from]);
+        let slot = SlotId(m.resource as u32);
         let (cost, staged) = self.shards[from]
             .rt
             .slots()
@@ -1103,7 +1077,7 @@ impl SchedSim {
             return; // Core got work through another path meanwhile.
         }
         let si = self.shard_of(cpu);
-        let slot = self.local_slot(cpu);
+        let slot = SlotId(cpu.0);
         let mut cost = SimTime::ZERO;
         // §5.3.2: flush the stale view, then read.
         cost += self.shards[si]
@@ -1215,7 +1189,7 @@ impl SchedSim {
                 target,
                 preempt: false,
             };
-            let slot = self.local_slot(cpu);
+            let slot = SlotId(cpu.0);
             nic_cost += self.shards[si]
                 .rt
                 .stage_raw(now + nic_cost, &mut self.ic, slot, d);
@@ -1239,7 +1213,7 @@ impl SchedSim {
             return;
         }
         let si = self.shard_of(cpu);
-        let slot = self.local_slot(cpu);
+        let slot = SlotId(cpu.0);
         // The kernel charges the preempted thread for its runtime.
         let ran = now.saturating_sub(seg_start);
         let rem = self.threads[tid].remaining.saturating_sub(ran);
@@ -1347,7 +1321,7 @@ impl SchedSim {
         self.finish_thread(sim, tid, now);
 
         let si = self.shard_of(cpu);
-        let slot = self.local_slot(cpu);
+        let slot = SlotId(cpu.0);
         let mut cost = SimTime::ZERO;
         // §5.4 ordering: prefetch first, then kernel bookkeeping + the
         // blocked/dead message — that ~1 µs of useful work hides the

@@ -10,8 +10,8 @@
 //! lines hiding fresh decisions) is modeled.
 //!
 //! Worker core `c` maps to [`SlotId`](wave_core::runtime::SlotId)`(c)`
-//! in a single-agent deployment; sharded deployments (see [`crate::sim`])
-//! give each agent its own table indexed by shard-local slot ids.
+//! in every agent's table: sharded deployments (see [`crate::sim`]) give
+//! each agent its own table over all cores, indexed by core id.
 
 use wave_core::runtime::SlotTable;
 use wave_core::txn::{ResourceRef, TxnId};

@@ -1,20 +1,13 @@
-//! # wave-kvstore — the RocksDB-like µs-scale workload
+//! # wave-kvstore — the RocksDB-like database footprint
 //!
-//! The paper evaluates Wave against RocksDB, used in two roles:
-//!
-//! 1. **A µs-scale request workload** (§7.2/§7.3): 10 µs GET requests and
-//!    10 ms RANGE queries driven by an open-loop load generator. The
-//!    [`store`] module provides a real (small) key-value store with that
-//!    service-time envelope, and [`workload`] provides the generators.
-//! 2. **A large address space for memory tiering** (§7.4): a ~100 GiB
-//!    database whose page-access pattern SOL learns. The [`footprint`]
-//!    module models the database's pages, batches, and skewed access
-//!    pattern without allocating 100 GiB.
+//! The paper evaluates Wave against RocksDB in two roles. The µs-scale
+//! request workload (§7.2/§7.3: 10 µs GETs, 10 ms RANGE queries) is
+//! generated by `wave_core::workload` (`ServiceMix` + `PoissonSource`).
+//! This crate covers the other role: **a large address space for memory
+//! tiering** (§7.4) — a ~100 GiB database whose page-access pattern SOL
+//! learns. The [`footprint`] module models the database's pages,
+//! batches, and skewed access pattern without allocating 100 GiB.
 
 pub mod footprint;
-pub mod store;
-pub mod workload;
 
 pub use footprint::{AccessPattern, DbFootprint, FootprintConfig};
-pub use store::{Db, DbConfig, Request, RequestKind};
-pub use workload::{KvSource, LoadGen, RequestMix};

@@ -73,13 +73,11 @@ impl Fig6Config {
 
 /// Runs one load point of a scenario.
 pub fn run_point(cfg: &Fig6Config, scenario: Fig6Scenario, offered: f64) -> SchedReport {
-    let sc = scenario
-        .config(cfg.kind)
-        .offered(offered)
-        .duration(cfg.duration)
-        .warmup(cfg.warmup)
-        .seed(cfg.seed)
-        .build();
+    let mut sc = scenario.sched_config(cfg.kind);
+    sc.workload.set_offered(offered);
+    sc.duration = cfg.duration;
+    sc.warmup = cfg.warmup;
+    sc.seed = cfg.seed;
     SchedSim::new(sc, cfg.make_policy()).run()
 }
 

@@ -21,8 +21,8 @@
 //!   classification executor.
 //! * [`shard`] — the §6 scale-out applied to §4.2: the batch space
 //!   partitioned across K agent runtimes ([`ShardedSolRunner`]), each
-//!   with its own PTE-delta stream, decision-slot slice, policy, and
-//!   DMA channel, executing on real OS threads; per-shard iteration
+//!   with its own PTE-delta stream, batch-indexed decision slots,
+//!   policy, and DMA channel, executing on real OS threads; per-shard iteration
 //!   costs merge with explicit serial/parallel phase attribution.
 
 pub mod pagetable;

@@ -192,8 +192,9 @@ impl IterationCost {
 pub struct SolRunner {
     cfg: RunnerConfig,
     cpu: CpuModel,
-    /// Built lazily on the first [`SolRunner::run_iteration`], sized to
-    /// the policy (one decision slot per managed batch).
+    /// Built once, lazily on the first [`SolRunner::run_iteration`],
+    /// with one decision slot per batch of the workload: the slot index
+    /// is the global batch id.
     rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
     /// Migration decisions shipped to the host so far.
     shipped: u64,
@@ -266,9 +267,9 @@ impl SolRunner {
         }
     }
 
-    /// The runtime configuration for a policy of `n` batches: DMA-Async
-    /// ingest carrying the delta-compressed PTE stream, one decision
-    /// slot per batch. Capacity leaves headroom for the lazy head
+    /// The runtime configuration for a batch space of `n` batches:
+    /// DMA-Async ingest carrying the delta-compressed PTE stream, one
+    /// decision slot per batch. Capacity leaves headroom for the lazy head
     /// publication (`capacity / 4`), so a full rescan always fits after
     /// one credit refresh.
     fn runtime_config(&self, n: usize) -> RuntimeConfig {
@@ -304,12 +305,12 @@ impl SolRunner {
     /// iterations and shards. The returned cost fields are durations
     /// relative to `now`.
     ///
-    /// When `policy` manages a slice of a sharded batch space —
-    /// contiguous or, after rebalancing, not — decision slots are
-    /// indexed shard-locally ([`SolPolicy::local_index`]); the shipped
-    /// [`MigrationDecision`]s keep global batch ids, since those are
-    /// what the host acts on. Each iteration also notes the due-batch
-    /// count on the runtime's load counter
+    /// Decision slots are indexed by global batch id, whatever slice of
+    /// the batch space `policy` manages: the runtime is built once, on
+    /// the first iteration, with one slot per batch of `workload`, so a
+    /// slice that grows or shrinks (rebalancing, batches lent by a dead
+    /// sibling) stages into the same table. Each iteration also notes
+    /// the due-batch count on the runtime's load counter
     /// ([`AgentRuntime::note_load`]), the scan-rate signal a
     /// [`wave_core::shard_map::Rebalancer`] samples.
     pub fn run_iteration(
@@ -325,13 +326,8 @@ impl SolRunner {
         let wire = batches * self.cfg.wire_bytes_per_batch;
         let (scan, classify) = self.phase_costs(batches);
 
-        // (Re)build the runtime if the managed batch count changed.
-        if self
-            .rt
-            .as_ref()
-            .is_none_or(|rt| rt.slots_ref().len() != policy.len())
-        {
-            let rcfg = self.runtime_config(policy.len());
+        if self.rt.is_none() {
+            let rcfg = self.runtime_config(workload.batches());
             self.rt = Some(AgentRuntime::new(
                 ic,
                 AgentId(0),
@@ -369,18 +365,10 @@ impl SolRunner {
         let stats = policy.iterate_batches(now, &scanned, workload, rng);
 
         // Stage the classification flips as migration decisions through
-        // the generic slot table, each at its batch's slot (slot i ==
-        // the batch's local index in the policy's — possibly
-        // non-contiguous — slice), so the shipment's slot ids identify
-        // the migrating batch within this runtime's slice. Decision-
-        // forming compute is the classify phase above, so the stager
-        // charges zero compute here; only the slot writes accrue, onto
-        // the agent's serial clock.
-        let targets: Vec<SlotId> = policy
-            .flips()
-            .iter()
-            .map(|&(b, _)| SlotId(policy.local_index(b) as u32))
-            .collect();
+        // the generic slot table, each at its batch's slot (slot id ==
+        // global batch id). Decision-forming compute is the classify
+        // phase above, so the stager charges zero compute here; only the
+        // slot writes accrue, onto the agent's serial clock.
         let mut stager = MigrationStager::new(policy.flips().iter().copied(), SimTime::ZERO);
         let stage_at = arrive + scan;
         let stage_cost = StageCost {
@@ -388,7 +376,8 @@ impl SolRunner {
             extra: SimTime::ZERO,
         };
         let mut stage_cpu = SimTime::ZERO;
-        for slot in targets {
+        for &(b, _) in policy.flips() {
+            let slot = SlotId(b as u32);
             if rt.stage_with(stage_at, ic, &mut stager, slot, stage_cost, &mut stage_cpu) {
                 rt.record_decision(stage_at + stage_cpu);
             }

@@ -10,8 +10,8 @@
 //!   over the address space, the same partition the scheduler uses for
 //!   cores),
 //! * its own [`SolRunner`] on its own [`AgentRuntime`] — a private
-//!   PTE-delta stream (DMA ingest), decision-slot slice, and
-//!   [`MigrationStager`],
+//!   PTE-delta stream (DMA ingest), a decision-slot table indexed by
+//!   global batch id, and a [`MigrationStager`],
 //! * its own [`SolPolicy`] over the slice (global batch ids, local
 //!   state — [`SolPolicy::with_base`]), and
 //! * its own [`Interconnect`] and RNG stream, modelling one DMA channel
@@ -413,8 +413,8 @@ impl ShardedSolRunner {
     /// applies the batch moves by host-replayed handoff —
     /// [`SolPolicy::release_batches`] on the donor,
     /// [`SolPolicy::adopt_batches`] (fresh prior, due immediately) on
-    /// the recipient. Each shard's runner rebuilds its runtime and slot
-    /// slice to the new size on its next iteration. Returns the epoch's
+    /// the recipient. Runtimes are untouched: every shard's slot table
+    /// already spans the whole batch space. Returns the epoch's
     /// event, or `None` when rebalancing is off or the epoch has not
     /// elapsed. Dead shards do not pause the epoch clock: they are
     /// masked out of the skew gate and the plan

@@ -168,8 +168,9 @@ impl SolPolicy {
         &self.ids
     }
 
-    /// The local state index of a (global) batch id — also the batch's
-    /// decision-slot index within its shard's runtime.
+    /// The local state index of a (global) batch id: its row in this
+    /// policy's state vector. Decision slots do not use it — they are
+    /// indexed by the global id.
     ///
     /// # Panics
     ///

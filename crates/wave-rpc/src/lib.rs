@@ -22,6 +22,6 @@ pub mod stack;
 pub mod steering;
 
 pub use header::RpcHeader;
-pub use scenario::{Fig6Scenario, SchedConfigBuilder, SchedulerKind};
+pub use scenario::{Fig6Scenario, SchedulerKind};
 pub use stack::{RpcPlacement, StackModel};
 pub use steering::{AgentSteering, RssSteering, Steering};

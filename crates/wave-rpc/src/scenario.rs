@@ -12,7 +12,6 @@
 //!    RocksDB gets all 16 host cores; workers poll per-core MMIO queues
 //!    (commits skip the MSI-X, §4.3).
 
-use wave_core::shard_map::RebalanceConfig;
 use wave_core::workload::{ServiceMix, WorkloadSpec};
 use wave_core::OptLevel;
 use wave_ghost::sim::{IngressConfig, Placement, SchedConfig};
@@ -109,141 +108,18 @@ impl Fig6Scenario {
         SimTime::from_ns(words * pcie.mmio_read_ns)
     }
 
-    /// Starts a [`SchedConfigBuilder`] for this scenario — the one way
-    /// the kind/agents/rebalance/weights/workload knobs combine into a
-    /// [`SchedConfig`].
-    pub fn config(self, kind: SchedulerKind) -> SchedConfigBuilder {
-        SchedConfigBuilder {
-            scenario: self,
-            kind,
-            agents: 1,
-            rebalance: None,
-            wakeup_weights: None,
-            steal: false,
-            workload: None,
-            offered: None,
-            duration: None,
-            warmup: None,
-            seed: None,
-            phases: Vec::new(),
-        }
-    }
-}
-
-/// Builder collapsing the Fig. 6 configuration knobs: scheduler kind,
-/// shard count, rebalancing, wakeup skew, and which [`WorkloadSpec`]
-/// drives the run.
-///
-/// Defaults match the paper's Fig. 6 setup: one agent, no rebalancing,
-/// the bimodal mix at 100k req/s, 600 ms / 100 ms timing.
-#[derive(Debug, Clone)]
-pub struct SchedConfigBuilder {
-    scenario: Fig6Scenario,
-    kind: SchedulerKind,
-    agents: u32,
-    rebalance: Option<RebalanceConfig>,
-    wakeup_weights: Option<Vec<u32>>,
-    steal: bool,
-    workload: Option<WorkloadSpec>,
-    offered: Option<f64>,
-    duration: Option<SimTime>,
-    warmup: Option<SimTime>,
-    seed: Option<u64>,
-    phases: Vec<SimTime>,
-}
-
-impl SchedConfigBuilder {
-    /// Shards the scheduler across `agents` SmartNIC cores (§6
-    /// scale-out). On-host scenarios would burn one host core per extra
-    /// agent, so multi-agent configs are only meaningful for the
-    /// offloaded scenarios; the config is built either way and the
-    /// caller decides.
-    pub fn agents(mut self, agents: u32) -> Self {
-        self.agents = agents;
-        self
-    }
-
-    /// Enables epoch-driven core rebalancing between the agent shards.
-    pub fn rebalance(mut self, rc: RebalanceConfig) -> Self {
-        self.rebalance = Some(rc);
-        self
-    }
-
-    /// Skews new-thread wakeup routing across the shards.
-    pub fn wakeup_weights(mut self, weights: Vec<u32>) -> Self {
-        self.wakeup_weights = Some(weights);
-        self
-    }
-
-    /// Lets an idle shard steal work from a sibling run queue.
-    pub fn steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
-    /// Replaces the default bimodal-Poisson workload with `spec` (e.g. a
-    /// trace replay or the synthetic production generator).
-    pub fn workload(mut self, spec: WorkloadSpec) -> Self {
-        self.workload = Some(spec);
-        self
-    }
-
-    /// Sets the offered load (applied to whatever workload spec the
-    /// builder ends up with).
-    pub fn offered(mut self, rate: f64) -> Self {
-        self.offered = Some(rate);
-        self
-    }
-
-    /// Overrides the simulated duration.
-    pub fn duration(mut self, d: SimTime) -> Self {
-        self.duration = Some(d);
-        self
-    }
-
-    /// Overrides the warmup window.
-    pub fn warmup(mut self, w: SimTime) -> Self {
-        self.warmup = Some(w);
-        self
-    }
-
-    /// Overrides the RNG seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = Some(seed);
-        self
-    }
-
-    /// Sets per-phase latency-report boundaries (ascending).
-    pub fn phases(mut self, phases: Vec<SimTime>) -> Self {
-        self.phases = phases;
-        self
-    }
-
-    /// Builds the [`SchedConfig`].
-    pub fn build(self) -> SchedConfig {
+    /// The scenario's [`SchedConfig`] for one scheduler kind, with the
+    /// paper's Fig. 6 defaults: one agent, no rebalancing, the bimodal
+    /// mix at 100k req/s, a 600 ms run with 100 ms warm-up. Callers
+    /// adjust `workload`, `duration`, `warmup`, `seed`, … directly.
+    pub fn sched_config(self, kind: SchedulerKind) -> SchedConfig {
         let pcie = PcieConfig::pcie();
-        let stack = self.scenario.stack();
-        let mut cfg = SchedConfig::new(
-            self.scenario.workers(),
-            self.scenario.scheduler_placement(),
-            OptLevel::full(),
-        );
-        cfg.agents = self.agents;
-        cfg.rebalance = self.rebalance;
-        cfg.wakeup_weights = self.wakeup_weights;
-        cfg.steal = self.steal;
-        cfg.workload = self
-            .workload
-            .unwrap_or_else(|| WorkloadSpec::poisson(ServiceMix::paper_bimodal(), 100_000.0));
-        if let Some(rate) = self.offered {
-            cfg.workload.set_offered(rate);
-        }
-        cfg.phases = self.phases;
-        cfg.duration = self.duration.unwrap_or(SimTime::from_ms(600));
-        cfg.warmup = self.warmup.unwrap_or(SimTime::from_ms(100));
-        if let Some(seed) = self.seed {
-            cfg.seed = seed;
-        }
+        let stack = self.stack();
+        let mut cfg =
+            SchedConfig::new(self.workers(), self.scheduler_placement(), OptLevel::full());
+        cfg.workload = WorkloadSpec::poisson(ServiceMix::paper_bimodal(), 100_000.0);
+        cfg.duration = SimTime::from_ms(600);
+        cfg.warmup = SimTime::from_ms(100);
         cfg.ingress = Some(IngressConfig {
             stack_cores: stack.cores,
             stack_core: stack.core_class(),
@@ -252,7 +128,7 @@ impl SchedConfigBuilder {
             worker_receive: stack.worker_receive(&pcie),
             worker_respond: stack.worker_respond(&pcie),
         });
-        cfg.agent_decision_extra = self.scenario.agent_decision_extra(self.kind, &pcie);
+        cfg.agent_decision_extra = self.agent_decision_extra(kind, &pcie);
         cfg
     }
 }
@@ -298,40 +174,29 @@ mod tests {
             Fig6Scenario::OffloadAll,
             Fig6Scenario::OffloadAll15,
         ] {
-            let cfg = sc.config(SchedulerKind::SingleQueue).build();
+            let cfg = sc.sched_config(SchedulerKind::SingleQueue);
             assert!(cfg.ingress.is_some());
             assert_eq!(cfg.workers, sc.workers());
             assert_eq!(cfg.agents, 1);
+            assert!((cfg.workload.offered() - 100_000.0).abs() < 1e-6);
+            assert_eq!(cfg.duration, SimTime::from_ms(600));
+            assert_eq!(cfg.warmup, SimTime::from_ms(100));
         }
     }
 
     #[test]
     fn sharded_config_sets_agent_count() {
-        let cfg = Fig6Scenario::OffloadAll
-            .config(SchedulerKind::SingleQueue)
-            .agents(4)
-            .build();
-        assert_eq!(cfg.agents, 4);
-        assert_eq!(cfg.workers, 16);
-    }
-
-    #[test]
-    fn builder_knobs_apply() {
-        let cfg = Fig6Scenario::OffloadAll
-            .config(SchedulerKind::SingleQueue)
-            .agents(2)
-            .steal(true)
-            .wakeup_weights(vec![3, 1])
-            .rebalance(RebalanceConfig::every(SimTime::from_ms(10)))
-            .offered(250_000.0)
-            .seed(7)
-            .phases(vec![SimTime::from_ms(200)])
-            .build();
-        assert!(cfg.steal);
-        assert_eq!(cfg.wakeup_weights, Some(vec![3, 1]));
-        assert!(cfg.rebalance.is_some());
-        assert!((cfg.workload.offered() - 250_000.0).abs() < 1e-6);
-        assert_eq!(cfg.seed, 7);
-        assert_eq!(cfg.phases.len(), 1);
+        // The scenario config runs sharded: 16 workers across 4 agents,
+        // every agent deciding.
+        let mut cfg = Fig6Scenario::OffloadAll.sched_config(SchedulerKind::SingleQueue);
+        cfg.agents = 4;
+        cfg.duration = SimTime::from_ms(20);
+        cfg.warmup = SimTime::from_ms(5);
+        let rep = wave_ghost::sim::SchedSim::with_policy_factory(cfg, |_| {
+            Box::new(wave_ghost::policies::ShinjukuPolicy::paper_default())
+        })
+        .run();
+        assert_eq!(rep.per_agent_decisions.len(), 4);
+        assert!(rep.per_agent_decisions.iter().all(|&d| d > 0));
     }
 }

@@ -41,12 +41,9 @@ pub fn run() {
         Fig6Scenario::OnHostSchedule,
         Fig6Scenario::OffloadAll,
     ] {
-        let cfg = scenario
-            .config(SchedulerKind::SingleQueue)
-            .offered(100_000.0)
-            .duration(SimTime::from_ms(300))
-            .warmup(SimTime::from_ms(50))
-            .build();
+        let mut cfg = scenario.sched_config(SchedulerKind::SingleQueue);
+        cfg.duration = SimTime::from_ms(300);
+        cfg.warmup = SimTime::from_ms(50);
         let rep = SchedSim::new(cfg, Box::new(ShinjukuPolicy::paper_default())).run();
         println!(
             "{:<28} host cores {:>2}   achieved {:>7.0} req/s   p99 {:>9}",

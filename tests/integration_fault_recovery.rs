@@ -113,7 +113,7 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     sharded.kill_shard(1);
     assert!(!sharded.is_shard_running(1));
     assert!(!sharded.shard_runner(1).runtime().unwrap().is_running());
-    // dma_ship_staged drains the slot slice atomically at the end of
+    // dma_ship_staged drains the slot table atomically at the end of
     // every iteration, so the crash strands nothing in SmartNIC DRAM.
     let slots = sharded.shard_runner(1).runtime().unwrap().slots_ref();
     assert_eq!(slots.staged_count(), 0, "no half-shipped decisions");

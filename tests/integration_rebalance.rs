@@ -145,3 +145,67 @@ fn memory_agent_rebalance_history_is_deterministic() {
     assert_eq!((sa, wa), (sb, wb));
     assert_eq!(a.per_shard_shipped(), b.per_shard_shipped());
 }
+
+#[test]
+fn memory_agent_runtimes_span_the_batch_space_across_resizes() {
+    // A decision slot is addressed by global batch id and a shard's
+    // runtime lives as long as the shard: neither a rebalance epoch nor
+    // a kill/restart lending cycle may resize or rebuild it. Checked at
+    // both moments: every shard's slot table spans the whole batch
+    // space, and its decision count never resets.
+    let fp = DbFootprint::new(
+        FootprintConfig::skewed(0.002, 0.5),
+        AccessPattern::Scattered,
+        3,
+    );
+    let mut runner = ShardedSolRunner::new(
+        RunnerConfig::paper(CoreClass::NicArm, 16),
+        CpuModel::mount_evans(),
+        2,
+        SolConfig::paper(),
+        fp.batches(),
+        4,
+    )
+    .with_rebalance(RebalanceConfig::every(SimTime::from_ms(1_800)));
+    let total = runner.total_batches();
+    let mut seen = [0u64; 2];
+    let mut check = |runner: &ShardedSolRunner, moment: &str| {
+        for (i, last) in seen.iter_mut().enumerate() {
+            let rt = runner.shard_runner(i as u32).runtime().expect("built");
+            assert_eq!(rt.slots_ref().len(), total, "{moment}: shard {i} slots");
+            assert!(rt.decisions() >= *last, "{moment}: shard {i} count reset");
+            *last = rt.decisions();
+        }
+        seen.iter().sum::<u64>()
+    };
+
+    // Moment 1: an epoch moves batches; the next iteration scans the
+    // adopted batches into the same tables.
+    let mut now = SimTime::ZERO;
+    loop {
+        runner.run_iteration(&fp, now);
+        let moved = runner
+            .maybe_rebalance(now)
+            .is_some_and(|e| !e.moves.is_empty());
+        now += SimTime::from_ms(600);
+        if moved {
+            break;
+        }
+        assert!(now < SimTime::from_secs(12), "skewed load moved no batches");
+    }
+    let before = check(&runner, "before the move");
+    runner.run_iteration(&fp, now);
+    assert!(check(&runner, "after the move") > before);
+
+    // Moment 2: a dead shard lends its batches to the survivor, and a
+    // restart takes them back.
+    runner.kill_shard(1);
+    now += SimTime::from_ms(600);
+    runner.run_iteration(&fp, now);
+    let lent = check(&runner, "while lent");
+    assert!(lent > before);
+    runner.restart_shard(1, now);
+    now += SimTime::from_ms(600);
+    runner.run_iteration(&fp, now);
+    assert!(check(&runner, "after restart") > lent);
+}
