@@ -70,8 +70,11 @@ impl SloTargets {
 pub struct FleetConfig {
     /// Number of Wave hosts.
     pub hosts: u32,
-    /// Executor worker threads (`1` = sequential reference; any value
-    /// produces bit-identical results).
+    /// Executor lanes: the hosts and the frontdoor are split into at most
+    /// `workers` contiguous ranges, each advanced by one thread for the
+    /// whole run. The calling thread is lane 0, so `workers: 1` spawns no
+    /// thread and is the sequential reference; any value produces
+    /// bit-identical results.
     pub workers: usize,
     /// Per-host template. Its `workload`, `warmup`, and `duration` are
     /// overwritten by the fleet driver; everything else (cores, agents,

@@ -288,7 +288,8 @@ pub struct Sim<M> {
 // `&mut self` only; nothing aliases or escapes), and every payload
 // written into them is a closure the `schedule` bounds require to be
 // `Send`. Moving the whole engine to another thread — which the fleet
-// executor does when pool workers claim hosts — is therefore sound.
+// executor does when it hands each host to its lane's thread, once per
+// `run_until` call — is therefore sound.
 unsafe impl<M> Send for Sim<M> {}
 
 impl<M> Default for Sim<M> {
