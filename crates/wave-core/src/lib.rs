@@ -1,14 +1,19 @@
 //! # wave-core — the Wave offload API
 //!
-//! This crate implements the host↔SmartNIC API of the paper's Table 1:
+//! This crate implements the host↔SmartNIC API of the paper's Table 1.
+//! Each agent has one channel, a [`runtime::AgentRuntime`]: a host→NIC
+//! message queue plus one decision slot per resource.
 //!
-//! ```text
-//! Shared:   START_WAVE_AGENT, KILL_WAVE_AGENT
-//! Queues:   CREATE_QUEUE, DESTROY_QUEUE, ASSOC_QUEUE_WITH, SET_QUEUE_TYPE
-//! Messages: SEND_MESSAGES (host)            | POLL_MESSAGES (NIC)
-//! Txns:     PREFETCH_TXNS, POLL_TXNS (host) | TXN_CREATE, TXNS_COMMIT (NIC)
-//! Outcomes: SET_TXNS_OUTCOMES (host)        | POLL_TXNS_OUTCOMES (NIC)
-//! ```
+//! | Table 1 | Here |
+//! |---|---|
+//! | `START_WAVE_AGENT`, `CREATE_QUEUE`, `SET_QUEUE_TYPE` | [`AgentRuntime::new`] with a [`RuntimeConfig`] (transport, PTE types) |
+//! | `KILL_WAVE_AGENT` | `agent_mut().kill()` |
+//! | `SEND_MESSAGES` (host) | [`AgentRuntime::host_send`] + [`AgentRuntime::host_flush`] |
+//! | `POLL_MESSAGES` (NIC) | [`AgentRuntime::poll`] / [`AgentRuntime::poll_into`] |
+//! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | [`AgentRuntime::stage_with`] / [`AgentRuntime::stage_raw`], then an MSI-X kick (`ic.msix.send`) |
+//! | `PREFETCH_TXNS` (host) | [`SlotTable::host_prefetch`] |
+//! | `POLL_TXNS` (host) | [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`], or [`AgentRuntime::dma_ship_staged`] |
+//! | `SET_TXNS_OUTCOMES` / `POLL_TXNS_OUTCOMES` | [`GenerationTable::validate`] on the host; failures are host-side counts, not queue traffic |
 //!
 //! The key semantic — inherited from ghOSt and made *more* important by
 //! the PCIe latency — is that agent decisions are **committed atomically
@@ -21,9 +26,7 @@
 //!
 //! Layout:
 //!
-//! * [`channel`] — [`channel::WaveChannel`], the queue triple (messages,
-//!   transactions, outcomes) with the Table 1 operations.
-//! * [`txn`] — transactions, outcomes, and the host-side
+//! * [`txn`] — resource references, commit outcomes, and the host-side
 //!   [`txn::GenerationTable`] used for atomic validation.
 //! * [`agent`] — SmartNIC agent lifecycle and its serial compute clock.
 //! * [`runtime`] — the reusable agent-runtime layer: one agent's
@@ -55,7 +58,6 @@
 //!   [`workload::MemPhaseSource`] phase stream for the memory agent.
 
 pub mod agent;
-pub mod channel;
 pub mod opts;
 pub mod runtime;
 pub mod shard_map;
@@ -65,7 +67,6 @@ pub mod watchdog;
 pub mod workload;
 
 pub use agent::{Agent, AgentId, AgentState};
-pub use channel::{ChannelConfig, CommitOutcome, MsixMode, WaveChannel};
 pub use opts::OptLevel;
 pub use runtime::{
     AgentRuntime, DmaShipment, ResourcePolicy, RuntimeConfig, SlotId, SlotTable, StageCost,
@@ -77,7 +78,7 @@ pub use shard_map::{
 pub use tenant::{
     Arbitration, Grant, NicScheduler, TenantBinding, TenantId, TenantRegistry, TenantSpec,
 };
-pub use txn::{GenerationTable, ResourceRef, Txn, TxnId, TxnOutcome, TxnOutcomeRecord};
+pub use txn::{GenerationTable, ResourceRef, TxnId, TxnOutcome};
 pub use watchdog::Watchdog;
 pub use workload::{
     MemPhase, MemPhaseSource, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix,

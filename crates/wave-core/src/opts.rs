@@ -19,7 +19,7 @@ use wave_pcie::{PteType, SocPteMode};
 pub struct OptLevel {
     /// Map queue memory write-back on the SmartNIC SoC (§5.3.1).
     pub nic_wb: bool,
-    /// Map the host message queue write-combining and the decision queue
+    /// Map the host message queue write-combining and the decision slots
     /// write-through (§5.3.1/§5.3.2).
     pub host_wc_wt: bool,
     /// Agents prestage decisions ahead of demand (§5.4).
@@ -85,7 +85,8 @@ impl OptLevel {
         }
     }
 
-    /// Host PTE type for the NIC→host decision/transaction queue.
+    /// Host PTE type for the per-core decision slots (the paper's
+    /// decision queues).
     pub fn decision_queue_pte(self) -> PteType {
         if self.host_wc_wt {
             PteType::WriteThrough

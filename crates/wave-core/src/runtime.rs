@@ -133,7 +133,7 @@
 
 use wave_pcie::config::Side;
 use wave_pcie::{DmaDirection, DmaMode, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
-use wave_queue::{Direction, PollOutcome, Transport, WaveQueue};
+use wave_queue::{PollOutcome, Transport, WaveQueue};
 use wave_sim::cpu::{CoreClass, CpuModel};
 use wave_sim::SimTime;
 
@@ -521,7 +521,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     ) -> Self {
         let mut msg_q = WaveQueue::new(
             ic,
-            Direction::HostToNic,
             cfg.msg_transport,
             cfg.queue_capacity,
             cfg.msg_words,

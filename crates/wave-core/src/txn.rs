@@ -1,17 +1,17 @@
 //! Transactions: atomic commits of agent decisions (§3.2).
 //!
 //! A Wave agent never mutates host kernel state directly — it stages a
-//! [`Txn`] carrying its decision plus a [`ResourceRef`] naming the target
-//! resource *and the generation it observed*. The host kernel enforces
-//! the decision only if the generation still matches; otherwise the
-//! transaction fails cleanly and the agent learns about it through a
-//! [`TxnOutcomeRecord`]. This is the ghOSt guarantee that prevents
+//! decision carrying a [`ResourceRef`] that names the target resource
+//! *and the generation it observed*. The host kernel enforces the
+//! decision only if the generation still matches; otherwise the
+//! transaction fails cleanly with a [`TxnOutcome`] and nothing is
+//! mutated. This is the ghOSt guarantee that prevents
 //! time-of-check-to-time-of-use corruption across the high-latency PCIe
 //! path.
 
 use rustc_hash::FxHashMap;
 
-/// Identifier of a transaction, unique per channel.
+/// Identifier of a transaction, unique per host.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TxnId(pub u64);
 
@@ -28,17 +28,6 @@ pub struct ResourceRef {
     pub resource: u64,
     /// Generation the agent observed when it made the decision.
     pub generation: u64,
-}
-
-/// An agent decision staged for atomic enforcement on the host.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Txn<D> {
-    /// Unique id, for matching outcomes.
-    pub id: TxnId,
-    /// The resource this decision applies to.
-    pub target: ResourceRef,
-    /// The policy payload (e.g. "run thread T on CPU C").
-    pub decision: D,
 }
 
 /// Result of attempting to commit a transaction on the host.
@@ -63,15 +52,6 @@ impl TxnOutcome {
     pub fn is_committed(self) -> bool {
         matches!(self, TxnOutcome::Committed)
     }
-}
-
-/// Outcome record sent back to the agent over the outcome queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TxnOutcomeRecord {
-    /// Which transaction.
-    pub id: TxnId,
-    /// What happened.
-    pub outcome: TxnOutcome,
 }
 
 /// Host-kernel table of resource generations — "the host kernel is the

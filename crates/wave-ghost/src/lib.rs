@@ -48,4 +48,4 @@ pub use policy::{SchedPolicy, SloClass, ThreadMeta};
 pub use sim::{
     HostCompletion, Placement, SchedConfig, SchedReport, SchedSim, SchedStepper, ServiceMix,
 };
-pub use slots::{DecisionSlots, SlotDecision};
+pub use slots::SlotDecision;

@@ -21,18 +21,18 @@
 //! | On-host ctx switch, baseline | 4,380–4,990 |
 //! | On-host ctx switch, prestaged | 2,350–3,260 |
 
+use wave_core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
 use wave_core::txn::TxnId;
-use wave_core::OptLevel;
+use wave_core::{AgentId, OptLevel};
 use wave_pcie::{Interconnect, MsixSendPath, MsixVector, PcieConfig};
-use wave_queue::{Direction, Transport, WaveQueue};
+use wave_queue::Transport;
 use wave_sim::cpu::{CoreClass, CpuModel, WorkloadClass};
 use wave_sim::SimTime;
 
 use crate::cost::CostModel;
 use crate::msg::{CpuId, SchedMsg, SchedMsgKind, Tid};
 use crate::sim::Placement;
-use crate::slots::{DecisionSlots, SlotDecision};
-use wave_core::runtime::SlotId;
+use crate::slots::SlotDecision;
 
 /// One measured row.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,33 +55,38 @@ impl MicrobenchRow {
     }
 }
 
-fn test_rig(
-    placement: Placement,
-    opts: OptLevel,
-) -> (Interconnect, DecisionSlots, WaveQueue<SchedMsg>, CostModel) {
-    let cfg = match placement {
-        Placement::OnHost => PcieConfig::host_local(),
-        Placement::Offloaded => PcieConfig::pcie(),
+/// The single-agent runtime behind every Table 3 row.
+type Runtime = AgentRuntime<SchedMsg, SlotDecision>;
+
+/// A 64-entry MMIO message queue and two decision slots, on the
+/// placement's interconnect and agent core.
+fn test_rig(placement: Placement, opts: OptLevel) -> (Interconnect, Runtime, CostModel) {
+    let (pcfg, agent_core) = match placement {
+        Placement::OnHost => (PcieConfig::host_local(), CoreClass::HostX86),
+        Placement::Offloaded => (PcieConfig::pcie(), CoreClass::NicArm),
     };
-    let mut ic = Interconnect::new(cfg);
+    let mut ic = Interconnect::new(pcfg);
     let cost = CostModel::calibrated();
-    let msg_q = WaveQueue::new(
+    let rcfg = RuntimeConfig {
+        queue_capacity: 64,
+        msg_words: cost.msg_words,
+        decision_words: cost.decision_words,
+        slots: 2,
+        msg_transport: Transport::Mmio,
+        wire_bytes_per_msg: None,
+        msg_pte: opts.message_queue_pte(),
+        decision_pte: opts.decision_queue_pte(),
+        soc_pte: opts.soc_pte(),
+        pickup: SimTime::from_ns(cost.agent_pickup_ns),
+    };
+    let rt = AgentRuntime::new(
         &mut ic,
-        Direction::HostToNic,
-        Transport::Mmio,
-        64,
-        cost.msg_words,
-        opts.message_queue_pte(),
-        opts.soc_pte(),
+        AgentId(0),
+        agent_core,
+        CpuModel::mount_evans(),
+        &rcfg,
     );
-    let slots = DecisionSlots::new(
-        &mut ic,
-        2,
-        cost.decision_words,
-        opts.decision_queue_pte(),
-        opts.soc_pte(),
-    );
-    (ic, slots, msg_q, cost)
+    (ic, rt, cost)
 }
 
 fn decision() -> SlotDecision {
@@ -96,12 +101,21 @@ fn decision() -> SlotDecision {
     }
 }
 
+/// Host side of a block: sends the `Blocked` message for `cpu` and fences
+/// it toward the agent. Returns the host CPU cost.
+fn send_blocked(rt: &mut Runtime, ic: &mut Interconnect, now: SimTime, cpu: CpuId) -> SimTime {
+    let msg = SchedMsg::new(Tid(9), SchedMsgKind::Blocked, Some(cpu));
+    let (send, delivered) = rt.host_send(now, ic, msg);
+    assert!(delivered, "a 64-entry queue has room for one message");
+    send + rt.host_flush(now + send, ic)
+}
+
 /// Measures "open a decision in agent & send MSI-X" for a placement and
 /// optimization level.
 pub fn open_decision(placement: Placement, opts: OptLevel) -> SimTime {
-    let (mut ic, mut slots, _q, _cost) = test_rig(placement, opts);
+    let (mut ic, mut rt, _cost) = test_rig(placement, opts);
     let t0 = SimTime::from_us(10);
-    let mut cost = slots.stage(t0, &mut ic, SlotId(0), decision());
+    let mut cost = rt.stage_raw(t0, &mut ic, SlotId(0), decision());
     let side = match placement {
         Placement::OnHost => wave_pcie::config::Side::Host,
         Placement::Offloaded => wave_pcie::config::Side::Nic,
@@ -121,13 +135,10 @@ pub fn open_decision(placement: Placement, opts: OptLevel) -> SimTime {
 /// is already staged before the block (the fast path); otherwise the
 /// host must wait for the agent round trip.
 pub fn context_switch(placement: Placement, opts: OptLevel) -> SimTime {
-    let (mut ic, mut slots, mut msg_q, cost_model) = test_rig(placement, opts);
+    let (mut ic, mut rt, cost_model) = test_rig(placement, opts);
     let cpu_model = CpuModel::mount_evans();
     let offloaded = placement == Placement::Offloaded;
-    let agent_core = match placement {
-        Placement::OnHost => CoreClass::HostX86,
-        Placement::Offloaded => CoreClass::NicArm,
-    };
+    let agent_core = rt.agent().core();
     let side = match placement {
         Placement::OnHost => wave_pcie::config::Side::Host,
         Placement::Offloaded => wave_pcie::config::Side::Nic,
@@ -140,19 +151,16 @@ pub fn context_switch(placement: Placement, opts: OptLevel) -> SimTime {
 
     if opts.prestage {
         // Agent staged the next decision earlier.
-        slots.stage(SimTime::from_us(1), &mut ic, SlotId(cpu.0), decision());
+        rt.stage_raw(SimTime::from_us(1), &mut ic, SlotId(cpu.0), decision());
         // Fast path: prefetch, kernel bookkeeping + message, consume,
         // commit, switch.
         let mut t = t0;
         if opts.prefetch {
-            t += slots.host_prefetch(t, &mut ic, SlotId(cpu.0));
+            t += rt.slots().host_prefetch(t, &mut ic, SlotId(cpu.0));
         }
         t += cost_model.kernel_event();
-        let msg = SchedMsg::new(Tid(9), SchedMsgKind::Blocked, Some(cpu));
-        let push = msg_q.push(t, &mut ic, msg).expect("room");
-        t += push.cpu;
-        t += msg_q.flush(t, &mut ic);
-        let (c, got) = slots.host_consume(t, &mut ic, SlotId(cpu.0));
+        t += send_blocked(&mut rt, &mut ic, t, cpu);
+        let (c, got) = rt.slots().host_consume(t, &mut ic, SlotId(cpu.0));
         t += c;
         assert!(got.is_some(), "prestaged decision must be found");
         t += cost_model.commit_path(offloaded);
@@ -163,28 +171,26 @@ pub fn context_switch(placement: Placement, opts: OptLevel) -> SimTime {
     // Slow path: block -> message -> agent -> decision -> MSI-X -> IRQ ->
     // read -> commit -> switch.
     let mut t = t0 + cost_model.kernel_event();
-    let msg = SchedMsg::new(Tid(9), SchedMsgKind::Blocked, Some(cpu));
-    let push = msg_q.push(t, &mut ic, msg).expect("room");
-    t += push.cpu;
-    t += msg_q.flush(t, &mut ic);
+    t += send_blocked(&mut rt, &mut ic, t, cpu);
     let visible = t + ic.one_way();
 
     // Agent: pickup + poll + policy + stage + MSI-X.
-    let mut agent_t = visible + SimTime::from_ns(cost_model.agent_pickup_ns);
-    let polled = msg_q.poll_nic(agent_t, &mut ic, 4);
+    let mut agent_t = rt.arm_pump(visible).expect("no pump in flight");
+    rt.pump_fired();
+    let polled = rt.poll(agent_t, &mut ic, 4);
     assert_eq!(polled.items.len(), 1);
     agent_t += polled.cpu;
     agent_t += ic.soc.access(opts.soc_pte(), cost_model.agent_state_words);
     agent_t += policy_compute;
-    agent_t += slots.stage(agent_t, &mut ic, SlotId(cpu.0), decision());
+    agent_t += rt.stage_raw(agent_t, &mut ic, SlotId(cpu.0), decision());
     let d = ic
         .msix
         .send(agent_t, MsixVector(0), MsixSendPath::Ioctl, side);
 
     // Host IRQ: coherence flush + read + commit + switch.
     let mut h = d.handler_at;
-    h += slots.host_invalidate(h, &mut ic, SlotId(cpu.0));
-    let (c, got) = slots.host_consume(h, &mut ic, SlotId(cpu.0));
+    h += rt.slots().host_invalidate(h, &mut ic, SlotId(cpu.0));
+    let (c, got) = rt.slots().host_consume(h, &mut ic, SlotId(cpu.0));
     h += c;
     assert!(got.is_some(), "decision must be visible after the IRQ");
     h += cost_model.commit_path(offloaded);
@@ -279,6 +285,17 @@ mod tests {
         let l2 = context_switch(Placement::Offloaded, OptLevel::host_pte());
         let l3 = context_switch(Placement::Offloaded, OptLevel::full());
         assert!(l0 > l1 && l1 > l2 && l2 > l3, "{l0} {l1} {l2} {l3}");
+    }
+
+    #[test]
+    fn table3_is_pinned_to_the_ns() {
+        // The ±15% band below cannot tell a rig or cost-model change
+        // from a faithful port; this golden can.
+        let measured: Vec<u64> = table3().iter().map(|r| r.measured.as_ns()).collect();
+        assert_eq!(
+            measured,
+            [1_012, 428, 13_980, 10_841, 6_941, 3_174, 772, 4_747, 2_894]
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The slot mechanics — staging, staleness, prefetch, the software
 //! coherence protocol — live in the reusable
-//! [`wave_core::runtime::SlotTable`]; this module specializes the table
-//! to scheduling decisions. See the runtime module docs for the full
+//! [`wave_core::runtime::SlotTable`]; this module defines the scheduling
+//! decision a scheduler agent's table carries. See the runtime module docs for the full
 //! protocol; in short: the agent stages **one decision per core** so the
 //! host can pick it up without a PCIe round trip (§5.4), and every
 //! staleness hazard (stage racing a prefetch snapshot, stale cached
@@ -13,7 +13,6 @@
 //! in every agent's table: sharded deployments (see [`crate::sim`]) give
 //! each agent its own table over all cores, indexed by core id.
 
-use wave_core::runtime::SlotTable;
 use wave_core::txn::{ResourceRef, TxnId};
 
 use crate::msg::Tid;
@@ -31,19 +30,16 @@ pub struct SlotDecision {
     pub preempt: bool,
 }
 
-/// One decision slot per worker core, in SmartNIC DRAM.
-pub type DecisionSlots = SlotTable<SlotDecision>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_core::runtime::SlotId;
+    use wave_core::runtime::{SlotId, SlotTable};
     use wave_core::txn::ResourceRef;
     use wave_pcie::{Interconnect, PteType, SocPteMode};
     use wave_sim::SimTime;
 
-    fn slots(ic: &mut Interconnect, pte: PteType) -> DecisionSlots {
-        DecisionSlots::new(ic, 4, 6, pte, SocPteMode::WriteBack)
+    fn slots(ic: &mut Interconnect, pte: PteType) -> SlotTable<SlotDecision> {
+        SlotTable::new(ic, 4, 6, pte, SocPteMode::WriteBack)
     }
 
     fn decision(tid: u64) -> SlotDecision {

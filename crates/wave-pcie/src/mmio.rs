@@ -178,28 +178,6 @@ impl HostMmio {
         id
     }
 
-    /// Changes the PTE type of a region (Wave's `SET_QUEUE_TYPE`),
-    /// dropping all cached/buffered state.
-    ///
-    /// # Panics
-    ///
-    /// Same constraints as [`HostMmio::map_region`].
-    pub fn set_pte(&mut self, region: RegionId, pte: PteType) {
-        assert!(
-            !pte.requires_coherence() || self.cfg.is_coherent(),
-            "write-back host mappings of device memory require a coherent interconnect"
-        );
-        let r = self.region_mut(region);
-        r.pte = pte;
-        r.cache.fill(None);
-        r.wc.fill(0);
-    }
-
-    /// The PTE type of a region.
-    pub fn pte(&self, region: RegionId) -> PteType {
-        self.regions[region.0 as usize].pte
-    }
-
     /// Telemetry counters.
     pub fn stats(&self) -> MmioStats {
         self.stats
@@ -604,16 +582,6 @@ mod tests {
         let mut m = HostMmio::new(PcieConfig::coherent_upi());
         let r = m.map_region(PteType::WriteBack, 8);
         assert_eq!(m.clflush(SimTime::ZERO, LineAddr::new(r, 0)), SimTime::ZERO);
-    }
-
-    #[test]
-    fn set_pte_clears_state() {
-        let (mut m, a) = mmio(PteType::WriteThrough);
-        let _ = m.read(SimTime::ZERO, a);
-        m.set_pte(a.region, PteType::Uncacheable);
-        let out = m.read(SimTime::from_us(1), a);
-        assert_eq!(out.cpu, SimTime::from_ns(750));
-        assert_eq!(m.pte(a.region), PteType::Uncacheable);
     }
 
     #[test]

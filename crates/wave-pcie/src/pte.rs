@@ -18,7 +18,7 @@ pub enum PteType {
     WriteCombining,
     /// Loads are cached at cache-line granularity (one 750 ns miss pulls
     /// 64 B; subsequent loads hit), stores go straight to memory. Wave
-    /// maps the NIC→host decision queue WT, together with the software
+    /// maps the per-core decision slots WT, together with the software
     /// coherence protocol of §5.3.2 (`clflush` on MSI-X receipt) because
     /// PCIe provides no hardware coherence.
     WriteThrough,

@@ -1,8 +1,11 @@
-//! # wave-queue — Floem-style host↔SmartNIC shared-memory queues
+//! # wave-queue — Floem-style host→SmartNIC shared-memory queues
 //!
-//! Wave communicates over unidirectional shared-memory queues (§5.3): one
-//! queue carries messages host→SmartNIC, another carries decisions
-//! SmartNIC→host. This crate implements those queues on top of the
+//! Wave's host→SmartNIC message path is a unidirectional shared-memory
+//! queue (§5.3): the host produces kernel-state messages, the agent polls
+//! them. Decisions travel the other way through per-resource slots in
+//! SmartNIC DRAM (`wave_core::runtime::SlotTable`) or one batched DMA
+//! (`wave_core::runtime::AgentRuntime::dma_ship_staged`), not through a
+//! queue. This crate implements the message queue on top of the
 //! [`wave_pcie`] interconnect model, reproducing the Floem design the
 //! paper builds on:
 //!
@@ -11,22 +14,20 @@
 //!   In the model, an entry carries the absolute time it becomes visible
 //!   on the consumer's side of the link.
 //! * **MMIO or DMA backing** (`SET_QUEUE_TYPE`): MMIO queues live in
-//!   SmartNIC DRAM and are accessed by the host through
-//!   [`wave_pcie::HostMmio`] — including write-combining batching,
-//!   write-through caching, staleness, and `clflush`/prefetch. DMA queues
-//!   stage entries locally and ship them in batches through
-//!   [`wave_pcie::DmaEngine`], synchronously or asynchronously.
+//!   SmartNIC DRAM and are written by the host through
+//!   [`wave_pcie::HostMmio`], so write-combining buffers hide entries
+//!   until a fence. DMA queues stage entries locally and ship them in
+//!   batches through [`wave_pcie::DmaEngine`], synchronously or
+//!   asynchronously.
 //! * **Lazy head synchronization** (after iPipe): the producer learns the
 //!   consumer's progress only from a periodically-published head pointer,
 //!   avoiding a PCIe round trip per push; it pays the expensive head read
 //!   only when its credits run out.
 //!
 //! The queue is *typed*: `WaveQueue<T>` carries real payload values of
-//! `T` so higher layers (messages, transactions) get lossless,
-//! order-preserving delivery with accurately-costed timing.
+//! `T` so the agent runtime gets lossless, order-preserving delivery
+//! with accurately-costed timing.
 
 pub mod queue;
 
-pub use queue::{
-    Direction, PollOutcome, PushError, PushOutcome, QueueStats, Rejected, Transport, WaveQueue,
-};
+pub use queue::{PollOutcome, PushError, PushOutcome, QueueStats, Rejected, Transport, WaveQueue};

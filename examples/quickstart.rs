@@ -1,93 +1,108 @@
 //! Quickstart: one Wave decision round trip, end to end.
 //!
-//! Builds a host↔SmartNIC channel, sends a kernel message, lets the
-//! "agent" make a decision, commits it transactionally with an MSI-X
-//! kick, and prints every latency along the way — the paper's Fig. 2
-//! lifecycle in ~60 lines.
+//! Builds one agent runtime (a host→SmartNIC message queue plus a
+//! decision slot per core), sends a kernel message, lets the agent stage
+//! a decision and kick the host with an MSI-X, and has the host read the
+//! decision and validate it against the kernel's generation table — the
+//! paper's Fig. 2 lifecycle, printing every latency along the way.
 //!
 //! Run with: `cargo run --example quickstart`
 
-use wave::core::{
-    ChannelConfig, GenerationTable, MsixMode, OptLevel, TxnOutcomeRecord, WaveChannel,
-};
-use wave::pcie::{Interconnect, MsixVector};
+use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
+use wave::core::{AgentId, GenerationTable, OptLevel, ResourceRef};
+use wave::ghost::CostModel;
+use wave::pcie::config::Side;
+use wave::pcie::{Interconnect, MsixSendPath, MsixVector};
+use wave::queue::Transport;
+use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
-/// Runs the example end to end (also exercised by `tests/examples_smoke.rs`).
-pub fn run() {
+/// Runs the example end to end and returns the message→decision-read
+/// latency of the MSI-X path (also exercised by `tests/examples_smoke.rs`).
+pub fn run() -> SimTime {
     // The interconnect: calibrated to the paper's Table 2 (750 ns MMIO
     // reads, 1600 ns MSI-X end-to-end, ...).
     let mut ic = Interconnect::pcie();
 
-    // A channel with all of Wave's optimizations: WC message queue, WT
-    // decision queue, write-back SoC mappings.
-    let mut ch: WaveChannel<u64, u64> =
-        WaveChannel::create(&mut ic, ChannelConfig::mmio(OptLevel::full()));
-    ch.assoc_queue_with(MsixVector(0));
+    // Every PTE optimization: WC message queue, WT decision slots,
+    // write-back SoC mappings. Nothing is prestaged, so the host learns
+    // of the decision through the MSI-X path.
+    let opts = OptLevel::host_pte();
+    let cost = CostModel::calibrated();
+    let cfg = RuntimeConfig {
+        queue_capacity: 1024,
+        msg_words: cost.msg_words,
+        decision_words: cost.decision_words,
+        slots: 1,
+        msg_transport: Transport::Mmio,
+        wire_bytes_per_msg: None,
+        msg_pte: opts.message_queue_pte(),
+        decision_pte: opts.decision_queue_pte(),
+        soc_pte: opts.soc_pte(),
+        pickup: SimTime::from_ns(cost.agent_pickup_ns),
+    };
+    // A decision names the thread to run and the generation the agent saw.
+    let mut rt: AgentRuntime<u64, ResourceRef> = AgentRuntime::new(
+        &mut ic,
+        AgentId(0),
+        CoreClass::NicArm,
+        CpuModel::mount_evans(),
+        &cfg,
+    );
+    let core = SlotId(0);
 
     // Host kernel state: thread 7 exists at generation 0.
     let mut kernel = GenerationTable::new();
     kernel.insert(7);
 
-    // ❶ Thread 7 blocks; the host tells the agent.
+    // ❶ Thread 7 becomes runnable while core 0 idles; the host tells the
+    // agent (SEND_MESSAGES).
     let t0 = SimTime::from_us(10);
-    let (send_cpu, visible_at) = ch
-        .send_messages(t0, &mut ic, [7u64])
-        .expect("queue has room");
+    let (send_cpu, delivered) = rt.host_send(t0, &mut ic, 7);
+    assert!(delivered, "queue has room");
+    let send_cpu = send_cpu + rt.host_flush(t0 + send_cpu, &mut ic);
+    let visible_at = rt.next_visible_at().expect("message in flight");
     println!("host: message sent in {send_cpu}, visible on the NIC at {visible_at}");
 
-    // ❷-❹ The agent polls, decides ("run thread 7"), and commits.
-    let polled = ch.poll_messages(visible_at, &mut ic, 8);
+    // ❷-❹ The agent picks the message up (POLL_MESSAGES), stages "run
+    // thread 7" into core 0's slot and kicks the host (TXNS_COMMIT).
+    let pump_at = rt.arm_pump(visible_at).expect("no pump in flight");
+    rt.pump_fired();
+    let polled = rt.poll(pump_at, &mut ic, 8);
     println!(
-        "agent: polled {} message(s) in {}",
+        "agent: polled {} message(s) at {pump_at} in {}",
         polled.items.len(),
         polled.cpu
     );
-    let target = kernel.snapshot(7).expect("thread exists");
-    let txn = ch.txn_create(target, /* decision payload: */ 7);
-    let commit = ch
-        .txns_commit(
-            visible_at + polled.cpu,
-            &mut ic,
-            [txn],
-            MsixMode::Send(MsixVector(0)),
-        )
-        .expect("queue has room");
-    let delivery = commit.msix.expect("interrupt was sent");
+    let target = kernel.snapshot(polled.items[0]).expect("thread exists");
+    let mut agent_t = pump_at + polled.cpu;
+    agent_t += rt.stage_raw(agent_t, &mut ic, core, target);
+    rt.record_decision(agent_t);
+    let kick = ic
+        .msix
+        .send(agent_t, MsixVector(0), MsixSendPath::Ioctl, Side::Nic);
     println!(
-        "agent: committed in {}, MSI-X lands at {}",
-        commit.cpu, delivery.handler_at
+        "agent: staged by {agent_t}, MSI-X lands at {}",
+        kick.handler_at
     );
 
-    // ❺-❻ Host IRQ handler: software coherence flush, read, validate,
-    // enforce.
-    let t_irq = delivery.handler_at;
-    ch.invalidate_txns(t_irq, &mut ic, 1);
-    let txns = ch.poll_txns(t_irq, &mut ic, 8);
-    let got = txns.items[0];
-    let outcome = kernel.validate(got.target);
+    // ❺-❻ Host IRQ handler: software coherence flush, read (POLL_TXNS),
+    // validate against the kernel's generation table.
+    let t_irq = kick.handler_at;
+    let mut host_cpu = rt.slots().host_invalidate(t_irq, &mut ic, core);
+    let (read_cpu, decision) = rt.slots().host_consume(t_irq + host_cpu, &mut ic, core);
+    host_cpu += read_cpu;
+    let decision = decision.expect("the clflush exposes the fresh decision");
+    let outcome = kernel.validate(decision);
     println!(
-        "host: read decision for thread {} in {}, commit outcome: {:?}",
-        got.decision, txns.cpu, outcome
+        "host: read decision for thread {} in {host_cpu}, commit outcome: {outcome:?}",
+        decision.resource
     );
     assert!(outcome.is_committed());
 
-    // Close the loop: the agent learns the outcome.
-    ch.set_txns_outcomes(
-        t_irq + txns.cpu,
-        &mut ic,
-        [TxnOutcomeRecord {
-            id: got.id,
-            outcome,
-        }],
-    );
-    let outcomes = ch.poll_txns_outcomes(t_irq + SimTime::from_us(2), &mut ic, 8);
-    println!("agent: outcome delivered ({} record)", outcomes.items.len());
-
-    let total = delivery.handler_at + txns.cpu - t0;
-    println!(
-        "\nblock-to-switch total: {total} (paper Table 3 band: 3.3-4.0 us with all optimizations)"
-    );
+    let total = t_irq + host_cpu - t0;
+    println!("\nmessage→decision-read latency (MSI-X path): {total}");
+    total
 }
 
 fn main() {

@@ -10,10 +10,11 @@
 //! * [`pcie`] — the host↔SmartNIC interconnect substrate: MMIO with PTE
 //!   typing (UC/WC/WT/WB), DMA engine, MSI-X, software coherence, and a
 //!   coherent (UPI/CXL-style) mode.
-//! * [`queue`] — Floem-style unidirectional shared-memory queues over MMIO
-//!   or DMA.
-//! * [`core`] — the Wave API of the paper's Table 1: channels, messages,
-//!   transactions, outcomes, agents, and the watchdog.
+//! * [`queue`] — the Floem-style host→SmartNIC message queue over MMIO or
+//!   DMA.
+//! * [`core`] — the Wave API of the paper's Table 1 on one agent runtime
+//!   (message queue + decision slots), generation-validated transactions,
+//!   agents, and the watchdog.
 //! * [`ghost`] — the ghOSt-style scheduling substrate plus the FIFO,
 //!   Shinjuku, multi-queue Shinjuku, and VM (Tableau-style) policies.
 //! * [`memmgr`] — the memory-management substrate plus the SOL

@@ -7,6 +7,10 @@
 
 #![allow(dead_code)]
 
+use wave::core::OptLevel;
+use wave::ghost::microbench;
+use wave::ghost::Placement;
+
 #[path = "../examples/memory_tiering.rs"]
 mod memory_tiering;
 #[path = "../examples/offloaded_scheduler.rs"]
@@ -18,7 +22,12 @@ mod rpc_steering;
 
 #[test]
 fn quickstart_runs() {
-    quickstart::run();
+    // The quickstart's MSI-X round trip is the agent-and-link part of
+    // Table 3's "+host WC/WT PTEs" row, which adds the kernel event,
+    // commit and switch legs on top; it must come in under that row.
+    let total = quickstart::run();
+    let row = microbench::context_switch(Placement::Offloaded, OptLevel::host_pte());
+    assert!(total < row, "quickstart {total} vs Table 3 row {row}");
 }
 
 #[test]

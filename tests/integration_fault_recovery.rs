@@ -1,26 +1,82 @@
 //! Fault injection: the §3.3 watchdog and the §6 "keep fault recovery
 //! simple" story — an agent dies, the watchdog kills it, a restarted
 //! agent re-pulls non-policy state from the host (the source of truth)
-//! and the system keeps working. Covers both the scheduler-style
-//! channel agent and one shard of the K-sharded memory manager.
+//! and the system keeps working. Covers both a scheduler-style agent
+//! runtime and one shard of the K-sharded memory manager.
 
 use std::collections::BTreeSet;
 
-use wave::core::{
-    Agent, AgentId, ChannelConfig, GenerationTable, MsixMode, OptLevel, Watchdog, WaveChannel,
-};
+use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
+use wave::core::{AgentId, GenerationTable, OptLevel, ResourceRef, TxnOutcome, Watchdog};
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave::memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
-use wave::pcie::{Interconnect, MsixVector};
+use wave::pcie::config::Side;
+use wave::pcie::{Interconnect, MsixSendPath, MsixVector};
+use wave::queue::Transport;
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
+
+/// A scheduler-style agent runtime over four cores; a decision names
+/// the thread to run at the generation the agent observed.
+fn sched_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, ResourceRef> {
+    let opts = OptLevel::full();
+    let cfg = RuntimeConfig {
+        queue_capacity: 1024,
+        msg_words: 4,
+        decision_words: 6,
+        slots: 4,
+        msg_transport: Transport::Mmio,
+        wire_bytes_per_msg: None,
+        msg_pte: opts.message_queue_pte(),
+        decision_pte: opts.decision_queue_pte(),
+        soc_pte: opts.soc_pte(),
+        pickup: SimTime::from_ns(100),
+    };
+    AgentRuntime::new(
+        ic,
+        AgentId(0),
+        CoreClass::NicArm,
+        CpuModel::mount_evans(),
+        &cfg,
+    )
+}
+
+/// Host side of a commit at `at`: flush the slot's cached line, read the
+/// decision, and validate it against the kernel's generations.
+fn consume(
+    rt: &mut AgentRuntime<u64, ResourceRef>,
+    ic: &mut Interconnect,
+    kernel: &GenerationTable,
+    at: SimTime,
+    slot: SlotId,
+) -> TxnOutcome {
+    let flush = rt.slots().host_invalidate(at, ic, slot);
+    let (_, got) = rt.slots().host_consume(at + flush, ic, slot);
+    kernel.validate(got.expect("the clflush exposes the staged decision"))
+}
+
+/// Agent side of a commit: stage a decision for `tid` into `slot` and
+/// kick the host. Returns when the host's MSI-X handler runs.
+fn commit(
+    rt: &mut AgentRuntime<u64, ResourceRef>,
+    ic: &mut Interconnect,
+    kernel: &GenerationTable,
+    now: SimTime,
+    slot: SlotId,
+    tid: u64,
+) -> SimTime {
+    let target = kernel.snapshot(tid).expect("kernel has the thread");
+    let staged = now + rt.stage_raw(now, ic, slot, target);
+    rt.record_decision(staged);
+    ic.msix
+        .send(staged, MsixVector(slot.0), MsixSendPath::Ioctl, Side::Nic)
+        .handler_at
+}
 
 #[test]
 fn watchdog_kills_silent_agent_and_restart_recovers() {
     let mut ic = Interconnect::pcie();
-    let mut ch: WaveChannel<u64, u64> =
-        WaveChannel::create(&mut ic, ChannelConfig::mmio(OptLevel::full()));
-    let mut agent = Agent::start(AgentId(0), CoreClass::NicArm, CpuModel::mount_evans());
+    let mut rt = sched_runtime(&mut ic);
     let mut wd = Watchdog::scheduler_default();
 
     // Host kernel is the source of truth for thread state.
@@ -31,41 +87,55 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
 
     // The agent works normally for a while...
     let t1 = SimTime::from_ms(1);
-    agent.record_decision(t1);
+    let irq = commit(&mut rt, &mut ic, &kernel, t1, SlotId(0), 3);
     wd.heartbeat(t1);
+    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)).is_committed());
     assert!(!wd.expired(SimTime::from_ms(5)));
 
-    // ...then crashes (fault injection). No more heartbeats.
-    agent.crash();
+    // ...stages a decision for thread 5 on core 1 that the host has not
+    // read yet, then crashes (fault injection). No more heartbeats.
+    let t2 = SimTime::from_ms(2);
+    let observed = kernel.snapshot(5).expect("kernel has the thread");
+    rt.stage_raw(t2, &mut ic, SlotId(1), observed);
+    rt.agent_mut().crash();
     let t_detect = SimTime::from_ms(25);
     assert!(
         wd.expired(t_detect),
         "silence past 20 ms must trip the watchdog"
     );
     assert!(wd.fire(), "first firing kills the agent");
-    agent.kill();
-    assert!(!agent.is_running());
+    rt.agent_mut().kill();
+    assert!(!rt.is_running());
+
+    // While the agent is dead, thread 5 changes on the host.
+    kernel.bump(5);
 
     // Operator restarts the agent; it re-pulls state from the kernel
     // (generation snapshots) rather than from any checkpoint.
     let t_restart = SimTime::from_ms(30);
-    agent.restart(t_restart);
+    rt.agent_mut().restart(t_restart);
     wd.rearm(t_restart);
-    assert!(agent.is_running());
+    assert!(rt.is_running());
     assert!(!wd.expired(SimTime::from_ms(45)));
 
     // The restarted agent can immediately make valid decisions: state
     // re-pulled from the host validates.
-    let target = kernel.snapshot(3).expect("kernel still has the thread");
-    let txn = ch.txn_create(target, 3);
-    let commit = ch
-        .txns_commit(t_restart, &mut ic, [txn], MsixMode::Send(MsixVector(0)))
-        .expect("room");
-    let at = commit.msix.expect("kick").handler_at;
-    ch.invalidate_txns(at, &mut ic, 1);
-    let got = ch.poll_txns(at, &mut ic, 4);
-    assert_eq!(got.items.len(), 1);
-    assert!(kernel.validate(got.items[0].target).is_committed());
+    let irq = commit(&mut rt, &mut ic, &kernel, t_restart, SlotId(0), 3);
+    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)).is_committed());
+
+    // The decision staged before the crash still sits in core 1's slot.
+    // The host reads it on core 1's next idle transition and must reject
+    // it, not enforce it: thread 5 moved on while the agent was down.
+    assert!(rt.slots_ref().is_staged(SlotId(1)));
+    let idle = irq + SimTime::from_us(10);
+    let outcome = consume(&mut rt, &mut ic, &kernel, idle, SlotId(1));
+    assert_eq!(
+        outcome,
+        TxnOutcome::StaleGeneration {
+            observed: 0,
+            current: 1
+        }
+    );
 }
 
 #[test]

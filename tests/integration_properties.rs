@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use wave::core::txn::{GenerationTable, TxnOutcome};
 use wave::pcie::{Interconnect, PteType, SocPteMode};
-use wave::queue::{Direction, Transport, WaveQueue};
+use wave::queue::{Transport, WaveQueue};
 use wave::sim::stats::Histogram;
 use wave::sim::SimTime;
 
@@ -21,7 +21,7 @@ proptest! {
         let mut ic = Interconnect::pcie();
         let host_pte = if wc { PteType::WriteCombining } else { PteType::Uncacheable };
         let mut q = WaveQueue::<u64>::new(
-            &mut ic, Direction::HostToNic, Transport::Mmio,
+            &mut ic, Transport::Mmio,
             32, 4, host_pte, SocPteMode::WriteBack,
         );
         let mut t = SimTime::ZERO;
