@@ -266,6 +266,7 @@ mod tests {
         assert_eq!(r.rows.len(), 2);
         assert!(r.render().contains("2 shard(s)"));
         // Sharding helps: the 2-shard row's ratio is well under 1.
-        assert!(r.rows[1].ratio() < 0.75, "ratio {}", r.rows[1].ratio());
+        let ratio = r.rows[1].ratio().unwrap();
+        assert!(ratio < 0.75, "ratio {ratio}");
     }
 }

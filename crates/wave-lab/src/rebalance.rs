@@ -368,19 +368,12 @@ mod tests {
         let s = r.render();
         assert!(s.contains("sched throughput"));
         assert!(s.contains("mem scan throughput"));
+        let ratio: Vec<f64> = r.rows.iter().map(|row| row.ratio().unwrap()).collect();
         // Throughput rows: dynamic/static ratio at least 1.
-        assert!(
-            r.rows[0].ratio() >= 1.0,
-            "sched ratio {}",
-            r.rows[0].ratio()
-        );
-        assert!(r.rows[2].ratio() > 1.0, "mem ratio {}", r.rows[2].ratio());
+        assert!(ratio[0] >= 1.0, "sched ratio {}", ratio[0]);
+        assert!(ratio[2] > 1.0, "mem ratio {}", ratio[2]);
         // Spread rows: last/first ratio below 1.
-        assert!(
-            r.rows[1].ratio() < 1.0,
-            "sched spread {}",
-            r.rows[1].ratio()
-        );
-        assert!(r.rows[3].ratio() < 1.0, "mem spread {}", r.rows[3].ratio());
+        assert!(ratio[1] < 1.0, "sched spread {}", ratio[1]);
+        assert!(ratio[3] < 1.0, "mem spread {}", ratio[3]);
     }
 }

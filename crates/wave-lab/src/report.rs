@@ -26,13 +26,10 @@ impl PaperRow {
         }
     }
 
-    /// Measured/paper ratio (NaN-safe: returns 1.0 when paper is 0).
-    pub fn ratio(&self) -> f64 {
-        if self.paper == 0.0 {
-            1.0
-        } else {
-            self.measured / self.paper
-        }
+    /// Measured/paper ratio, or `None` when the paper value is 0 (a
+    /// zero anchor has no meaningful ratio; it renders as `n/a`).
+    pub fn ratio(&self) -> Option<f64> {
+        (self.paper != 0.0).then(|| self.measured / self.paper)
     }
 }
 
@@ -96,12 +93,15 @@ impl Report {
             width = width
         ));
         for r in &self.rows {
+            let ratio = r
+                .ratio()
+                .map_or_else(|| "n/a".to_string(), |x| format!("{x:.3}"));
             out.push_str(&format!(
-                "{:width$}  {:>14.2}  {:>14.2}  {:>8.3}  {}\n",
+                "{:width$}  {:>14.2}  {:>14.2}  {:>8}  {}\n",
                 r.label,
                 r.paper,
                 r.measured,
-                r.ratio(),
+                ratio,
                 r.unit,
                 width = width
             ));
@@ -231,8 +231,14 @@ mod tests {
     }
 
     #[test]
-    fn ratio_nan_safe() {
-        assert_eq!(PaperRow::new("x", 0.0, 5.0, "ns").ratio(), 1.0);
-        assert!((PaperRow::new("x", 2.0, 1.0, "ns").ratio() - 0.5).abs() < 1e-12);
+    fn zero_anchor_has_no_ratio() {
+        let zero = PaperRow::new("offload all", 0.0, 4.32, "%");
+        assert_eq!(zero.ratio(), None);
+        assert_eq!(PaperRow::new("x", 2.0, 1.0, "ns").ratio(), Some(0.5));
+        let mut r = Report::new("Fig X");
+        r.push(zero);
+        let line = r.render().lines().nth(2).unwrap().to_string();
+        assert!(line.contains("n/a"), "{line}");
+        assert!(!line.contains("1.000"), "{line}");
     }
 }

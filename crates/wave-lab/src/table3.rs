@@ -28,7 +28,7 @@ mod tests {
         let r = report();
         assert_eq!(r.rows.len(), 9);
         for row in &r.rows {
-            let ratio = row.ratio();
+            let ratio = row.ratio().expect("Table 3 anchors are non-zero");
             assert!((0.8..=1.2).contains(&ratio), "{} ratio {ratio}", row.label);
         }
     }

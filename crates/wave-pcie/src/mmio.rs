@@ -8,7 +8,10 @@
 //!   become visible in SmartNIC DRAM when the line fills (auto-drain) or
 //!   when the producer executes [`HostMmio::sfence`]. Until then the NIC
 //!   cannot see them — a real reordering window the queue layer must (and
-//!   does) handle with its valid-flag protocol.
+//!   does) handle with its valid-flag protocol. The buffer is modelled as
+//!   what it holds: a short list of the lines with pending words, so a
+//!   fence costs the lines written since the last one, not the memory
+//!   mapped.
 //! * **Write-through cached loads** (§5.3.2): the first load of a
 //!   WT-mapped line costs a full 750 ns PCIe round trip and installs a
 //!   64-byte *snapshot*; subsequent loads hit for ~2 ns but return data
@@ -85,14 +88,14 @@ struct CacheLine {
 /// (a queue's ring plus a few doorbell lines — `map_region` is told the
 /// exact line count up front), so dense `Vec`s beat hash maps on the
 /// per-access path: the line index *is* the address, no hashing at all.
+/// Pending write-combining words are not region state: they live in the
+/// CPU's buffer ([`HostMmio`]'s pending-line list).
 #[derive(Debug)]
 struct Region {
     pte: PteType,
     lines: u64,
     /// Cached snapshot per line (`None` = not cached).
     cache: Vec<Option<CacheLine>>,
-    /// Words pending in the write-combining buffer per line (0 = none).
-    wc: Vec<u64>,
     /// Last device-side write per line — drives hardware-coherence
     /// invalidation in UPI mode and staleness assertions in tests.
     device_writes: Vec<Option<SimTime>>,
@@ -142,6 +145,11 @@ pub struct MmioStats {
 pub struct HostMmio {
     cfg: PcieConfig,
     regions: Vec<Region>,
+    /// The CPU's write-combining buffer: each line with pending WC
+    /// stores and how many words it holds. A line leaves when it fills
+    /// (auto-drain) or on [`HostMmio::sfence`]; between fences it holds
+    /// a handful of lines at most.
+    wc: Vec<(LineAddr, u64)>,
     stats: MmioStats,
 }
 
@@ -151,6 +159,7 @@ impl HostMmio {
         HostMmio {
             cfg,
             regions: Vec::new(),
+            wc: Vec::new(),
             stats: MmioStats::default(),
         }
     }
@@ -172,7 +181,6 @@ impl HostMmio {
             pte,
             lines,
             cache: vec![None; lines as usize],
-            wc: vec![0; lines as usize],
             device_writes: vec![None; lines as usize],
         });
         id
@@ -316,11 +324,10 @@ impl HostMmio {
         let one_way = self.cfg.one_way_ns;
         let words_per_line = self.cfg.words_per_line();
         self.stats.writes += words;
-        let mut autodrained = false;
         let r = self.region_mut(addr.region);
         assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
         let idx = addr.line as usize;
-        let outcome = match r.pte {
+        match r.pte {
             PteType::Uncacheable | PteType::WriteThrough | PteType::WriteBack => {
                 let cpu = SimTime::from_ns(uc_ns * words);
                 // Write-through also refreshes the local snapshot if the
@@ -335,27 +342,27 @@ impl HostMmio {
             }
             PteType::WriteCombining => {
                 let cpu = SimTime::from_ns(wc_ns * words);
-                r.wc[idx] += words;
-                if r.wc[idx] >= words_per_line {
-                    // Line filled: the buffer auto-drains this line.
-                    r.wc[idx] = 0;
-                    autodrained = true;
-                    WriteOutcome {
-                        cpu,
-                        visible_at: Some(now + cpu + SimTime::from_ns(one_way)),
-                    }
-                } else {
-                    WriteOutcome {
-                        cpu,
-                        visible_at: None,
-                    }
+                let slot = self
+                    .wc
+                    .iter()
+                    .position(|&(a, _)| a == addr)
+                    .unwrap_or_else(|| {
+                        self.wc.push((addr, 0));
+                        self.wc.len() - 1
+                    });
+                self.wc[slot].1 += words;
+                // A filled line auto-drains and leaves the buffer.
+                let filled = self.wc[slot].1 >= words_per_line;
+                if filled {
+                    self.wc.swap_remove(slot);
+                    self.stats.wc_autodrains += 1;
+                }
+                WriteOutcome {
+                    cpu,
+                    visible_at: filled.then(|| now + cpu + SimTime::from_ns(one_way)),
                 }
             }
-        };
-        if autodrained {
-            self.stats.wc_autodrains += 1;
         }
-        outcome
     }
 
     /// Drains the write-combining buffer (`sfence`). All buffered stores
@@ -364,9 +371,7 @@ impl HostMmio {
     pub fn sfence(&mut self, now: SimTime) -> WriteOutcome {
         self.stats.fences += 1;
         let cpu = SimTime::from_ns(self.cfg.wc_flush_ns);
-        for r in &mut self.regions {
-            r.wc.fill(0);
-        }
+        self.wc.clear();
         WriteOutcome {
             cpu,
             visible_at: Some(now + cpu + SimTime::from_ns(self.cfg.one_way_ns)),
@@ -543,6 +548,40 @@ mod tests {
         let w = m.write(SimTime::ZERO, a, 8); // full 64-byte line
         assert!(w.visible_at.is_some());
         assert_eq!(m.stats().wc_autodrains, 1);
+    }
+
+    #[test]
+    fn sfence_drains_partial_lines_in_every_region() {
+        let mut m = HostMmio::new(PcieConfig::pcie());
+        let a = LineAddr::new(m.map_region(PteType::WriteCombining, 8), 3);
+        let b = LineAddr::new(m.map_region(PteType::WriteCombining, 8), 5);
+        assert_eq!(m.write(SimTime::ZERO, a, 4).visible_at, None);
+        assert_eq!(m.write(SimTime::ZERO, b, 4).visible_at, None);
+        let _ = m.sfence(SimTime::ZERO);
+        // Both lines start empty again: without the drain, these 4 words
+        // would fill each line (4 + 4) and auto-drain it.
+        for addr in [a, b] {
+            assert_eq!(m.write(SimTime::from_us(1), addr, 4).visible_at, None);
+        }
+        assert_eq!(m.stats().wc_autodrains, 0);
+    }
+
+    #[test]
+    fn autodrained_line_leaves_the_buffer() {
+        let (mut m, a) = mmio(PteType::WriteCombining);
+        let _ = m.write(SimTime::ZERO, a, 5);
+        assert!(m.write(SimTime::ZERO, a, 3).visible_at.is_some());
+        assert_eq!(m.stats().wc_autodrains, 1);
+        // The line drained as it filled, so it starts empty again.
+        assert_eq!(m.write(SimTime::ZERO, a, 4).visible_at, None);
+    }
+
+    #[test]
+    fn empty_sfence_still_costs_a_fence() {
+        let (mut m, _) = mmio(PteType::WriteCombining);
+        let f = m.sfence(SimTime::ZERO);
+        assert_eq!(f.cpu, SimTime::from_ns(PcieConfig::pcie().wc_flush_ns));
+        assert_eq!(m.stats().fences, 1);
     }
 
     #[test]
