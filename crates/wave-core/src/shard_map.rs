@@ -184,22 +184,15 @@ impl ShardMap {
 /// generation histories across runs.
 pub trait RebalancePolicy: std::fmt::Debug + Send {
     /// Plans the moves for one epoch. `loads[s]` is the load counter
-    /// shard `s` accumulated since the last epoch. Returning an empty
-    /// plan leaves the map (and its generation) untouched.
-    fn plan(&self, map: &ShardMap, loads: &[u64]) -> Vec<ResourceMove>;
-
-    /// [`RebalancePolicy::plan`] restricted to the shards with
-    /// `alive[s] == true`: a dead shard neither donates nor receives —
-    /// its load counter reads zero precisely *because* it is dead, and
-    /// planning around that lie would pile resources onto (or strip
-    /// them from) a corpse. The default ignores the mask; the built-in
-    /// planners honor it.
-    fn plan_masked(&self, map: &ShardMap, loads: &[u64], _alive: &[bool]) -> Vec<ResourceMove> {
-        self.plan(map, loads)
-    }
-
-    /// Planner name, for reports.
-    fn name(&self) -> &'static str;
+    /// shard `s` accumulated since the last epoch. Only the shards with
+    /// `alive[s] == true` take part (an entry past the end of `alive`
+    /// counts as live, so `&[]` means every shard is): a dead shard
+    /// neither donates nor receives — its load counter reads zero
+    /// precisely *because* it is dead, and planning around that lie
+    /// would pile resources onto (or strip them from) a corpse.
+    /// Returning an empty plan leaves the map (and its generation)
+    /// untouched.
+    fn plan(&self, map: &ShardMap, loads: &[u64], alive: &[bool]) -> Vec<ResourceMove>;
 }
 
 /// Picks the donor's moved resources: its highest-index resources, in
@@ -218,25 +211,10 @@ fn take_from(map: &ShardMap, donor: u32, to: u32, k: usize) -> Vec<ResourceMove>
         .collect()
 }
 
-/// `(argmax, argmin)` over the loads, lowest shard index winning ties —
-/// the deterministic pair every built-in planner works on.
-fn extremes(loads: &[u64]) -> (u32, u32) {
-    let mut max = 0usize;
-    let mut min = 0usize;
-    for (i, &l) in loads.iter().enumerate() {
-        if l > loads[max] {
-            max = i;
-        }
-        if l < loads[min] {
-            min = i;
-        }
-    }
-    (max as u32, min as u32)
-}
-
-/// [`extremes`] over the live shards only (`None` when every shard is
-/// dead). Ties resolve to the lowest live index, matching [`extremes`].
-fn extremes_masked(loads: &[u64], alive: &[bool]) -> Option<(u32, u32)> {
+/// `(argmax, argmin)` over the live shards' loads, lowest shard index
+/// winning ties — the deterministic pair every built-in planner works
+/// on. `None` when every shard is dead.
+fn extremes(loads: &[u64], alive: &[bool]) -> Option<(u32, u32)> {
     let mut max: Option<usize> = None;
     let mut min: Option<usize> = None;
     for (i, &l) in loads.iter().enumerate() {
@@ -266,8 +244,11 @@ pub struct FeedDemand {
     pub min_resources: usize,
 }
 
-impl FeedDemand {
-    fn plan_pair(&self, map: &ShardMap, loads: &[u64], busy: u32, idle: u32) -> Vec<ResourceMove> {
+impl RebalancePolicy for FeedDemand {
+    fn plan(&self, map: &ShardMap, loads: &[u64], alive: &[bool]) -> Vec<ResourceMove> {
+        let Some((busy, idle)) = extremes(loads, alive) else {
+            return Vec::new();
+        };
         if busy == idle {
             return Vec::new();
         }
@@ -288,24 +269,6 @@ impl FeedDemand {
     }
 }
 
-impl RebalancePolicy for FeedDemand {
-    fn plan(&self, map: &ShardMap, loads: &[u64]) -> Vec<ResourceMove> {
-        let (busy, idle) = extremes(loads);
-        self.plan_pair(map, loads, busy, idle)
-    }
-
-    fn plan_masked(&self, map: &ShardMap, loads: &[u64], alive: &[bool]) -> Vec<ResourceMove> {
-        match extremes_masked(loads, alive) {
-            Some((busy, idle)) => self.plan_pair(map, loads, busy, idle),
-            None => Vec::new(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "feed-demand"
-    }
-}
-
 /// Shed the load: resources *generate* their shard's load (memory-agent
 /// batches generating due-batch scans), so the busiest shard should own
 /// fewer of them. Moves resources **from the most- to the least-loaded**
@@ -320,8 +283,11 @@ pub struct ShedLoad {
     pub min_resources: usize,
 }
 
-impl ShedLoad {
-    fn plan_pair(&self, map: &ShardMap, loads: &[u64], busy: u32, idle: u32) -> Vec<ResourceMove> {
+impl RebalancePolicy for ShedLoad {
+    fn plan(&self, map: &ShardMap, loads: &[u64], alive: &[bool]) -> Vec<ResourceMove> {
+        let Some((busy, idle)) = extremes(loads, alive) else {
+            return Vec::new();
+        };
         if busy == idle || loads[busy as usize] == 0 {
             return Vec::new();
         }
@@ -333,24 +299,6 @@ impl ShedLoad {
             .min(self.max_moves)
             .min(headroom);
         take_from(map, busy, idle, k)
-    }
-}
-
-impl RebalancePolicy for ShedLoad {
-    fn plan(&self, map: &ShardMap, loads: &[u64]) -> Vec<ResourceMove> {
-        let (busy, idle) = extremes(loads);
-        self.plan_pair(map, loads, busy, idle)
-    }
-
-    fn plan_masked(&self, map: &ShardMap, loads: &[u64], alive: &[bool]) -> Vec<ResourceMove> {
-        match extremes_masked(loads, alive) {
-            Some((busy, idle)) => self.plan_pair(map, loads, busy, idle),
-            None => Vec::new(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "shed-load"
     }
 }
 
@@ -463,11 +411,6 @@ impl Rebalancer {
         self.cfg
     }
 
-    /// The planner's name (reports).
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
-
     /// Accumulates `n` load events against shard `shard` (decision
     /// count, due-batch scans) since the last epoch.
     pub fn record(&mut self, shard: u32, n: u64) {
@@ -483,49 +426,23 @@ impl Rebalancer {
     /// the skew/patience gate, lets the policy plan, commits the moves
     /// into `map`, and appends the [`RebalanceEvent`]. Returns the
     /// event (empty `moves` when the gate held or the plan was empty).
-    pub fn run_epoch(&mut self, now: SimTime, map: &mut ShardMap) -> &RebalanceEvent {
-        self.run_epoch_impl(now, map, None)
-    }
-
-    /// [`Rebalancer::run_epoch`] with a liveness mask: dead shards are
-    /// invisible to the skew gate (their zero counters would otherwise
-    /// read as permanent maximal skew) and to the planner (they neither
-    /// donate nor receive). Lets rebalancing keep running while a shard
-    /// is down instead of pausing fleet-wide.
-    pub fn run_epoch_masked(
+    ///
+    /// `alive` is the liveness mask ([`RebalancePolicy::plan`]; `&[]`
+    /// means every shard is live): dead shards are invisible to the
+    /// skew gate (their zero counters would otherwise read as permanent
+    /// maximal skew) and to the planner (they neither donate nor
+    /// receive). Lets rebalancing keep running while a shard is down
+    /// instead of pausing fleet-wide.
+    pub fn run_epoch(
         &mut self,
         now: SimTime,
         map: &mut ShardMap,
         alive: &[bool],
     ) -> &RebalanceEvent {
-        self.run_epoch_impl(now, map, Some(alive))
-    }
-
-    /// [`Rebalancer::run_epoch`], appending this epoch's committed moves
-    /// into a caller-owned buffer instead of handing back the event —
-    /// the allocation-free entry point for callers that apply the moves
-    /// immediately and keep a reused scratch `Vec` (the history still
-    /// records its own copy).
-    pub fn run_epoch_into(
-        &mut self,
-        now: SimTime,
-        map: &mut ShardMap,
-        out: &mut Vec<ResourceMove>,
-    ) {
-        let event = self.run_epoch_impl(now, map, None);
-        out.extend_from_slice(&event.moves);
-    }
-
-    fn run_epoch_impl(
-        &mut self,
-        now: SimTime,
-        map: &mut ShardMap,
-        alive: Option<&[bool]>,
-    ) -> &RebalanceEvent {
         self.last_epoch = now;
         let loads = std::mem::replace(&mut self.loads, vec![0; map.shards() as usize]);
         let counts = (0..map.shards()).map(|s| map.count_of(s)).collect();
-        let live = |i: usize| alive.is_none_or(|a| a.get(i).copied().unwrap_or(true));
+        let live = |i: usize| alive.get(i).copied().unwrap_or(true);
         let visible = loads
             .iter()
             .enumerate()
@@ -536,10 +453,7 @@ impl Rebalancer {
         let skewed = max > 0 && (min == 0 || max as f64 >= self.cfg.skew_threshold * min as f64);
         self.skewed_epochs = if skewed { self.skewed_epochs + 1 } else { 0 };
         let moves = if self.skewed_epochs >= self.cfg.patience {
-            let moves = match alive {
-                Some(a) => self.policy.plan_masked(map, &loads, a),
-                None => self.policy.plan(map, &loads),
-            };
+            let moves = self.policy.plan(map, &loads, alive);
             if !moves.is_empty() {
                 map.commit(&moves);
             }
@@ -627,7 +541,7 @@ mod tests {
             min_resources: 1,
         };
         // Shard 0 serves 4x the demand of shard 1.
-        let moves = policy.plan(&map, &[400, 100]);
+        let moves = policy.plan(&map, &[400, 100], &[]);
         assert!(!moves.is_empty());
         assert!(moves.iter().all(|m| m.from == 1 && m.to == 0));
         // Ideal k = (4*400 - 4*100)/500 = 2.4 → 2 moves.
@@ -644,13 +558,16 @@ mod tests {
             max_moves: 8,
             min_resources: 3,
         };
-        assert_eq!(floor.plan(&map, &[1_000, 0]).len(), 1, "floor holds");
+        assert_eq!(floor.plan(&map, &[1_000, 0], &[]).len(), 1, "floor holds");
         let cap = FeedDemand {
             max_moves: 1,
             min_resources: 1,
         };
-        assert_eq!(cap.plan(&map, &[1_000, 0]).len(), 1, "cap holds");
-        assert!(cap.plan(&map, &[5, 5]).is_empty(), "balanced: no moves");
+        assert_eq!(cap.plan(&map, &[1_000, 0], &[]).len(), 1, "cap holds");
+        assert!(
+            cap.plan(&map, &[5, 5], &[]).is_empty(),
+            "balanced: no moves"
+        );
     }
 
     #[test]
@@ -661,12 +578,12 @@ mod tests {
             min_resources: 1,
         };
         // Shard 0's batches rescan 4x as often as shard 1's.
-        let moves = policy.plan(&map, &[400, 100]);
+        let moves = policy.plan(&map, &[400, 100], &[]);
         // k = 50 * 300 / 800 = 18.75 → 18, from busy (0) to idle (1).
         assert_eq!(moves.len(), 18);
         assert!(moves.iter().all(|m| m.from == 0 && m.to == 1));
         assert_eq!(moves[0].resource, 49, "donor's tail moves first");
-        assert!(policy.plan(&map, &[0, 0]).is_empty(), "idle: no moves");
+        assert!(policy.plan(&map, &[0, 0], &[]).is_empty(), "idle: no moves");
     }
 
     #[test]
@@ -690,7 +607,7 @@ mod tests {
         // Epoch 1: skewed, but patience says wait.
         rb.record(0, 400);
         rb.record(1, 100);
-        let e1 = rb.run_epoch(SimTime::from_ms(10), &mut map).clone();
+        let e1 = rb.run_epoch(SimTime::from_ms(10), &mut map, &[]).clone();
         assert!(e1.moves.is_empty());
         assert_eq!(e1.generation, 0);
         assert!((e1.spread() - 0.75).abs() < 1e-12);
@@ -698,7 +615,7 @@ mod tests {
         // Epoch 2: still skewed — now it acts.
         rb.record(0, 400);
         rb.record(1, 100);
-        let e2 = rb.run_epoch(SimTime::from_ms(20), &mut map).clone();
+        let e2 = rb.run_epoch(SimTime::from_ms(20), &mut map, &[]).clone();
         assert!(!e2.moves.is_empty());
         assert_eq!(e2.generation, 1);
         assert_eq!(map.count_of(0), 6);
@@ -706,7 +623,7 @@ mod tests {
         // Epoch 3: balanced sample resets the patience counter.
         rb.record(0, 100);
         rb.record(1, 100);
-        let e3 = rb.run_epoch(SimTime::from_ms(30), &mut map).clone();
+        let e3 = rb.run_epoch(SimTime::from_ms(30), &mut map, &[]).clone();
         assert!(e3.moves.is_empty());
         assert_eq!(rb.history().len(), 3);
         assert_eq!(rb.total_moves(), e2.moves.len() as u64);
@@ -714,7 +631,7 @@ mod tests {
 
     #[test]
     fn masked_epoch_never_trades_with_a_dead_shard() {
-        // Shard 1 is dead: its counter reads 0, which the unmasked
+        // Shard 1 is dead: its counter reads 0, which an unmasked
         // planner would read as "idlest — take its cores" (FeedDemand)
         // or "idlest — give it batches" (ShedLoad). The mask removes it
         // from both roles and from the skew gate.
@@ -734,9 +651,7 @@ mod tests {
         let alive = [true, false, true];
         rb.record(0, 800);
         rb.record(2, 100);
-        let e = rb
-            .run_epoch_masked(SimTime::from_ms(10), &mut map, &alive)
-            .clone();
+        let e = rb.run_epoch(SimTime::from_ms(10), &mut map, &alive).clone();
         assert!(!e.moves.is_empty(), "live pair still rebalances");
         assert!(
             e.moves.iter().all(|m| m.from == 0 && m.to == 2),
@@ -760,7 +675,7 @@ mod tests {
         );
         rb1.record(0, 800);
         let e = rb1
-            .run_epoch_masked(SimTime::from_ms(10), &mut map, &[true, false, false])
+            .run_epoch(SimTime::from_ms(10), &mut map, &[true, false, false])
             .clone();
         assert!(e.moves.is_empty());
     }
@@ -781,7 +696,7 @@ mod tests {
                 rb.record(0, 800);
                 rb.record(1, 150 + e);
                 rb.record(2, 200);
-                rb.run_epoch(SimTime::from_ms(10 * e), &mut map);
+                rb.run_epoch(SimTime::from_ms(10 * e), &mut map, &[]);
             }
             (rb.history().to_vec(), map)
         };

@@ -635,7 +635,7 @@ impl TenantRegistry {
         let alive: Vec<bool> = (0..map.shards())
             .map(|s| self.tenants.get(s as usize).is_some_and(|t| t.is_some()))
             .collect();
-        Some(rb.run_epoch_masked(now, map, &alive).clone())
+        Some(rb.run_epoch(now, map, &alive).clone())
     }
 
     /// NIC cores currently owned by `id` (0 when core rebalancing is

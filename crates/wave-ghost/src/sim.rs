@@ -1012,7 +1012,7 @@ impl SchedSim {
             for (i, sh) in self.shards.iter_mut().enumerate() {
                 rb.record(i as u32, sh.rt.take_load());
             }
-            rb.run_epoch_into(now, &mut self.map, &mut moves);
+            moves.extend_from_slice(&rb.run_epoch(now, &mut self.map, &[]).moves);
             rb.config().epoch
         };
         if !moves.is_empty() {

@@ -18,7 +18,6 @@ use wave_ghost::policies::{FifoPolicy, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedReport, SchedSim, ServiceMix};
 use wave_sim::par::par_map;
-use wave_sim::stats::Curve;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -153,20 +152,6 @@ pub fn run_point(cfg: &Fig4Config, scenario: Scenario, offered: f64) -> SchedRep
     sc.warmup = cfg.warmup;
     sc.seed = cfg.seed;
     SchedSim::new(sc, cfg.make_policy()).run()
-}
-
-/// Runs a latency-throughput curve over the given offered loads, one
-/// simulation thread per load point.
-pub fn run_curve(cfg: &Fig4Config, scenario: Scenario, loads: &[f64]) -> Curve {
-    let mut curve = Curve::new(scenario.label());
-    let points = par_map(loads, |&offered| {
-        let rep = run_point(cfg, scenario, offered);
-        (rep.achieved / 1_000.0, rep.latency.p99.as_us_f64())
-    });
-    for (x, y) in points {
-        curve.push(x, y);
-    }
-    curve
 }
 
 /// Finds the saturation throughput (req/s) of a scenario: the highest
@@ -312,13 +297,5 @@ mod tests {
         let rep = run_point(&cfg, Scenario::Wave16, 200_000.0);
         assert!(rep.completed > 10_000);
         assert!(rep.latency.p99 < SimTime::from_us(200));
-    }
-
-    #[test]
-    fn curve_has_all_points() {
-        let cfg = Fig4Config::fifo_quick();
-        let c = run_curve(&cfg, Scenario::OnHost16, &[100_000.0, 200_000.0]);
-        assert_eq!(c.points.len(), 2);
-        assert!(c.points[1].x > c.points[0].x);
     }
 }

@@ -11,7 +11,6 @@
 //! tick overhead once turbo headroom is gone).
 
 use wave_sim::cpu::SmtModel;
-use wave_sim::stats::Curve;
 use wave_sim::turbo::{vcpu_work_rate, TickModel, TurboModel};
 
 use crate::report::{PaperRow, Report};
@@ -101,18 +100,6 @@ pub fn run(cfg: &Fig5Config) -> Vec<Fig5Point> {
             onhost: avg_work(cfg, n, true),
         })
         .collect()
-}
-
-/// The two figure curves (per-vCPU work; Fig. 5a).
-pub fn curves(cfg: &Fig5Config) -> (Curve, Curve) {
-    let points = run(cfg);
-    let mut wave = Curve::new("Wave (No Ticks)");
-    let mut onhost = Curve::new("On-Host (Ticks)");
-    for p in points {
-        wave.push(p.vcpus as f64, p.wave);
-        onhost.push(p.vcpus as f64, p.onhost);
-    }
-    (wave, onhost)
 }
 
 /// Builds the paper-vs-measured report at the paper's anchor points.

@@ -5,7 +5,6 @@ use wave_ghost::policy::SchedPolicy;
 use wave_ghost::sim::{SchedReport, SchedSim};
 use wave_rpc::{Fig6Scenario, SchedulerKind};
 use wave_sim::par::par_map;
-use wave_sim::stats::Curve;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -79,20 +78,6 @@ pub fn run_point(cfg: &Fig6Config, scenario: Fig6Scenario, offered: f64) -> Sche
     sc.warmup = cfg.warmup;
     sc.seed = cfg.seed;
     SchedSim::new(sc, cfg.make_policy()).run()
-}
-
-/// Runs a latency-throughput curve, one simulation thread per load
-/// point.
-pub fn run_curve(cfg: &Fig6Config, scenario: Fig6Scenario, loads: &[f64]) -> Curve {
-    let mut curve = Curve::new(scenario.label());
-    let points = par_map(loads, |&offered| {
-        let rep = run_point(cfg, scenario, offered);
-        (rep.achieved / 1_000.0, rep.latency.p99.as_us_f64())
-    });
-    for (x, y) in points {
-        curve.push(x, y);
-    }
-    curve
 }
 
 /// Saturation throughput of a scenario under the p99 cap.

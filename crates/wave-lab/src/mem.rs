@@ -11,10 +11,7 @@
 use rand::Rng;
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::runner::duration_table;
-use wave_memmgr::{
-    sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig, SolPolicy, SolRunner,
-};
-use wave_pcie::Interconnect;
+use wave_memmgr::{sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
 use wave_sim::stats::Histogram;
 use wave_sim::SimTime;
@@ -51,27 +48,21 @@ pub fn duration_report() -> Report {
 }
 
 /// Builds the runtime-backed iteration report: one real SOL iteration
-/// driven through the shared `AgentRuntime` (DMA ingest, slot staging,
-/// batched decision ship-back), with its leg-by-leg breakdown checked
-/// against the closed-form cost model — the two must agree exactly.
-/// A second section runs the same iteration K-sharded
-/// ([`ShardedSolRunner`], one runtime per batch slice) and checks every
-/// shard's legs against the sharded model the same way.
+/// of the single agent ([`ShardedSolRunner`] with K=1) driven through
+/// the shared `AgentRuntime` (DMA ingest, slot staging, batched
+/// decision ship-back), with its leg-by-leg breakdown checked against
+/// the closed-form cost model — the two must agree exactly. A second
+/// section runs the same iteration K-sharded (one runtime per batch
+/// slice) and checks every shard's legs against the sharded model the
+/// same way.
 pub fn runtime_iteration_report() -> Report {
     let fp = DbFootprint::new(FootprintConfig::paper(0.002), AccessPattern::Scattered, 42);
-    let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-    let mut runner = SolRunner::new(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-    );
-    let mut ic = Interconnect::pcie();
-    let mut rng = wave_sim::rng(42);
-    let (stats, cost) = runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
-    let model = SolRunner::new(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-    )
-    .iteration_cost(&mut Interconnect::pcie(), fp.batches() as u64);
+    let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
+    let cpu = CpuModel::mount_evans();
+    let mut runner = ShardedSolRunner::new(cfg, cpu, 1, SolConfig::paper(), fp.batches(), 42);
+    let (stats, one) = runner.run_iteration(&fp, SimTime::ZERO);
+    let cost = one.per_shard[0];
+    let model = cfg.iteration_cost(cpu, fp.batches() as u64);
 
     let mut r = Report::new("§4.2: SOL on the shared agent runtime (one iteration)");
     let us = |t: SimTime| t.as_us_f64();
@@ -116,21 +107,9 @@ pub fn runtime_iteration_report() -> Report {
     // across SHARDS runtimes, every shard's legs against the sharded
     // closed-form model.
     const SHARDS: u32 = 2;
-    let mut sharded = ShardedSolRunner::new(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-        SHARDS,
-        SolConfig::paper(),
-        fp.batches(),
-        42,
-    );
+    let mut sharded = ShardedSolRunner::new(cfg, cpu, SHARDS, SolConfig::paper(), fp.batches(), 42);
     let (sstats, scost) = sharded.run_iteration(&fp, SimTime::ZERO);
-    let smodel = sharded_iteration_cost(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-        SHARDS,
-        fp.batches() as u64,
-    );
+    let smodel = sharded_iteration_cost(cfg, cpu, SHARDS, fp.batches() as u64);
     for (i, (real, model)) in scost.per_shard.iter().zip(&smodel.per_shard).enumerate() {
         r.push(PaperRow::new(
             format!("shard {i}/{SHARDS} total"),
@@ -327,7 +306,7 @@ mod tests {
 
     #[test]
     fn runtime_iteration_report_legs_match_model_exactly() {
-        // 5 unsharded legs + one total per shard + the sharded wall;
+        // 5 single-agent legs + one total per shard + the sharded wall;
         // every row must sit exactly on the model (ratio 1.000), the
         // sharded ones included.
         let r = runtime_iteration_report();

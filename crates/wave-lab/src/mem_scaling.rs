@@ -194,8 +194,6 @@ pub fn report(cfg: &MemScalingConfig) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_memmgr::SolRunner;
-    use wave_pcie::Interconnect;
 
     /// Debug builds (tier-1 `cargo test -q`) run a smaller address
     /// space; the release CI smoke and the bench use quick().
@@ -209,14 +207,13 @@ mod tests {
     #[test]
     fn k1_closed_form_stays_pinned_to_the_7_4_2_golden() {
         // The K=1 sharded model at the paper's full address space must
-        // be bit-identical to the unsharded §7.4.2 model — the same
+        // be bit-identical to the single-agent §7.4.2 model — the same
         // value `tests/integration_memmgr_runtime.rs` pins (364.415 ms
         // for 16 NIC cores).
         const FULL: u64 = 417_792;
         let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
         let sharded = sharded_iteration_cost(cfg, CpuModel::mount_evans(), 1, FULL);
-        let model = SolRunner::new(cfg, CpuModel::mount_evans())
-            .iteration_cost(&mut Interconnect::pcie(), FULL);
+        let model = cfg.iteration_cost(CpuModel::mount_evans(), FULL);
         assert_eq!(sharded.wall(), model.total());
         assert!((sharded.wall().as_ms_f64() - 3.644_152_32e2).abs() < 1e-9);
     }

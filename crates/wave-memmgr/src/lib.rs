@@ -12,18 +12,19 @@
 //! * [`sol`] — the SOL policy proper: per-batch Beta posterior, Thompson
 //!   classification, the scan-frequency ladder, epoch migration. Runs
 //!   for real against the [`wave_kvstore::DbFootprint`] workload model.
-//! * [`runner`] — on-host vs. offloaded execution on the shared
-//!   [`wave_core::runtime::AgentRuntime`] (DMA transport): the two-phase
+//! * [`runner`] — the deployment model: [`RunnerConfig`], the two-phase
 //!   cost model (serial memory-bound scan + parallel compute-bound
 //!   classification) whose constants are derived in closed form from the
-//!   paper's §7.4.2 duration table, the DMA shipping of PTE deltas in
-//!   and migration decisions out, plus a real multi-threaded
-//!   classification executor.
-//! * [`shard`] — the §6 scale-out applied to §4.2: the batch space
-//!   partitioned across K agent runtimes ([`ShardedSolRunner`]), each
-//!   with its own PTE-delta stream, batch-indexed decision slots,
-//!   policy, and DMA channel, executing on real OS threads; per-shard iteration
-//!   costs merge with explicit serial/parallel phase attribution.
+//!   paper's §7.4.2 duration table ([`RunnerConfig::iteration_cost`]),
+//!   and the PTE deltas and migration decisions the agent exchanges with
+//!   the host.
+//! * [`shard`] — the agent itself, run on the shared
+//!   [`wave_core::runtime::AgentRuntime`] (DMA transport):
+//!   [`ShardedSolRunner`] partitions the batch space across K agent
+//!   runtimes, each with its own PTE-delta stream, batch-indexed
+//!   decision slots, policy, and DMA channel. K=1 is the single agent;
+//!   K>1 fans out on real OS threads, and per-shard iteration costs
+//!   merge with explicit serial/parallel phase attribution.
 
 pub mod pagetable;
 pub mod runner;
@@ -31,8 +32,6 @@ pub mod shard;
 pub mod sol;
 
 pub use pagetable::{AddressSpace, BatchId, PageFlags};
-pub use runner::{
-    IterationCost, MigrationDecision, MigrationStager, PteDelta, RunnerConfig, SolRunner,
-};
+pub use runner::{IterationCost, MigrationDecision, PteDelta, RunnerConfig};
 pub use shard::{sharded_iteration_cost, ShardedCost, ShardedSolRunner};
 pub use sol::{SolConfig, SolPolicy, SolStats};

@@ -1,4 +1,5 @@
-//! On-host vs. offloaded SOL execution (§7.4.2).
+//! The SOL deployment model (§7.4.2): configuration, the closed-form
+//! iteration cost, and the messages the agent exchanges with the host.
 //!
 //! The paper's iteration-duration table is a two-phase story:
 //!
@@ -13,50 +14,38 @@
 //! parallel) at host speed, with ARM ratios 1.11×/2.08× — see
 //! `DESIGN.md`. Those constants plus the ~1 ms DMA of the delta-
 //! compressed PTE stream reproduce all ten table cells within a few
-//! milliseconds.
-//!
-//! [`SolRunner::run_iteration`] also *really executes* the
-//! classification in parallel worker threads, so the policy results (not
-//! just the durations) come from multi-threaded code.
+//! milliseconds; [`RunnerConfig::iteration_cost`] is that closed form.
 //!
 //! # Runtime-backed execution
 //!
-//! Since the agent-runtime unification, [`SolRunner::run_iteration`] no
-//! longer hand-rolls its channel/agent loop: it drives a
-//! [`wave_core::runtime::AgentRuntime`] bound to the DMA transport.
-//! The three legs of an iteration map onto runtime primitives:
+//! The real iteration runs the policy on a
+//! [`wave_core::runtime::AgentRuntime`] bound to the DMA transport, one
+//! runtime per agent of a [`ShardedSolRunner`] (K=1 is the single
+//! agent). The three legs of an iteration map onto runtime primitives:
 //!
 //! 1. **ingest** — the host pushes one [`PteDelta`] per due batch and
 //!    flushes; the queue's delta-compressed DMA batch *is* the
-//!    `dma_in` leg, and the agent [`polls`](AgentRuntime::poll) the
-//!    stream at its completion instant;
+//!    `dma_in` leg, and the agent polls the stream at its completion
+//!    instant;
 //! 2. **stage** — the scan/classify pass runs the real
-//!    [`SolPolicy`], and its classification flips become a
-//!    [`MigrationStager`] (a [`ResourcePolicy`]) staging
-//!    [`MigrationDecision`]s into the runtime's generic slot table;
-//! 3. **ship** — [`AgentRuntime::dma_ship_staged`] drains the slots in
-//!    one batched transfer back to host DRAM: the `dma_out` leg.
+//!    [`SolPolicy`](crate::SolPolicy), and each classification flip is
+//!    staged as a [`MigrationDecision`] into its batch's slot of the
+//!    runtime's generic slot table;
+//! 3. **ship** — one batched transfer drains the slots back to host
+//!    DRAM: the `dma_out` leg.
 //!
 //! The modelled [`IterationCost`] is derived from those same runtime
-//! legs and is bit-identical to the closed-form
-//! [`SolRunner::iteration_cost`] at any configuration — pinned by
-//! `tests/integration_memmgr_runtime.rs`.
+//! legs and is bit-identical to [`RunnerConfig::iteration_cost`] at any
+//! configuration — pinned by `tests/integration_memmgr_runtime.rs`.
+//!
+//! [`ShardedSolRunner`]: crate::ShardedSolRunner
 
-use std::collections::VecDeque;
-
-use parking_lot::Mutex;
-use rand::rngs::SmallRng;
-use wave_core::runtime::{AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost};
-use wave_core::AgentId;
-use wave_kvstore::DbFootprint;
+use wave_core::runtime::RuntimeConfig;
 use wave_pcie::config::Side;
 use wave_pcie::{DmaDirection, DmaMode, Interconnect, PteType, SocPteMode};
 use wave_queue::Transport;
 use wave_sim::cpu::{CoreClass, CpuModel, WorkloadClass};
-use wave_sim::dist::Beta;
 use wave_sim::SimTime;
-
-use crate::sol::{SolPolicy, SolStats};
 
 /// One entry of the host→agent delta-compressed PTE stream (§4.2): the
 /// access-bit delta for one 64-page batch.
@@ -80,47 +69,6 @@ pub struct MigrationDecision {
     pub batch: u32,
     /// `true` to promote to the fast tier, `false` to demote.
     pub hot: bool,
-}
-
-/// The memory manager's [`ResourcePolicy`]: the classification flips of
-/// the latest scan, pending as migration decisions for the slot table.
-#[derive(Debug)]
-pub struct MigrationStager {
-    pending: VecDeque<MigrationDecision>,
-    /// Host-reference CPU cost of forming one decision.
-    classify_cost: SimTime,
-}
-
-impl MigrationStager {
-    /// Wraps a batch of classification flips.
-    pub fn new(flips: impl IntoIterator<Item = (usize, bool)>, classify_cost: SimTime) -> Self {
-        MigrationStager {
-            pending: flips
-                .into_iter()
-                .map(|(batch, hot)| MigrationDecision {
-                    batch: batch as u32,
-                    hot,
-                })
-                .collect(),
-            classify_cost,
-        }
-    }
-}
-
-impl ResourcePolicy for MigrationStager {
-    type Decision = MigrationDecision;
-
-    fn produce(&mut self, _now: SimTime, _slot: SlotId) -> Option<MigrationDecision> {
-        self.pending.pop_front()
-    }
-
-    fn compute_cost(&self) -> SimTime {
-        self.classify_cost
-    }
-
-    fn backlog(&self) -> usize {
-        self.pending.len()
-    }
 }
 
 /// Configuration of one SOL deployment.
@@ -151,6 +99,79 @@ impl RunnerConfig {
             scan_ns_per_batch: 689,
             classify_ns_per_batch: 802,
             wire_bytes_per_batch: 51,
+        }
+    }
+
+    /// The two CPU phases of an iteration over `batches` batches:
+    /// `(scan, classify)` — serial memory-bound scan at full cost,
+    /// parallel compute-bound classification divided across agent
+    /// cores. Shared by the closed-form model and the runtime-backed
+    /// iteration so their equality holds by construction.
+    pub(crate) fn phase_costs(&self, cpu: &CpuModel, batches: u64) -> (SimTime, SimTime) {
+        let scan = cpu.cost(
+            self.placement,
+            WorkloadClass::MemoryBound,
+            SimTime::from_ns(self.scan_ns_per_batch * batches),
+        );
+        let classify = cpu
+            .cost(
+                self.placement,
+                WorkloadClass::ComputeBound,
+                SimTime::from_ns(self.classify_ns_per_batch * batches),
+            )
+            .scale(1.0 / self.cores as f64);
+        (scan, classify)
+    }
+
+    /// The closed-form duration of an iteration that scans `batches`
+    /// batches, with both DMA legs on a fresh [`Interconnect::pcie`] —
+    /// the reference the runtime-backed iteration is checked against.
+    pub fn iteration_cost(&self, cpu: CpuModel, batches: u64) -> IterationCost {
+        let mut ic = Interconnect::pcie();
+        let wire = batches * self.wire_bytes_per_batch;
+        let t_in = ic.dma.transfer(
+            SimTime::ZERO,
+            wire.max(64),
+            DmaDirection::HostToNic,
+            DmaMode::Async,
+            Side::Host,
+        );
+        let dma_in = t_in.complete_at;
+        let (scan, classify) = self.phase_costs(&cpu, batches);
+        // Decisions back: only a subset migrates; <1 ms per the paper.
+        let t_out = ic.dma.transfer(
+            dma_in + scan + classify,
+            (wire / 4).max(64),
+            DmaDirection::NicToHost,
+            DmaMode::Async,
+            Side::Nic,
+        );
+        let dma_out = t_out.complete_at - (dma_in + scan + classify);
+        IterationCost {
+            dma_in,
+            scan,
+            classify,
+            dma_out,
+        }
+    }
+
+    /// The runtime configuration for a batch space of `n` batches:
+    /// DMA-Async ingest carrying the delta-compressed PTE stream, one
+    /// decision slot per batch. Capacity leaves headroom for the lazy head
+    /// publication (`capacity / 4`), so a full rescan always fits after
+    /// one credit refresh.
+    pub(crate) fn runtime_config(&self, n: usize) -> RuntimeConfig {
+        RuntimeConfig {
+            queue_capacity: 2 * n as u64 + 8,
+            msg_words: self.wire_bytes_per_batch.div_ceil(8).max(1),
+            decision_words: 2,
+            slots: n as u32,
+            msg_transport: Transport::Dma(DmaMode::Async),
+            wire_bytes_per_msg: Some(self.wire_bytes_per_batch),
+            msg_pte: PteType::WriteCombining,
+            decision_pte: PteType::WriteThrough,
+            soc_pte: SocPteMode::WriteBack,
+            pickup: SimTime::ZERO,
         }
     }
 }
@@ -186,282 +207,6 @@ impl IterationCost {
     }
 }
 
-/// Executes SOL iterations under a deployment's cost model, on the
-/// shared [`AgentRuntime`] with a DMA-transport ingest leg.
-#[derive(Debug)]
-pub struct SolRunner {
-    cfg: RunnerConfig,
-    cpu: CpuModel,
-    /// Built once, lazily on the first [`SolRunner::run_iteration`],
-    /// with one decision slot per batch of the workload: the slot index
-    /// is the global batch id.
-    rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
-    /// Migration decisions shipped to the host so far.
-    shipped: u64,
-    /// The decisions of the most recent `dma_out` shipment, in slot
-    /// order (what the host received last iteration).
-    last_shipment: Vec<MigrationDecision>,
-}
-
-impl SolRunner {
-    /// Creates a runner.
-    pub fn new(cfg: RunnerConfig, cpu: CpuModel) -> Self {
-        SolRunner {
-            cfg,
-            cpu,
-            rt: None,
-            shipped: 0,
-            last_shipment: Vec::new(),
-        }
-    }
-
-    /// The two CPU phases of an iteration over `batches` batches:
-    /// `(scan, classify)` — serial memory-bound scan at full cost,
-    /// parallel compute-bound classification divided across agent
-    /// cores. Shared by the closed-form model and the runtime-backed
-    /// path so their equality holds by construction.
-    fn phase_costs(&self, batches: u64) -> (SimTime, SimTime) {
-        let scan = self.cpu.cost(
-            self.cfg.placement,
-            WorkloadClass::MemoryBound,
-            SimTime::from_ns(self.cfg.scan_ns_per_batch * batches),
-        );
-        let classify = self
-            .cpu
-            .cost(
-                self.cfg.placement,
-                WorkloadClass::ComputeBound,
-                SimTime::from_ns(self.cfg.classify_ns_per_batch * batches),
-            )
-            .scale(1.0 / self.cfg.cores as f64);
-        (scan, classify)
-    }
-
-    /// Computes the duration of an iteration that scans `batches`
-    /// batches, including the DMA legs through the interconnect model.
-    pub fn iteration_cost(&self, ic: &mut Interconnect, batches: u64) -> IterationCost {
-        let wire = batches * self.cfg.wire_bytes_per_batch;
-        let t_in = ic.dma.transfer(
-            SimTime::ZERO,
-            wire.max(64),
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
-        let dma_in = t_in.complete_at;
-        let (scan, classify) = self.phase_costs(batches);
-        // Decisions back: only a subset migrates; <1 ms per the paper.
-        let t_out = ic.dma.transfer(
-            dma_in + scan + classify,
-            (wire / 4).max(64),
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        let dma_out = t_out.complete_at - (dma_in + scan + classify);
-        IterationCost {
-            dma_in,
-            scan,
-            classify,
-            dma_out,
-        }
-    }
-
-    /// The runtime configuration for a batch space of `n` batches:
-    /// DMA-Async ingest carrying the delta-compressed PTE stream, one
-    /// decision slot per batch. Capacity leaves headroom for the lazy head
-    /// publication (`capacity / 4`), so a full rescan always fits after
-    /// one credit refresh.
-    fn runtime_config(&self, n: usize) -> RuntimeConfig {
-        RuntimeConfig {
-            queue_capacity: 2 * n as u64 + 8,
-            msg_words: self.cfg.wire_bytes_per_batch.div_ceil(8).max(1),
-            decision_words: 2,
-            slots: n as u32,
-            msg_transport: Transport::Dma(DmaMode::Async),
-            wire_bytes_per_msg: Some(self.cfg.wire_bytes_per_batch),
-            msg_pte: PteType::WriteCombining,
-            decision_pte: PteType::WriteThrough,
-            soc_pte: SocPteMode::WriteBack,
-            pickup: SimTime::ZERO,
-        }
-    }
-
-    /// Runs one *real* policy iteration on the shared agent runtime:
-    /// the host ships the due batches' PTE deltas over the DMA ingest
-    /// leg, the agent polls them at arrival, scans and
-    /// Thompson-classifies (the same multi-threadable pass demonstrated
-    /// by [`parallel_classify`]), stages the resulting migration
-    /// decisions through a [`MigrationStager`], and ships them back in
-    /// one batched `dma_out` transfer. Returns the policy stats plus
-    /// the modelled duration, derived from the runtime legs.
-    ///
-    /// All transport legs are issued at `now` on the shared wall clock
-    /// (the per-iteration `SimTime::ZERO` clock of the pre-refactor
-    /// cost model is retired), so on a long-lived [`Interconnect`] an
-    /// iteration only queues behind DMA traffic that is *actually* in
-    /// flight — the engine sits idle across the 600 ms between scan
-    /// periods, and [`IterationCost`]s stay comparable across
-    /// iterations and shards. The returned cost fields are durations
-    /// relative to `now`.
-    ///
-    /// Decision slots are indexed by global batch id, whatever slice of
-    /// the batch space `policy` manages: the runtime is built once, on
-    /// the first iteration, with one slot per batch of `workload`, so a
-    /// slice that grows or shrinks (rebalancing, batches lent by a dead
-    /// sibling) stages into the same table. Each iteration also notes
-    /// the due-batch count on the runtime's load counter
-    /// ([`AgentRuntime::note_load`]), the scan-rate signal a
-    /// [`wave_core::shard_map::Rebalancer`] samples.
-    pub fn run_iteration(
-        &mut self,
-        ic: &mut Interconnect,
-        policy: &mut SolPolicy,
-        workload: &DbFootprint,
-        now: SimTime,
-        rng: &mut SmallRng,
-    ) -> (SolStats, IterationCost) {
-        let due = policy.due_batches(now);
-        let batches = (due.len() as u64).max(1);
-        let wire = batches * self.cfg.wire_bytes_per_batch;
-        let (scan, classify) = self.phase_costs(batches);
-
-        if self.rt.is_none() {
-            let rcfg = self.runtime_config(workload.batches());
-            self.rt = Some(AgentRuntime::new(
-                ic,
-                AgentId(0),
-                self.cfg.placement,
-                self.cpu,
-                &rcfg,
-            ));
-        }
-        let rt = self.rt.as_mut().expect("just built");
-
-        // Host leg: push the delta stream and flush — the queue's
-        // batched, delta-compressed DMA is the dma_in transfer, issued
-        // at `now` so only genuinely concurrent traffic queues.
-        if due.is_empty() {
-            rt.host_send(now, ic, PteDelta::HEARTBEAT);
-        } else {
-            for &b in &due {
-                rt.host_send(now, ic, PteDelta { batch: b as u32 });
-            }
-        }
-        rt.host_flush(now, ic);
-        let arrive = rt.next_visible_at().expect("stream in flight");
-        let dma_in = arrive - now;
-
-        // Agent leg: pick the stream up at arrival and run the two-phase
-        // pass over exactly the batches the host shipped.
-        let polled = rt.poll(arrive, ic, usize::MAX);
-        let scanned: Vec<usize> = polled
-            .items
-            .iter()
-            .filter(|d| **d != PteDelta::HEARTBEAT)
-            .map(|d| d.batch as usize)
-            .collect();
-        rt.note_load(scanned.len() as u64);
-        let stats = policy.iterate_batches(now, &scanned, workload, rng);
-
-        // Stage the classification flips as migration decisions through
-        // the generic slot table, each at its batch's slot (slot id ==
-        // global batch id). Decision-forming compute is the classify
-        // phase above, so the stager charges zero compute here; only the
-        // slot writes accrue, onto the agent's serial clock.
-        let mut stager = MigrationStager::new(policy.flips().iter().copied(), SimTime::ZERO);
-        let stage_at = arrive + scan;
-        let stage_cost = StageCost {
-            ratio: 1.0,
-            extra: SimTime::ZERO,
-        };
-        let mut stage_cpu = SimTime::ZERO;
-        for &(b, _) in policy.flips() {
-            let slot = SlotId(b as u32);
-            if rt.stage_with(stage_at, ic, &mut stager, slot, stage_cost, &mut stage_cpu) {
-                rt.record_decision(stage_at + stage_cpu);
-            }
-        }
-        rt.run_raw(stage_at, stage_cpu);
-
-        // Ship leg: one batched transfer consumes every staged slot —
-        // only a subset migrates, so the decision stream is ~4:1
-        // smaller than the ingest (<1 ms per the paper).
-        let ship_at = arrive + scan + classify;
-        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64), DmaMode::Async);
-        self.shipped += shipment.decisions.len() as u64;
-        self.last_shipment = shipment.decisions.iter().map(|&(_, d)| d).collect();
-        let dma_out = shipment.complete_at - ship_at;
-
-        (
-            stats,
-            IterationCost {
-                dma_in,
-                scan,
-                classify,
-                dma_out,
-            },
-        )
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> RunnerConfig {
-        self.cfg
-    }
-
-    /// The underlying agent runtime, once built (telemetry/tests).
-    pub fn runtime(&self) -> Option<&AgentRuntime<PteDelta, MigrationDecision>> {
-        self.rt.as_ref()
-    }
-
-    /// Mutable runtime access (fault injection: kill/restart the agent).
-    pub fn runtime_mut(&mut self) -> Option<&mut AgentRuntime<PteDelta, MigrationDecision>> {
-        self.rt.as_mut()
-    }
-
-    /// Migration decisions shipped to the host so far.
-    pub fn shipped_decisions(&self) -> u64 {
-        self.shipped
-    }
-
-    /// The most recent `dma_out` shipment's decisions, in slot order —
-    /// the host's view of what arrived last iteration.
-    pub fn last_shipment(&self) -> &[MigrationDecision] {
-        &self.last_shipment
-    }
-}
-
-/// Classifies a slice of Beta posteriors in parallel worker threads —
-/// the §6 guidance ("developers should also parallelize an agent with
-/// threads") executed for real. Returns the hot count.
-pub fn parallel_classify(
-    posteriors: &[(f64, f64)],
-    threshold: f64,
-    threads: u32,
-    seed: u64,
-) -> u64 {
-    assert!(threads >= 1, "need at least one thread");
-    let hot = Mutex::new(0u64);
-    let chunk = posteriors.len().div_ceil(threads as usize).max(1);
-    std::thread::scope(|scope| {
-        for (t, chunk_data) in posteriors.chunks(chunk).enumerate() {
-            let hot = &hot;
-            scope.spawn(move || {
-                let mut rng = wave_sim::rng(seed ^ (t as u64) << 32);
-                let mut local = 0;
-                for &(alpha, beta) in chunk_data {
-                    let theta = Beta::new(alpha, beta).sample(&mut rng);
-                    if theta > threshold {
-                        local += 1;
-                    }
-                }
-                *hot.lock() += local;
-            });
-        }
-    });
-    hot.into_inner()
-}
-
 /// Convenience: the §7.4.2 duration table — per-iteration durations for
 /// the paper's full 100 GiB address space (417,792 batches), for each
 /// core count, on each platform. Returns `(cores, wave_ms, onhost_ms)`.
@@ -471,13 +216,11 @@ pub fn duration_table(core_counts: &[u32]) -> Vec<(u32, f64, f64)> {
     core_counts
         .iter()
         .map(|&cores| {
-            let mut ic_nic = Interconnect::pcie();
-            let wave = SolRunner::new(RunnerConfig::paper(CoreClass::NicArm, cores), cpu)
-                .iteration_cost(&mut ic_nic, FULL_BATCHES)
+            let wave = RunnerConfig::paper(CoreClass::NicArm, cores)
+                .iteration_cost(cpu, FULL_BATCHES)
                 .total();
-            let mut ic_host = Interconnect::pcie();
-            let onhost = SolRunner::new(RunnerConfig::paper(CoreClass::HostX86, cores), cpu)
-                .iteration_cost(&mut ic_host, FULL_BATCHES)
+            let onhost = RunnerConfig::paper(CoreClass::HostX86, cores)
+                .iteration_cost(cpu, FULL_BATCHES)
                 .total();
             (cores, wave.as_ms_f64(), onhost.as_ms_f64())
         })
@@ -487,7 +230,9 @@ pub fn duration_table(core_counts: &[u32]) -> Vec<(u32, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::ShardedSolRunner;
     use crate::sol::SolConfig;
+    use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 
     /// The paper's §7.4.2 table (ms).
     const PAPER: [(u32, f64, f64); 5] = [
@@ -497,6 +242,22 @@ mod tests {
         (8, 384.0, 322.0),
         (16, 364.0, 309.0),
     ];
+
+    fn world() -> DbFootprint {
+        DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3)
+    }
+
+    /// The single-agent deployment (K=1) of 16 threads at `placement`.
+    fn single_agent(fp: &DbFootprint, placement: CoreClass) -> ShardedSolRunner {
+        ShardedSolRunner::new(
+            RunnerConfig::paper(placement, 16),
+            CpuModel::mount_evans(),
+            1,
+            SolConfig::paper(),
+            fp.batches(),
+            4,
+        )
+    }
 
     #[test]
     fn duration_table_matches_paper() {
@@ -529,10 +290,8 @@ mod tests {
     fn pte_dma_is_about_1ms() {
         // "Transferring the page table entries with DMA for the entire
         // RocksDB address space takes ~1 ms."
-        let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
-        let runner = SolRunner::new(cfg, CpuModel::mount_evans());
-        let mut ic = Interconnect::pcie();
-        let cost = runner.iteration_cost(&mut ic, 417_792);
+        let cost = RunnerConfig::paper(CoreClass::NicArm, 16)
+            .iteration_cost(CpuModel::mount_evans(), 417_792);
         let dma_ms = cost.dma_in.as_ms_f64();
         assert!((0.7..=1.5).contains(&dma_ms), "dma {dma_ms} ms");
     }
@@ -540,112 +299,63 @@ mod tests {
     #[test]
     fn more_cores_shrink_only_parallel_phase() {
         let cpu = CpuModel::mount_evans();
-        let mut ic = Interconnect::pcie();
-        let one = SolRunner::new(RunnerConfig::paper(CoreClass::NicArm, 1), cpu)
-            .iteration_cost(&mut ic, 100_000);
-        let mut ic = Interconnect::pcie();
-        let sixteen = SolRunner::new(RunnerConfig::paper(CoreClass::NicArm, 16), cpu)
-            .iteration_cost(&mut ic, 100_000);
+        let one = RunnerConfig::paper(CoreClass::NicArm, 1).iteration_cost(cpu, 100_000);
+        let sixteen = RunnerConfig::paper(CoreClass::NicArm, 16).iteration_cost(cpu, 100_000);
         assert_eq!(one.scan, sixteen.scan, "serial phase unaffected");
         assert!(sixteen.classify < one.classify / 10);
     }
 
     #[test]
-    fn parallel_classify_agrees_across_thread_counts() {
-        let posteriors: Vec<(f64, f64)> = (0..4_000)
-            .map(|i| if i % 5 == 0 { (20.0, 2.0) } else { (2.0, 20.0) })
-            .collect();
-        let t1 = parallel_classify(&posteriors, 0.5, 1, 9);
-        let t8 = parallel_classify(&posteriors, 0.5, 8, 9);
-        // Strongly-peaked posteriors: both must find ~1/5 hot.
-        let expect = 800.0;
-        assert!((t1 as f64 - expect).abs() < 40.0, "t1 {t1}");
-        assert!((t8 as f64 - expect).abs() < 40.0, "t8 {t8}");
-    }
-
-    #[test]
     fn real_iteration_runs() {
-        use wave_kvstore::{AccessPattern, FootprintConfig};
-        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-        let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-        let mut runner = SolRunner::new(
-            RunnerConfig::paper(CoreClass::NicArm, 16),
-            CpuModel::mount_evans(),
-        );
-        let mut ic = Interconnect::pcie();
-        let mut rng = wave_sim::rng(4);
-        let (stats, cost) =
-            runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
+        let fp = world();
+        let mut one = single_agent(&fp, CoreClass::NicArm);
+        let (stats, cost) = one.run_iteration(&fp, SimTime::ZERO);
         assert_eq!(stats.scanned as usize, fp.batches());
-        assert!(cost.total() > SimTime::ZERO);
+        assert!(cost.wall() > SimTime::ZERO);
     }
 
     #[test]
     fn runtime_backed_iteration_matches_closed_form_cost() {
-        // The refactor invariant: run_iteration's cost, derived from the
-        // runtime's actual DMA legs, is bit-identical to the closed-form
-        // model on a fresh interconnect.
-        use wave_kvstore::{AccessPattern, FootprintConfig};
-        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
+        // The iteration's cost, derived from the runtime's actual DMA
+        // legs, is bit-identical to the closed-form model.
+        let fp = world();
         for placement in [CoreClass::NicArm, CoreClass::HostX86] {
-            let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-            let mut runner =
-                SolRunner::new(RunnerConfig::paper(placement, 16), CpuModel::mount_evans());
-            let mut ic = Interconnect::pcie();
-            let mut rng = wave_sim::rng(4);
+            let mut one = single_agent(&fp, placement);
             // At t=0 every batch is due.
-            let (_, cost) =
-                runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
-            let model = SolRunner::new(RunnerConfig::paper(placement, 16), CpuModel::mount_evans())
-                .iteration_cost(&mut Interconnect::pcie(), fp.batches() as u64);
-            assert_eq!(cost, model, "{placement:?}");
+            let (_, cost) = one.run_iteration(&fp, SimTime::ZERO);
+            let model = RunnerConfig::paper(placement, 16)
+                .iteration_cost(CpuModel::mount_evans(), fp.batches() as u64);
+            assert_eq!(cost.per_shard, vec![model], "{placement:?}");
         }
     }
 
     #[test]
     fn iteration_ships_classification_flips() {
-        use wave_kvstore::{AccessPattern, FootprintConfig};
-        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-        let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-        let mut runner = SolRunner::new(
-            RunnerConfig::paper(CoreClass::NicArm, 16),
-            CpuModel::mount_evans(),
-        );
-        let mut ic = Interconnect::pcie();
-        let mut rng = wave_sim::rng(4);
-        runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
+        let fp = world();
+        let mut one = single_agent(&fp, CoreClass::NicArm);
+        one.run_iteration(&fp, SimTime::ZERO);
         // The first scan flips a bunch of optimistic hot batches cold;
         // each flip must have been staged and shipped through the slots.
-        assert!(runner.shipped_decisions() > 0);
-        let rt = runner.runtime().expect("built on first iteration");
+        let shipped = one.shipped_decisions();
+        assert!(shipped > 0);
+        let rt = one.shard_runtime(0).expect("built on first iteration");
         assert_eq!(rt.slots_ref().staged_count(), 0, "slots drained by ship");
         let (hits, _) = rt.slots_ref().hit_miss();
-        assert_eq!(hits, runner.shipped_decisions());
-        assert_eq!(rt.decisions(), runner.shipped_decisions());
-        assert_eq!(
-            rt.msg_transport(),
-            wave_queue::Transport::Dma(wave_pcie::DmaMode::Async)
-        );
+        assert_eq!(hits, shipped);
+        assert_eq!(rt.decisions(), shipped);
+        assert_eq!(rt.msg_transport(), Transport::Dma(DmaMode::Async));
     }
 
     #[test]
     fn heartbeat_iteration_when_nothing_due() {
         // Right after a full scan nothing is due: the stream still ships
         // its header and the cost model charges the single-batch floor.
-        use wave_kvstore::{AccessPattern, FootprintConfig};
-        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-        let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-        let mut runner = SolRunner::new(
-            RunnerConfig::paper(CoreClass::NicArm, 16),
-            CpuModel::mount_evans(),
-        );
-        let mut ic = Interconnect::pcie();
-        let mut rng = wave_sim::rng(4);
-        runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
+        let fp = world();
+        let mut one = single_agent(&fp, CoreClass::NicArm);
+        one.run_iteration(&fp, SimTime::ZERO);
         // 1 ms later no batch has its next scan due yet (base 600 ms).
-        let (stats, cost) =
-            runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::from_ms(1), &mut rng);
+        let (stats, cost) = one.run_iteration(&fp, SimTime::from_ms(1));
         assert_eq!(stats.scanned, 0);
-        assert!(cost.total() > SimTime::ZERO);
+        assert!(cost.wall() > SimTime::ZERO);
     }
 }

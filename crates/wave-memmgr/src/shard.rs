@@ -9,18 +9,19 @@
 //! * a contiguous **batch slice** ([`wave_core::runtime::shard_range`]
 //!   over the address space, the same partition the scheduler uses for
 //!   cores),
-//! * its own [`SolRunner`] on its own [`AgentRuntime`] — a private
-//!   PTE-delta stream (DMA ingest), a decision-slot table indexed by
-//!   global batch id, and a [`MigrationStager`],
+//! * its own [`AgentRuntime`], built on the shard's first iteration — a
+//!   private PTE-delta stream (DMA ingest) and a decision-slot table
+//!   indexed by global batch id,
 //! * its own [`SolPolicy`] over the slice (global batch ids, local
 //!   state — [`SolPolicy::with_base`]), and
 //! * its own [`Interconnect`] and RNG stream, modelling one DMA channel
 //!   per agent.
 //!
-//! Because each shard owns *all* of its mutable state, shards execute on
-//! real OS threads ([`wave_sim::par::par_map_mut`]) with no sharing and
-//! no loss of determinism — the multi-agent counterpart of
-//! [`parallel_classify`]'s multi-thread-within-one-agent guidance.
+//! K=1 is the single-agent deployment: shard 0 holds the whole batch
+//! space and runs on the caller's thread. With K>1, because each shard
+//! owns *all* of its mutable state, shards execute on real OS threads
+//! ([`wave_sim::par::par_map_mut`]) with no sharing and no loss of
+//! determinism.
 //!
 //! # Cost attribution
 //!
@@ -38,9 +39,10 @@
 //!   classification (already divided by per-agent threads);
 //! * [`ShardedCost::dma`] — the slowest shard's combined transport legs.
 //!
-//! With K=1 the sharded runner is bit-identical to a bare [`SolRunner`]
-//! (pinned by `tests/integration_memmgr_runtime.rs`): shard 0 holds the
-//! whole batch space, the same RNG stream, and a fresh interconnect.
+//! Each shard's legs equal the closed-form
+//! [`RunnerConfig::iteration_cost`] over its slice when every batch is
+//! due ([`sharded_iteration_cost`]); K=1 reproduces the §7.4.2 duration
+//! table (pinned by `tests/integration_memmgr_runtime.rs`).
 //!
 //! # Dynamic rebalancing
 //!
@@ -63,29 +65,25 @@
 //! Faults and rebalancing compose: a killed shard's batches are *lent*
 //! to the live siblings through the same map-commit + adopt-replay
 //! path, rebalance epochs keep running with the corpse masked out of
-//! the planner ([`Rebalancer::run_epoch_masked`]), and a restart
-//! reclaims each lent batch from whichever shard holds it at that
-//! moment.
-//!
-//! [`AgentRuntime`]: wave_core::runtime::AgentRuntime
+//! the planner (the liveness mask of [`Rebalancer::run_epoch`]), and a
+//! restart reclaims each lent batch from whichever shard holds it at
+//! that moment.
 
 use rand::rngs::SmallRng;
-use wave_core::runtime::shard_range;
+use wave_core::runtime::{shard_range, AgentRuntime, SlotId};
 use wave_core::shard_map::{
     RebalanceConfig, RebalanceEvent, Rebalancer, ResourceMove, ShardMap, ShedLoad,
 };
 use wave_core::workload::{MemPhase, MemPhaseSource};
+use wave_core::AgentId;
 use wave_kvstore::DbFootprint;
-use wave_pcie::Interconnect;
+use wave_pcie::{DmaMode, Interconnect};
 use wave_sim::cpu::CpuModel;
 use wave_sim::par::par_map_mut;
 use wave_sim::SimTime;
 
-use crate::runner::{IterationCost, MigrationDecision, RunnerConfig, SolRunner};
+use crate::runner::{IterationCost, MigrationDecision, PteDelta, RunnerConfig};
 use crate::sol::{SolConfig, SolPolicy, SolStats};
-
-#[cfg(doc)]
-use crate::runner::{parallel_classify, MigrationStager};
 
 /// Cost of one sharded iteration: per-shard legs plus aggregate views.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,26 +151,133 @@ impl ShardedCost {
     }
 }
 
-/// One shard's complete agent world. Owning everything (runner, policy,
-/// interconnect, RNG) is what makes the fan-out thread-safe and the
-/// fault blast-radius exactly one slice of the batch space.
+/// One shard's complete agent world. Owning everything (runtime,
+/// policy, interconnect, RNG) is what makes the fan-out thread-safe and
+/// the fault blast-radius exactly one slice of the batch space.
 #[derive(Debug)]
 struct MemShard {
-    runner: SolRunner,
     policy: SolPolicy,
     ic: Interconnect,
     rng: SmallRng,
+    /// Built once, lazily on the shard's first iteration, with one
+    /// decision slot per batch of the workload: the slot index is the
+    /// global batch id.
+    rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
+    /// Migration decisions shipped to the host so far.
+    shipped: u64,
+    /// The decisions of the most recent `dma_out` shipment, in slot
+    /// order (what the host received last iteration).
+    last_shipment: Vec<MigrationDecision>,
     /// False between a watchdog kill and the operator restart.
     alive: bool,
 }
 
 impl MemShard {
-    fn run(&mut self, workload: &DbFootprint, now: SimTime) -> (SolStats, IterationCost) {
+    /// Runs one *real* policy iteration on the shard's agent runtime:
+    /// the host ships the due batches' PTE deltas over the DMA ingest
+    /// leg, the agent polls them at arrival, scans and
+    /// Thompson-classifies them, stages each classification flip as a
+    /// migration decision, and ships the decisions back in one batched
+    /// `dma_out` transfer. Returns the policy stats plus the modelled
+    /// duration, derived from the runtime legs; a dead shard does no
+    /// work and returns [`IterationCost::idle`].
+    ///
+    /// All transport legs are issued at `now` on the shard's long-lived
+    /// [`Interconnect`], so an iteration only queues behind DMA traffic
+    /// that is *actually* in flight — the engine sits idle across the
+    /// 600 ms between scan periods, and [`IterationCost`]s stay
+    /// comparable across iterations and shards. The returned cost fields
+    /// are durations relative to `now`.
+    ///
+    /// The runtime spans the whole batch space of `workload`, whatever
+    /// slice the policy manages, so a slice that grows or shrinks
+    /// (rebalancing, batches lent by a dead sibling) stages into the
+    /// same table. Each iteration also notes the due-batch count on the
+    /// runtime's load counter ([`AgentRuntime::note_load`]), the
+    /// scan-rate signal the [`Rebalancer`] samples.
+    fn run(
+        &mut self,
+        cfg: &RunnerConfig,
+        cpu: &CpuModel,
+        workload: &DbFootprint,
+        now: SimTime,
+    ) -> (SolStats, IterationCost) {
         if !self.alive {
             return (SolStats::default(), IterationCost::idle());
         }
-        self.runner
-            .run_iteration(&mut self.ic, &mut self.policy, workload, now, &mut self.rng)
+        let due = self.policy.due_batches(now);
+        let batches = (due.len() as u64).max(1);
+        let wire = batches * cfg.wire_bytes_per_batch;
+        let (scan, classify) = cfg.phase_costs(cpu, batches);
+
+        let ic = &mut self.ic;
+        let rt = self.rt.get_or_insert_with(|| {
+            let rcfg = cfg.runtime_config(workload.batches());
+            AgentRuntime::new(ic, AgentId(0), cfg.placement, *cpu, &rcfg)
+        });
+
+        // Host leg: push the delta stream and flush — the queue's
+        // batched, delta-compressed DMA is the dma_in transfer, issued
+        // at `now` so only genuinely concurrent traffic queues.
+        if due.is_empty() {
+            rt.host_send(now, ic, PteDelta::HEARTBEAT);
+        } else {
+            for &b in &due {
+                rt.host_send(now, ic, PteDelta { batch: b as u32 });
+            }
+        }
+        rt.host_flush(now, ic);
+        let arrive = rt.next_visible_at().expect("stream in flight");
+        let dma_in = arrive - now;
+
+        // Agent leg: pick the stream up at arrival and run the two-phase
+        // pass over exactly the batches the host shipped.
+        let polled = rt.poll(arrive, ic, usize::MAX);
+        let scanned: Vec<usize> = polled
+            .items
+            .iter()
+            .filter(|d| **d != PteDelta::HEARTBEAT)
+            .map(|d| d.batch as usize)
+            .collect();
+        rt.note_load(scanned.len() as u64);
+        let stats = self
+            .policy
+            .iterate_batches(now, &scanned, workload, &mut self.rng);
+
+        // Stage each classification flip as a migration decision at its
+        // batch's slot (slot id == global batch id). Decision-forming
+        // compute is the classify phase above, so only the slot writes
+        // accrue, onto the agent's serial clock.
+        let stage_at = arrive + scan;
+        let mut stage_cpu = SimTime::ZERO;
+        for &(b, hot) in self.policy.flips() {
+            let d = MigrationDecision {
+                batch: b as u32,
+                hot,
+            };
+            stage_cpu += rt.stage_raw(stage_at + stage_cpu, ic, SlotId(b as u32), d);
+            rt.record_decision(stage_at + stage_cpu);
+        }
+        rt.run_raw(stage_at, stage_cpu);
+
+        // Ship leg: one batched transfer consumes every staged slot —
+        // only a subset migrates, so the decision stream is ~4:1
+        // smaller than the ingest (<1 ms per the paper).
+        let ship_at = arrive + scan + classify;
+        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64), DmaMode::Async);
+        self.shipped += shipment.decisions.len() as u64;
+        self.last_shipment = shipment.decisions.iter().map(|&(_, d)| d).collect();
+        let dma_out = shipment.complete_at - ship_at;
+
+        (
+            stats,
+            IterationCost {
+                dma_in,
+                scan,
+                classify,
+                dma_out,
+            },
+        )
     }
 }
 
@@ -181,9 +286,9 @@ impl MemShard {
 pub struct ShardedSolRunner {
     shards: Vec<MemShard>,
     cfg: RunnerConfig,
+    cpu: CpuModel,
     sol: SolConfig,
     total_batches: usize,
-    threaded: bool,
     /// Host-side epoch clock. The epoch is a global, host-driven event,
     /// so it lives here and not in any shard's policy — a killed or
     /// restarted shard must not perturb the cadence for the others.
@@ -209,9 +314,8 @@ impl ShardedSolRunner {
     /// Partitions `total_batches` across `shards` agents. Shard `i`
     /// owns the contiguous slice [`shard_range`]`(total_batches,
     /// shards, i)`, a fresh policy with an uninformative prior over it,
-    /// and the RNG stream `seed ^ (i << 32)` — so with one shard the
-    /// deployment is indistinguishable from an unsharded
-    /// [`SolRunner`] driven with `rng(seed)`.
+    /// and the RNG stream `seed ^ (i << 32)`. With one shard this is the
+    /// single-agent deployment: the whole batch space on `rng(seed)`.
     ///
     /// # Panics
     ///
@@ -233,10 +337,12 @@ impl ShardedSolRunner {
             .map(|i| {
                 let slice = shard_range(total_batches, shards as usize, i);
                 MemShard {
-                    runner: SolRunner::new(cfg, cpu),
                     policy: SolPolicy::with_base(sol, slice.len(), slice.start),
                     ic: Interconnect::pcie(),
                     rng: wave_sim::rng(seed ^ (i as u64) << 32),
+                    rt: None,
+                    shipped: 0,
+                    last_shipment: Vec::new(),
                     alive: true,
                 }
             })
@@ -246,9 +352,9 @@ impl ShardedSolRunner {
         ShardedSolRunner {
             shards,
             cfg,
+            cpu,
             sol,
             total_batches,
-            threaded: true,
             last_epoch: SimTime::ZERO,
             map,
             rebalancer: None,
@@ -299,15 +405,6 @@ impl ShardedSolRunner {
         self.rebalancer.as_ref().map_or(&[], |r| r.history())
     }
 
-    /// Disables (or re-enables) the OS-thread fan-out; shards then run
-    /// sequentially on the caller's thread. Results are identical
-    /// either way — the knob exists for determinism tests and
-    /// single-threaded embeddings.
-    pub fn with_threads(mut self, threaded: bool) -> Self {
-        self.threaded = threaded;
-        self
-    }
-
     /// Number of agent shards.
     pub fn shards(&self) -> u32 {
         self.shards.len() as u32
@@ -326,22 +423,18 @@ impl ShardedSolRunner {
 
     /// Runs one sharded iteration at `now`: every live shard ships its
     /// due PTE deltas, scans, classifies, stages, and ships decisions —
-    /// concurrently on OS threads unless [`with_threads`]`(false)`.
-    /// Returns the merged stats and the per-shard cost breakdown.
-    ///
-    /// [`with_threads`]: ShardedSolRunner::with_threads
+    /// concurrently on OS threads when K>1, on the caller's thread when
+    /// K=1. Returns the merged stats and the per-shard cost breakdown.
     pub fn run_iteration(
         &mut self,
         workload: &DbFootprint,
         now: SimTime,
     ) -> (SolStats, ShardedCost) {
-        let results = if self.threaded && self.shards.len() > 1 {
-            par_map_mut(&mut self.shards, |sh| sh.run(workload, now))
+        let (cfg, cpu) = (&self.cfg, &self.cpu);
+        let results = if self.shards.len() > 1 {
+            par_map_mut(&mut self.shards, |sh| sh.run(cfg, cpu, workload, now))
         } else {
-            self.shards
-                .iter_mut()
-                .map(|sh| sh.run(workload, now))
-                .collect()
+            vec![self.shards[0].run(cfg, cpu, workload, now)]
         };
         let mut merged = SolStats::default();
         let mut per_shard = Vec::with_capacity(results.len());
@@ -394,8 +487,11 @@ impl ShardedSolRunner {
     }
 
     /// Applies epoch migration on every live shard's slice and advances
-    /// the host's epoch clock (a dead shard's slice simply skips this
-    /// epoch). Returns the merged `(demoted, promoted)` counts.
+    /// the host's epoch clock. With K≥2 a dead shard's batches are lent
+    /// to its live siblings ([`ShardedSolRunner::kill_shard`]), so they
+    /// migrate with whichever shard borrowed them; only a K=1 slice,
+    /// with no sibling to lend to, skips the epoch. Returns the merged
+    /// `(demoted, promoted)` counts.
     pub fn epoch_migrate(&mut self, now: SimTime, footprint: &mut DbFootprint) -> (u64, u64) {
         self.last_epoch = now;
         let mut demoted = 0;
@@ -417,9 +513,9 @@ impl ShardedSolRunner {
     /// already spans the whole batch space. Returns the epoch's
     /// event, or `None` when rebalancing is off or the epoch has not
     /// elapsed. Dead shards do not pause the epoch clock: they are
-    /// masked out of the skew gate and the plan
-    /// ([`Rebalancer::run_epoch_masked`]) — ownership never moves onto
-    /// or off a corpse, but the live majority keeps rebalancing.
+    /// masked out of the skew gate and the plan (the `alive` mask of
+    /// [`Rebalancer::run_epoch`]) — ownership never moves onto or off a
+    /// corpse, but the live majority keeps rebalancing.
     pub fn maybe_rebalance(&mut self, now: SimTime) -> Option<RebalanceEvent> {
         let rb = self.rebalancer.as_mut()?;
         if !rb.epoch_due(now) {
@@ -427,10 +523,10 @@ impl ShardedSolRunner {
         }
         let alive: Vec<bool> = self.shards.iter().map(|sh| sh.alive).collect();
         for (i, sh) in self.shards.iter_mut().enumerate() {
-            let load = sh.runner.runtime_mut().map_or(0, |rt| rt.take_load());
+            let load = sh.rt.as_mut().map_or(0, |rt| rt.take_load());
             rb.record(i as u32, load);
         }
-        let event = rb.run_epoch_masked(now, &mut self.map, &alive).clone();
+        let event = rb.run_epoch(now, &mut self.map, &alive).clone();
         // Group the epoch's moves per shard so the policy-side Vec
         // surgery is one batched call per donor/recipient.
         let n = self.shards.len();
@@ -455,29 +551,25 @@ impl ShardedSolRunner {
 
     /// Migration decisions shipped to the host so far, all shards.
     pub fn shipped_decisions(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|sh| sh.runner.shipped_decisions())
-            .sum()
+        self.shards.iter().map(|sh| sh.shipped).sum()
     }
 
     /// Decisions shipped per shard, in shard order (shows every shard
     /// pulls its weight).
     pub fn per_shard_shipped(&self) -> Vec<u64> {
-        self.shards
-            .iter()
-            .map(|sh| sh.runner.shipped_decisions())
-            .collect()
+        self.shards.iter().map(|sh| sh.shipped).collect()
     }
 
-    /// Shard `i`'s most recent `dma_out` shipment (the host's view).
+    /// Shard `i`'s most recent `dma_out` shipment, in slot order (the
+    /// host's view).
     pub fn last_shipment(&self, i: u32) -> &[MigrationDecision] {
-        self.shards[i as usize].runner.last_shipment()
+        &self.shards[i as usize].last_shipment
     }
 
-    /// Read-only access to shard `i`'s runner (telemetry/tests).
-    pub fn shard_runner(&self, i: u32) -> &SolRunner {
-        &self.shards[i as usize].runner
+    /// Shard `i`'s agent runtime, once its first iteration has built it
+    /// (telemetry/tests).
+    pub fn shard_runtime(&self, i: u32) -> Option<&AgentRuntime<PteDelta, MigrationDecision>> {
+        self.shards[i as usize].rt.as_ref()
     }
 
     /// Shard `i`'s classification accuracy against the workload oracle
@@ -509,7 +601,7 @@ impl ShardedSolRunner {
         {
             let sh = &mut self.shards[i as usize];
             sh.alive = false;
-            if let Some(rt) = sh.runner.runtime_mut() {
+            if let Some(rt) = sh.rt.as_mut() {
                 let agent = rt.agent_mut();
                 agent.crash();
                 agent.kill();
@@ -592,16 +684,16 @@ impl ShardedSolRunner {
         let sh = &mut self.shards[i as usize];
         sh.alive = true;
         sh.policy = SolPolicy::with_batches(self.sol, ids);
-        if let Some(rt) = sh.runner.runtime_mut() {
+        if let Some(rt) = sh.rt.as_mut() {
             rt.agent_mut().restart(now);
         }
     }
 }
 
 /// Closed-form cost of one sharded iteration over the full batch space:
-/// per-shard [`SolRunner::iteration_cost`] on a fresh interconnect per
-/// shard (each agent owns its DMA channel). The K=1 case is bit-
-/// identical to the unsharded model — and therefore to the pinned
+/// per-shard [`RunnerConfig::iteration_cost`] over the shard's slice,
+/// each on its own fresh interconnect (each agent owns its DMA channel).
+/// The K=1 case is the single-agent model — and therefore the pinned
 /// §7.4.2 duration table.
 pub fn sharded_iteration_cost(
     cfg: RunnerConfig,
@@ -613,8 +705,7 @@ pub fn sharded_iteration_cost(
     let per_shard = (0..shards as usize)
         .map(|i| {
             let slice = shard_range(total_batches as usize, shards as usize, i);
-            let mut ic = Interconnect::pcie();
-            SolRunner::new(cfg, cpu).iteration_cost(&mut ic, slice.len() as u64)
+            cfg.iteration_cost(cpu, slice.len() as u64)
         })
         .collect();
     ShardedCost { per_shard }
@@ -639,46 +730,6 @@ mod tests {
             fp.batches(),
             4,
         )
-    }
-
-    #[test]
-    fn k1_is_bit_identical_to_unsharded_runner() {
-        let fp = world(0.001);
-        let mut one = sharded(&fp, 1);
-        let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-        let mut runner = SolRunner::new(
-            RunnerConfig::paper(CoreClass::NicArm, 16),
-            CpuModel::mount_evans(),
-        );
-        let mut ic = Interconnect::pcie();
-        let mut rng = wave_sim::rng(4);
-        let mut now = SimTime::ZERO;
-        for _ in 0..3 {
-            let (ss, sc) = one.run_iteration(&fp, now);
-            let (us, uc) = runner.run_iteration(&mut ic, &mut policy, &fp, now, &mut rng);
-            assert_eq!(ss, us);
-            assert_eq!(sc.per_shard, vec![uc]);
-            assert_eq!(sc.wall(), uc.total());
-            now += SimTime::from_ms(600);
-        }
-        assert_eq!(one.shipped_decisions(), runner.shipped_decisions());
-        assert_eq!(one.last_shipment(0), runner.last_shipment());
-    }
-
-    #[test]
-    fn threaded_and_serial_execution_agree() {
-        let fp = world(0.001);
-        let mut a = sharded(&fp, 4);
-        let mut b = sharded(&fp, 4).with_threads(false);
-        let mut now = SimTime::ZERO;
-        for _ in 0..2 {
-            let (sa, ca) = a.run_iteration(&fp, now);
-            let (sb, cb) = b.run_iteration(&fp, now);
-            assert_eq!(sa, sb);
-            assert_eq!(ca, cb);
-            now += SimTime::from_ms(600);
-        }
-        assert_eq!(a.per_shard_shipped(), b.per_shard_shipped());
     }
 
     #[test]
@@ -731,7 +782,7 @@ mod tests {
         let cpu = CpuModel::mount_evans();
         const FULL: u64 = 417_792;
         let sharded = sharded_iteration_cost(cfg, cpu, 1, FULL);
-        let model = SolRunner::new(cfg, cpu).iteration_cost(&mut Interconnect::pcie(), FULL);
+        let model = cfg.iteration_cost(cpu, FULL);
         assert_eq!(sharded.per_shard, vec![model]);
         assert_eq!(sharded.wall(), model.total());
     }
@@ -919,16 +970,10 @@ mod tests {
 
         k2.kill_shard(1);
         assert!(!k2.is_shard_running(1));
-        assert!(!k2.shard_runner(1).runtime().unwrap().is_running());
+        let rt = k2.shard_runtime(1).unwrap();
+        assert!(!rt.is_running());
         // Slots drained atomically by the last dma_out: nothing stuck.
-        assert_eq!(
-            k2.shard_runner(1)
-                .runtime()
-                .unwrap()
-                .slots_ref()
-                .staged_count(),
-            0
-        );
+        assert_eq!(rt.slots_ref().staged_count(), 0);
 
         // Mid-epoch iteration with a dead shard: only shard 0 works.
         let (stats, cost) = k2.run_iteration(&fp, SimTime::from_ms(600));
@@ -949,6 +994,39 @@ mod tests {
         assert!(
             k2.per_shard_shipped()[1] > after_kill[1],
             "restarted shard ships replayed decisions"
+        );
+    }
+
+    #[test]
+    fn single_agent_kill_restart_replays_the_whole_space() {
+        let fp = world(0.001);
+        let mut fp_mut = world(0.001);
+        let mut one = sharded(&fp, 1);
+        one.run_iteration(&fp, SimTime::ZERO);
+        let shipped = one.shipped_decisions();
+
+        one.kill_shard(0);
+        // No sibling to lend to: the corpse keeps its whole slice...
+        assert_eq!(one.shard_batches(0).len(), fp.batches());
+        // ...and while it is dead nothing is scanned, shipped or migrated.
+        let (stats, cost) = one.run_iteration(&fp, SimTime::from_ms(600));
+        assert_eq!(stats, SolStats::default());
+        assert_eq!(cost.per_shard, vec![IterationCost::idle()]);
+        assert_eq!(one.shipped_decisions(), shipped, "dead agent shipped");
+        let epoch = SolConfig::paper().epoch;
+        assert_eq!(one.epoch_migrate(epoch, &mut fp_mut), (0, 0));
+
+        // Restart: a fresh prior over every batch, all due again.
+        one.restart_shard(0, epoch + SimTime::from_ms(600));
+        let (stats, _) = one.run_iteration(&fp, epoch + SimTime::from_ms(600));
+        assert_eq!(
+            stats.scanned as usize,
+            fp.batches(),
+            "whole space rescanned"
+        );
+        assert!(
+            one.shipped_decisions() > shipped,
+            "restart ships replayed decisions"
         );
     }
 }

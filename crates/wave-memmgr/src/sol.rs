@@ -40,11 +40,6 @@ impl SolConfig {
             confidence_scans: 3,
         }
     }
-
-    /// Slowest scan period (9.6 s for the paper config).
-    pub fn slowest_period(&self) -> SimTime {
-        self.base_period * (1 << (self.period_rungs - 1))
-    }
 }
 
 impl Default for SolConfig {
@@ -161,11 +156,6 @@ impl SolPolicy {
     /// Whether the policy manages no batches (never true).
     pub fn is_empty(&self) -> bool {
         self.batches.is_empty()
-    }
-
-    /// The managed global batch ids, ascending.
-    pub fn batch_ids(&self) -> &[usize] {
-        &self.ids
     }
 
     /// The local state index of a (global) batch id: its row in this

@@ -1,10 +1,10 @@
-//! Statistics: latency histograms, counters, and figure series.
+//! Statistics: latency histograms and counters.
 //!
 //! The paper reports 99th-percentile latency/throughput curves (Figs. 4
 //! and 6), per-vCPU work (Fig. 5), and latency medians/tails (§7.4). This
 //! module provides the recording machinery: an HDR-style log-bucketed
-//! histogram with bounded relative error, plus simple series containers
-//! that the `wave-lab` harness turns into the paper's tables.
+//! histogram with bounded relative error, plus the counters and
+//! time-weighted gauges the simulators keep beside it.
 
 use crate::time::SimTime;
 
@@ -287,50 +287,6 @@ impl TimeWeighted {
     }
 }
 
-/// One point of a figure curve: offered/achieved throughput vs. latency.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CurvePoint {
-    /// X value (e.g. achieved throughput in requests/second).
-    pub x: f64,
-    /// Y value (e.g. p99 latency in microseconds).
-    pub y: f64,
-}
-
-/// A named curve, one per scenario line of a paper figure.
-#[derive(Debug, Clone, Default)]
-pub struct Curve {
-    /// Legend label (e.g. `"Wave, 16 CPUs"`).
-    pub label: String,
-    /// Points in sweep order.
-    pub points: Vec<CurvePoint>,
-}
-
-impl Curve {
-    /// Creates an empty curve with a label.
-    pub fn new(label: impl Into<String>) -> Self {
-        Curve {
-            label: label.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// Appends a point.
-    pub fn push(&mut self, x: f64, y: f64) {
-        self.points.push(CurvePoint { x, y });
-    }
-
-    /// The largest x whose y stays at or below `y_cap`, i.e. the
-    /// saturation throughput under a tail-latency SLO. Returns `None` if
-    /// no point qualifies.
-    pub fn saturation_x(&self, y_cap: f64) -> Option<f64> {
-        self.points
-            .iter()
-            .filter(|p| p.y <= y_cap)
-            .map(|p| p.x)
-            .fold(None, |acc, x| Some(acc.map_or(x, |a: f64| a.max(x))))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -414,16 +370,6 @@ mod tests {
         g.set(SimTime::from_ns(30), 0.0); // 1 for 20ns
         let m = g.mean(SimTime::from_ns(40)); // 0 for 10ns more
         assert!((m - 0.5).abs() < 1e-9, "mean {m}");
-    }
-
-    #[test]
-    fn curve_saturation() {
-        let mut c = Curve::new("test");
-        c.push(100.0, 10.0);
-        c.push(200.0, 50.0);
-        c.push(300.0, 400.0);
-        assert_eq!(c.saturation_x(100.0), Some(200.0));
-        assert_eq!(c.saturation_x(5.0), None);
     }
 
     #[test]

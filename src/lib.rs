@@ -33,8 +33,8 @@
 //!
 //! // Run one load point of the paper's Figure 4a FIFO experiment.
 //! let cfg = Fig4Config::fifo_quick();
-//! let curve = wave::lab::fig4::run_curve(&cfg, Scenario::Wave16, &[200_000.0]);
-//! assert_eq!(curve.points.len(), 1);
+//! let report = wave::lab::fig4::run_point(&cfg, Scenario::Wave16, 200_000.0);
+//! assert!(report.completed > 0);
 //! ```
 
 pub use wave_core as core;

@@ -182,10 +182,10 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     assert!(wd.fire(), "first firing kills the agent");
     sharded.kill_shard(1);
     assert!(!sharded.is_shard_running(1));
-    assert!(!sharded.shard_runner(1).runtime().unwrap().is_running());
+    assert!(!sharded.shard_runtime(1).unwrap().is_running());
     // dma_ship_staged drains the slot table atomically at the end of
     // every iteration, so the crash strands nothing in SmartNIC DRAM.
-    let slots = sharded.shard_runner(1).runtime().unwrap().slots_ref();
+    let slots = sharded.shard_runtime(1).unwrap().slots_ref();
     assert_eq!(slots.staged_count(), 0, "no half-shipped decisions");
 
     // Mid-epoch iteration with the dead shard: shard 0 keeps managing
@@ -202,7 +202,7 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     sharded.restart_shard(1, t_restart);
     wd.rearm(t_restart);
     assert!(sharded.is_shard_running(1));
-    assert!(sharded.shard_runner(1).runtime().unwrap().is_running());
+    assert!(sharded.shard_runtime(1).unwrap().is_running());
     assert!(!wd.expired(SimTime::from_ms(1215)));
 
     let (stats, _) = sharded.run_iteration(&fp, t_restart);

@@ -1,19 +1,16 @@
-//! Pins the memory manager's runtime-backed runner to its goldens: the
-//! §7.4.2 duration table and the `IterationCost` breakdown (recaptured
-//! once, deliberately, when the per-iteration DMA clock was retired),
-//! determinism of the runtime-backed runner, and the K=1 sharded
-//! deployment's bit-identity with the unsharded runner.
+//! Pins the memory agent's runtime-backed iteration to its goldens: the
+//! §7.4.2 duration table and the single agent's (K=1) `IterationCost`
+//! breakdown (recaptured once, deliberately, when the per-iteration DMA
+//! clock was retired), its determinism, and the K=2 deployment's
+//! per-shard legs.
 
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
-use wave::memmgr::runner::{duration_table, RunnerConfig, SolRunner};
-use wave::memmgr::{
-    sharded_iteration_cost, IterationCost, ShardedSolRunner, SolConfig, SolPolicy, SolStats,
-};
-use wave::pcie::Interconnect;
+use wave::memmgr::runner::{duration_table, RunnerConfig};
+use wave::memmgr::{sharded_iteration_cost, IterationCost, ShardedSolRunner, SolConfig, SolStats};
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
-/// The §7.4.2 duration table exactly as the pre-refactor `SolRunner`
+/// The §7.4.2 duration table exactly as the pre-refactor runner
 /// produced it (ms, full f64 precision): `(cores, wave, on-host)`.
 const GOLDEN_TABLE: [(u32, f64, f64); 5] = [
     (1, 1.017_800_141e3, 6.242_609_66e2),
@@ -39,25 +36,28 @@ fn duration_table_pinned_to_pre_refactor_goldens() {
     }
 }
 
-/// Drives three paper-default iterations (600 ms apart, seed 4, 0.001
-/// scale, NIC ARM × 16) on one shared interconnect, exactly like the
-/// pre-refactor capture run.
+/// Drives the single agent (K=1, seed 4) through three paper-default
+/// iterations (600 ms apart, 0.001 scale, NIC ARM × 16), exactly like
+/// the pre-refactor capture run.
 fn three_iterations() -> (Vec<SolStats>, Vec<IterationCost>, u64) {
     let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-    let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-    let mut runner = SolRunner::new(
+    let mut runner = ShardedSolRunner::new(
         RunnerConfig::paper(CoreClass::NicArm, 16),
         CpuModel::mount_evans(),
+        1,
+        SolConfig::paper(),
+        fp.batches(),
+        4,
     );
-    let mut ic = Interconnect::pcie();
-    let mut rng = wave::sim::rng(4);
     let mut now = SimTime::ZERO;
     let mut stats = Vec::new();
     let mut costs = Vec::new();
     for _ in 0..3 {
-        let (s, c) = runner.run_iteration(&mut ic, &mut policy, &fp, now, &mut rng);
+        let (s, c) = runner.run_iteration(&fp, now);
+        assert_eq!(c.per_shard.len(), 1);
+        assert_eq!(c.wall(), c.per_shard[0].total());
         stats.push(s);
-        costs.push(c);
+        costs.push(c.per_shard[0]);
         now += SimTime::from_ms(600);
     }
     (stats, costs, runner.shipped_decisions())
@@ -79,7 +79,7 @@ fn iteration_costs_pinned_to_goldens() {
     let golden_dma_in = [1_813u64, 1_813, 1_813];
     let golden_scanned = [417u64, 417, 417];
     let golden_hot = [135u64, 110, 98];
-    let (stats, costs, _) = three_iterations();
+    let (stats, costs, shipped) = three_iterations();
     for i in 0..3 {
         assert_eq!(costs[i].dma_in.as_ns(), golden_dma_in[i], "iter {i} dma_in");
         assert_eq!(costs[i].scan.as_ns(), 318_917, "iter {i} scan");
@@ -89,6 +89,9 @@ fn iteration_costs_pinned_to_goldens() {
         assert_eq!(stats[i].hot, golden_hot[i], "iter {i} hot");
     }
     assert_eq!(costs[0].total().as_ns(), 365_104);
+    // Captured from the bare single-agent runner the K=1 deployment
+    // replaced.
+    assert_eq!(shipped, 469, "decisions shipped over three iterations");
 }
 
 #[test]
@@ -99,32 +102,6 @@ fn runtime_backed_runner_is_deterministic() {
     assert_eq!(c1, c2);
     assert_eq!(shipped1, shipped2);
     assert!(shipped1 > 0, "classification flips were staged and shipped");
-}
-
-/// Drives the K=1 *sharded* runner through the same three paper-default
-/// iterations as [`three_iterations`]; with one shard the deployment
-/// must be indistinguishable from the unsharded runner.
-fn three_sharded_iterations() -> (Vec<SolStats>, Vec<IterationCost>, u64) {
-    let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-    let mut sharded = ShardedSolRunner::new(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-        1,
-        SolConfig::paper(),
-        fp.batches(),
-        4,
-    );
-    let mut now = SimTime::ZERO;
-    let mut stats = Vec::new();
-    let mut costs = Vec::new();
-    for _ in 0..3 {
-        let (s, c) = sharded.run_iteration(&fp, now);
-        assert_eq!(c.per_shard.len(), 1);
-        stats.push(s);
-        costs.push(c.per_shard[0]);
-        now += SimTime::from_ms(600);
-    }
-    (stats, costs, sharded.shipped_decisions())
 }
 
 #[test]
@@ -175,19 +152,6 @@ fn k2_sharded_rebalance_off_matches_pre_shardmap_goldens() {
 }
 
 #[test]
-fn k1_sharded_runner_is_bit_identical_to_unsharded_goldens() {
-    // The tentpole invariant: partitioning the batch space across K
-    // runtimes with K=1 changes nothing — same stats, same
-    // IterationCost sequence, same shipment count as the pinned
-    // unsharded capture.
-    let (us, uc, ushipped) = three_iterations();
-    let (ss, sc, sshipped) = three_sharded_iterations();
-    assert_eq!(us, ss);
-    assert_eq!(uc, sc);
-    assert_eq!(ushipped, sshipped);
-}
-
-#[test]
 fn k1_sharded_closed_form_reproduces_duration_table() {
     // The sharded cost model with one shard must reproduce the §7.4.2
     // duration-table goldens bit-identically, for every core count and
@@ -219,18 +183,16 @@ fn k1_sharded_closed_form_reproduces_duration_table() {
 
 #[test]
 fn run_iteration_total_matches_closed_form_at_paper_defaults() {
-    // Cross-check against the unchanged closed-form model on a fresh
-    // interconnect: every field of the breakdown, both placements.
+    // Cross-check the single agent against the unchanged closed-form
+    // model: every field of the breakdown, both placements.
     for placement in [CoreClass::NicArm, CoreClass::HostX86] {
         let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-        let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
-        let mut runner =
-            SolRunner::new(RunnerConfig::paper(placement, 16), CpuModel::mount_evans());
-        let mut ic = Interconnect::pcie();
-        let mut rng = wave::sim::rng(4);
-        let (_, cost) = runner.run_iteration(&mut ic, &mut policy, &fp, SimTime::ZERO, &mut rng);
-        let model = SolRunner::new(RunnerConfig::paper(placement, 16), CpuModel::mount_evans())
-            .iteration_cost(&mut Interconnect::pcie(), fp.batches() as u64);
+        let cfg = RunnerConfig::paper(placement, 16);
+        let cpu = CpuModel::mount_evans();
+        let mut runner = ShardedSolRunner::new(cfg, cpu, 1, SolConfig::paper(), fp.batches(), 4);
+        let (_, one) = runner.run_iteration(&fp, SimTime::ZERO);
+        let cost = one.per_shard[0];
+        let model = cfg.iteration_cost(cpu, fp.batches() as u64);
         assert_eq!(cost, model, "{placement:?}");
         assert_eq!(cost.total(), model.total(), "{placement:?} total");
     }

@@ -3,7 +3,6 @@
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave::memmgr::runner::duration_table;
 use wave::memmgr::{SolConfig, SolPolicy};
-use wave::pcie::Interconnect;
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
@@ -42,13 +41,9 @@ fn sol_pipeline_converges_and_durations_match_endpoints() {
 fn offloaded_iteration_practical_at_16_cores() {
     // The §7.4.2 conclusion: the offloaded agent at 16 ARM cores
     // approaches SOL's 300 ms design period, freeing 16 host cores.
-    use wave::memmgr::runner::{RunnerConfig, SolRunner};
-    let runner = SolRunner::new(
-        RunnerConfig::paper(CoreClass::NicArm, 16),
-        CpuModel::mount_evans(),
-    );
-    let mut ic = Interconnect::pcie();
-    let cost = runner.iteration_cost(&mut ic, 417_792);
+    use wave::memmgr::runner::RunnerConfig;
+    let cost =
+        RunnerConfig::paper(CoreClass::NicArm, 16).iteration_cost(CpuModel::mount_evans(), 417_792);
     assert!(cost.total() < SimTime::from_ms(400), "{}", cost.total());
     assert!(cost.dma_in < SimTime::from_ms(2), "PTE DMA ~1 ms");
 }

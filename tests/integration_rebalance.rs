@@ -171,7 +171,7 @@ fn memory_agent_runtimes_span_the_batch_space_across_resizes() {
     let mut seen = [0u64; 2];
     let mut check = |runner: &ShardedSolRunner, moment: &str| {
         for (i, last) in seen.iter_mut().enumerate() {
-            let rt = runner.shard_runner(i as u32).runtime().expect("built");
+            let rt = runner.shard_runtime(i as u32).expect("built");
             assert_eq!(rt.slots_ref().len(), total, "{moment}: shard {i} slots");
             assert!(rt.decisions() >= *last, "{moment}: shard {i} count reset");
             *last = rt.decisions();
