@@ -42,11 +42,10 @@
 //!   cores/batches between shards when load counters stay skewed.
 //! * [`tenant`] — the multi-tenant service layer: a
 //!   [`tenant::TenantRegistry`] admits T tenants' agent bundles onto
-//!   one NIC with deficit-round-robin pump arbitration
-//!   ([`tenant::NicScheduler`]), per-tenant attribution on the shared
-//!   DMA engine, a bounded MSI-X vector table with degraded-polling
-//!   fallback on exhaustion, and a [`shard_map::FeedDemand`] rebalance
-//!   axis that moves NIC cores between tenants.
+//!   one NIC, splits its pump capacity into weighted-fair or FIFO
+//!   shares ([`tenant::TenantRegistry::shares`]), and hands out a
+//!   bounded MSI-X vector table with degraded-polling fallback on
+//!   exhaustion.
 //! * [`watchdog`] — the per-component on-host watchdog (§3.3: kill an
 //!   agent that has made no decision for >20 ms).
 //! * [`opts`] — the optimization toggles of §5.3/§5.4, used by every
@@ -75,9 +74,7 @@ pub use shard_map::{
     FeedDemand, RebalanceConfig, RebalanceEvent, RebalancePolicy, Rebalancer, ResourceMove,
     ShardMap, ShedLoad,
 };
-pub use tenant::{
-    Arbitration, Grant, NicScheduler, TenantBinding, TenantId, TenantRegistry, TenantSpec,
-};
+pub use tenant::{Arbitration, TenantBinding, TenantId, TenantRegistry, TenantSpec};
 pub use txn::{GenerationTable, ResourceRef, TxnId, TxnOutcome};
 pub use watchdog::Watchdog;
 pub use workload::{

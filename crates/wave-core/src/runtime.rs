@@ -502,10 +502,6 @@ pub struct AgentRuntime<M, D: Copy> {
     /// Load events since the last [`AgentRuntime::take_load`] — the
     /// counter a [`crate::shard_map::Rebalancer`] samples per epoch.
     load_events: u64,
-    /// Tenant this runtime bills shared-interconnect work to. Tenant 0
-    /// is the implicit single-tenant default; a [`crate::tenant::
-    /// TenantRegistry`] stamps each bundle's runtimes at registration.
-    tenant: u32,
 }
 
 impl<M, D: Copy> AgentRuntime<M, D> {
@@ -543,7 +539,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
             pump_armed: false,
             pickup: cfg.pickup,
             load_events: 0,
-            tenant: 0,
         }
     }
 
@@ -730,13 +725,12 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         mode: DmaMode,
     ) -> DmaShipment<D> {
         let decisions = self.slots.drain_staged();
-        let t = ic.dma.transfer_for(
+        let t = ic.dma.transfer(
             now,
             wire_bytes.max(64),
             DmaDirection::NicToHost,
             mode,
             Side::Nic,
-            self.tenant,
         );
         DmaShipment {
             decisions,
@@ -812,21 +806,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     /// Load events accumulated since the last drain (telemetry).
     pub fn load_events(&self) -> u64 {
         self.load_events
-    }
-
-    // --- Tenancy ---------------------------------------------------------
-
-    /// Bills this runtime's shared-interconnect work (DMA shipments) to
-    /// `tenant`. Called by the tenant registry when the bundle joins;
-    /// runtimes that never join a registry stay on tenant 0 and behave
-    /// exactly as before.
-    pub fn set_tenant(&mut self, tenant: u32) {
-        self.tenant = tenant;
-    }
-
-    /// The tenant this runtime bills to.
-    pub fn tenant(&self) -> u32 {
-        self.tenant
     }
 }
 

@@ -8,10 +8,9 @@
 //! `s_i` of the NIC against demand `d_i` sees its agent work stretched
 //! by `1 / min(1, s_i/d_i)` ([`SchedConfig::nic_share`]). The share
 //! vector comes from the arbitration discipline under test —
-//! [`wave_core::tenant::weighted_fair_shares`] (what the
-//! deficit-round-robin [`wave_core::tenant::NicScheduler`] converges
-//! to) versus [`wave_core::tenant::fifo_shares`] (demand-proportional,
-//! first-come-first-served).
+//! [`wave_core::tenant::weighted_fair_shares`] (weighted max-min
+//! water-filling) versus [`wave_core::tenant::fifo_shares`]
+//! (demand-proportional, first-come-first-served).
 //!
 //! Every point places one **aggressive neighbor** at
 //! [`TenancyConfig::flood_factor`]× the victim demand and T−1
@@ -22,24 +21,14 @@
 //! dropping — the same offered load, the same seed, only the
 //! arbitration changes.
 //!
-//! Three more tenancy axes ride along in each point:
-//!
-//! * the shared [`DmaEngine`](wave_pcie::DmaEngine) serializes every
-//!   tenant's shipments and attributes queueing delay per tenant —
-//!   the flooder's burst shows up as *its* queueing share, not the
-//!   victims';
-//! * the [`TenantRegistry`]'s bounded MSI-X vector table runs out at
-//!   high T, and late tenants are admitted in degraded polling mode
-//!   (`poll_pickup` set, zero interrupts sent);
-//! * a [`FeedDemand`](wave_core::FeedDemand) rebalancer moves NIC
-//!   cores between tenants from per-tenant served-load counters.
+//! The [`TenantRegistry`]'s bounded MSI-X vector table rides along: it
+//! runs out at high T, and late tenants are admitted in degraded
+//! polling mode (`poll_pickup` set, zero interrupts sent).
 
 use wave_core::tenant::Arbitration;
-use wave_core::{OptLevel, RebalanceConfig, TenantId, TenantRegistry, TenantSpec};
+use wave_core::{OptLevel, TenantId, TenantRegistry, TenantSpec};
 use wave_ghost::policies::FifoPolicy;
 use wave_ghost::sim::{Placement, SchedConfig, SchedSim};
-use wave_pcie::config::Side;
-use wave_pcie::{DmaArbiter, DmaDirection, DmaMode, Interconnect};
 use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
@@ -61,8 +50,6 @@ pub struct TenancyConfig {
     /// MSI-X vectors on the shared NIC (one per worker is requested;
     /// tenants past the limit fall back to degraded polling).
     pub msix_capacity: usize,
-    /// Pump rounds driven through the shared DMA engine per point.
-    pub dma_rounds: u32,
     /// Per-tenant simulated duration.
     pub duration: SimTime,
     /// Warmup excluded from stats.
@@ -81,7 +68,6 @@ impl TenancyConfig {
             victim_demand: 0.32,
             flood_factor: 4.0,
             msix_capacity: 200,
-            dma_rounds: 256,
             duration: SimTime::from_ms(200),
             warmup: SimTime::from_ms(30),
             seed: 42,
@@ -94,7 +80,6 @@ impl TenancyConfig {
             tenant_counts: vec![1, 2, 4, 8],
             duration: SimTime::from_ms(60),
             warmup: SimTime::from_ms(10),
-            dma_rounds: 64,
             ..Self::paper()
         }
     }
@@ -124,15 +109,12 @@ pub struct TenantCell {
     pub completed: u64,
     /// Requests dropped at admission (queue full).
     pub dropped: u64,
-    /// Agent decisions — the load signal fed to the core rebalancer.
+    /// Agent decisions.
     pub decisions: u64,
     /// MSI-X interrupts actually sent.
     pub msix_sent: u64,
     /// Kicks suppressed (poll-mode pickup instead).
     pub msix_suppressed: u64,
-    /// This tenant's fraction of total DMA queueing delay on the
-    /// shared engine.
-    pub dma_queue_share: f64,
     /// Full scheduling-latency quantile ladder (the standard
     /// [`LatencyCdf`] block the report renders for the victim).
     pub cdf: LatencyCdf,
@@ -147,8 +129,6 @@ pub struct TenancyPoint {
     pub weighted: bool,
     /// Per-tenant outcomes; index = tenant slot, the victim is 0.
     pub cells: Vec<TenantCell>,
-    /// NIC cores per tenant after the FeedDemand rebalance epochs.
-    pub cores: Vec<usize>,
 }
 
 /// Complete sweep output.
@@ -253,7 +233,7 @@ pub fn run_point(cfg: &TenancyConfig, tenants: u32, weighted: bool, capacity: f6
     // seed; the victim's seed is pinned so its cell is bit-comparable
     // across T and across arbitrations (and, at T=1 where nic_share is
     // exactly 1.0, to an untenanted run).
-    let mut cells: Vec<TenantCell> = (0..n)
+    let cells: Vec<TenantCell> = (0..n)
         .map(|i| {
             let id = TenantId(i as u32);
             let nic_share = (shares[i] / d[i]).min(1.0);
@@ -284,67 +264,15 @@ pub fn run_point(cfg: &TenancyConfig, tenants: u32, weighted: bool, capacity: f6
                 decisions: rep.agent_decisions,
                 msix_sent: rep.msix_sent,
                 msix_suppressed: rep.msix_suppressed,
-                dma_queue_share: 0.0,
                 cdf,
             }
         })
         .collect();
 
-    // Shared-DMA leg: every pump round, each tenant ships one
-    // demand-proportional payload, the flooder bursting first. The one
-    // engine serializes the round and attributes the queueing delay to
-    // whoever waited.
-    let mut ic = Interconnect::pcie();
-    let mut dma = if weighted {
-        DmaArbiter::weighted()
-    } else {
-        DmaArbiter::fifo()
-    };
-    let grid = SimTime::from_us(5);
-    for round in 0..cfg.dma_rounds {
-        let now = SimTime::from_ns(grid.as_ns() * u64::from(round));
-        for i in (0..n).rev() {
-            let bytes = ((d[i] * 4096.0) as u64).max(64);
-            dma.submit(
-                i as u32,
-                1,
-                bytes,
-                DmaDirection::NicToHost,
-                DmaMode::Async,
-                Side::Nic,
-            );
-        }
-        dma.drain(now, &mut ic.dma);
-    }
-    let queued: Vec<f64> = (0..n)
-        .map(|i| ic.dma.tenant_stats(i as u32).queued.as_ns() as f64)
-        .collect();
-    let total_queued: f64 = queued.iter().sum();
-    if total_queued > 0.0 {
-        for (c, q) in cells.iter_mut().zip(&queued) {
-            c.dma_queue_share = q / total_queued;
-        }
-    }
-
-    // Core axis: a few FeedDemand epochs fed from the per-tenant
-    // served load move NIC cores toward whoever is actually getting
-    // work through the NIC — under weighted-fair that is the victims,
-    // because the flooder's clipped share caps what it can serve.
-    let nic_cores = 4 * n;
-    reg.enable_core_rebalance(nic_cores, RebalanceConfig::every(SimTime::from_ms(10)));
-    for epoch in 1..=3u64 {
-        for c in &cells {
-            reg.record_load(TenantId(c.tenant), c.achieved as u64);
-        }
-        reg.rebalance_cores(SimTime::from_ms(10 * epoch));
-    }
-    let cores = (0..n).map(|i| reg.cores_of(TenantId(i as u32))).collect();
-
     TenancyPoint {
         tenants,
         weighted,
         cells,
-        cores,
     }
 }
 
@@ -395,11 +323,9 @@ pub fn report(cfg: &TenancyConfig) -> Report {
     ));
     if let Some(&t_max) = cfg.tenant_counts.iter().max() {
         if let Some(p) = res.point(t_max, true) {
-            let victim = &p.cells[0];
-            let flooder = p.cells.last().unwrap();
             r.note(format!(
-                "T={t_max} weighted-fair: victim nic_share {:.3}, flooder dma queueing share {:.2} vs victim {:.2}",
-                victim.nic_share, flooder.dma_queue_share, victim.dma_queue_share
+                "T={t_max} weighted-fair: victim nic_share {:.3}",
+                p.cells[0].nic_share
             ));
             let degraded = p.cells.iter().filter(|c| c.degraded).count();
             if degraded > 0 {
@@ -408,10 +334,6 @@ pub fn report(cfg: &TenancyConfig) -> Report {
                     p.cells.last().unwrap().msix_suppressed
                 ));
             }
-            r.note(format!(
-                "T={t_max} cores after FeedDemand epochs: {:?}",
-                p.cores
-            ));
             if !p.cells[0].cdf.is_empty() {
                 r.block(p.cells[0].cdf.render());
             }
@@ -441,7 +363,6 @@ mod tests {
             tenant_counts: vec![1, 4, 8],
             duration: SimTime::from_ms(dur),
             warmup: SimTime::from_ms(warm),
-            dma_rounds: 32,
             ..TenancyConfig::quick()
         }
     }
@@ -529,38 +450,6 @@ mod tests {
             "flooder p99 {} vs victim {}",
             flooder.p99_us,
             victim.p99_us
-        );
-    }
-
-    #[test]
-    fn dma_queueing_attribution_sums_to_one_and_blames_the_flooder() {
-        let cfg = test_cfg();
-        let capacity = agent_capacity(&cfg);
-        let p = run_point(&cfg, 4, true, capacity);
-        let total: f64 = p.cells.iter().map(|c| c.dma_queue_share).sum();
-        assert!((total - 1.0).abs() < 1e-9, "shares sum to {total}");
-        let flooder = p.cells.last().unwrap();
-        // The flooder bursts first each round, so the *victims* queue
-        // behind it — its own queueing share is the smallest.
-        for victim in &p.cells[..p.cells.len() - 1] {
-            assert!(victim.dma_queue_share > flooder.dma_queue_share);
-        }
-    }
-
-    #[test]
-    fn cores_follow_decision_load() {
-        let cfg = test_cfg();
-        let capacity = agent_capacity(&cfg);
-        let p = run_point(&cfg, 8, true, capacity);
-        // Under weighted-fair the flooder's clipped share means it
-        // *serves* least, so the FeedDemand epochs take cores from it
-        // and feed whoever is actually getting work through the NIC.
-        let n = p.cores.len();
-        assert_eq!(p.cores.iter().sum::<usize>(), 4 * n, "no core lost");
-        assert!(
-            p.cores[n - 1] < p.cores.iter().copied().max().unwrap(),
-            "the flooder donates cores: {:?}",
-            p.cores
         );
     }
 

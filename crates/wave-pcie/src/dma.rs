@@ -54,46 +54,17 @@ pub struct DmaTransfer {
     pub direction: DmaDirection,
 }
 
-/// Per-tenant accounting on the shared engine.
-///
-/// When T tenants share ONE DMA engine (the Meili/OSMOSIS contention
-/// point), the interesting number is not bandwidth — every tenant sees
-/// the same wire — but *queueing delay*: time a tenant's transfer spent
-/// waiting behind other tenants' payloads. The engine attributes both
-/// the wait and the wire occupancy to the initiating tenant so an
-/// isolation sweep can report each tenant's share of the contention.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantDmaStats {
-    /// Transfers this tenant initiated.
-    pub transfers: u64,
-    /// Payload bytes this tenant moved.
-    pub bytes: u64,
-    /// Total time this tenant's transfers spent queued behind the
-    /// engine's prior work (start − earliest possible start).
-    pub queued: SimTime,
-    /// Total wire time this tenant's transfers occupied the engine
-    /// (complete − start).
-    pub busy: SimTime,
-}
-
 /// The (single) DMA engine of the SmartNIC.
 ///
-/// There is deliberately no second engine: all tenants' transfers
-/// serialize through this one `busy_until` horizon, which is where
-/// multi-tenant queueing delay comes from.
+/// There is deliberately no second engine: every transfer serializes
+/// through this one `busy_until` horizon, which is where DMA queueing
+/// delay comes from.
 #[derive(Debug, Clone)]
 pub struct DmaEngine {
     cfg: PcieConfig,
     busy_until: SimTime,
     transfers: u64,
     bytes_moved: u64,
-    /// Cumulative wire occupancy across all tenants.
-    busy_total: SimTime,
-    /// Tenant charged by [`Self::transfer`] calls that carry no explicit
-    /// tenant (legacy single-tenant call sites). Defaults to tenant 0.
-    active_tenant: u32,
-    /// Per-tenant attribution, indexed by tenant id (grown on demand).
-    tenant_stats: Vec<TenantDmaStats>,
 }
 
 impl DmaEngine {
@@ -104,15 +75,10 @@ impl DmaEngine {
             busy_until: SimTime::ZERO,
             transfers: 0,
             bytes_moved: 0,
-            busy_total: SimTime::ZERO,
-            active_tenant: 0,
-            tenant_stats: Vec::new(),
         }
     }
 
-    /// Initiates a transfer of `bytes` at `now` from `initiator`,
-    /// charged to the current active tenant (tenant 0 unless
-    /// [`Self::set_active_tenant`] was called).
+    /// Initiates a transfer of `bytes` at `now` from `initiator`.
     ///
     /// The engine serializes transfers: if it is still busy, the new
     /// transfer starts when the previous one drains.
@@ -123,19 +89,6 @@ impl DmaEngine {
         direction: DmaDirection,
         mode: DmaMode,
         initiator: Side,
-    ) -> DmaTransfer {
-        self.transfer_for(now, bytes, direction, mode, initiator, self.active_tenant)
-    }
-
-    /// [`Self::transfer`], explicitly charged to `tenant`.
-    pub fn transfer_for(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        direction: DmaDirection,
-        mode: DmaMode,
-        initiator: Side,
-        tenant: u32,
     ) -> DmaTransfer {
         let doorbell_word_ns = match initiator {
             Side::Host => self.cfg.mmio_write_uc_ns,
@@ -148,14 +101,6 @@ impl DmaEngine {
         self.busy_until = complete_at;
         self.transfers += 1;
         self.bytes_moved += bytes;
-        let queued = start - (now + setup);
-        let busy = complete_at - start;
-        self.busy_total += busy;
-        let st = self.tenant_stats_mut(tenant);
-        st.transfers += 1;
-        st.bytes += bytes;
-        st.queued += queued;
-        st.busy += busy;
         let initiator_cpu = match mode {
             DmaMode::Sync => complete_at.saturating_sub(now),
             DmaMode::Async => setup,
@@ -168,48 +113,9 @@ impl DmaEngine {
         }
     }
 
-    /// Sets the tenant charged by tenant-less [`Self::transfer`] calls,
-    /// so layers that predate multi-tenancy (e.g. the ingest flush in
-    /// the queue crate) attribute correctly without signature changes.
-    pub fn set_active_tenant(&mut self, tenant: u32) {
-        self.active_tenant = tenant;
-    }
-
-    /// The tenant currently charged for tenant-less transfers.
-    pub fn active_tenant(&self) -> u32 {
-        self.active_tenant
-    }
-
-    fn tenant_stats_mut(&mut self, tenant: u32) -> &mut TenantDmaStats {
-        let i = tenant as usize;
-        if i >= self.tenant_stats.len() {
-            self.tenant_stats.resize(i + 1, TenantDmaStats::default());
-        }
-        &mut self.tenant_stats[i]
-    }
-
-    /// Attribution for one tenant (zeros if it never transferred).
-    pub fn tenant_stats(&self, tenant: u32) -> TenantDmaStats {
-        self.tenant_stats
-            .get(tenant as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Per-tenant attribution for every tenant id seen so far.
-    pub fn all_tenant_stats(&self) -> &[TenantDmaStats] {
-        &self.tenant_stats
-    }
-
     /// When the engine next goes idle.
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
-    }
-
-    /// Cumulative wire occupancy (sum over all transfers of
-    /// complete − start). Per-tenant `busy` attributions sum to this.
-    pub fn busy_total(&self) -> SimTime {
-        self.busy_total
     }
 
     /// Number of transfers initiated.
@@ -220,117 +126,6 @@ impl DmaEngine {
     /// Total payload bytes moved.
     pub fn bytes_moved(&self) -> u64 {
         self.bytes_moved
-    }
-}
-
-/// One batched request waiting in a [`DmaArbiter`] round.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DmaRequest {
-    /// Initiating tenant.
-    pub tenant: u32,
-    /// Arbitration weight of that tenant (higher = served earlier under
-    /// weighted-fair).
-    pub weight: u64,
-    /// Payload size.
-    pub bytes: u64,
-    /// Transfer direction.
-    pub direction: DmaDirection,
-    /// Sync/async initiator behavior.
-    pub mode: DmaMode,
-    /// Which side rings the doorbell.
-    pub initiator: Side,
-    /// Submission sequence within the round (tie-break, FIFO key).
-    seq: u64,
-}
-
-/// Issue-order arbiter for same-round multi-tenant transfers.
-///
-/// When several tenants' duty cycles ship in the same quantum, the order
-/// their doorbells reach the (single) engine decides who eats the
-/// queueing delay. The arbiter batches one round of requests and issues
-/// them either in submission order (`fifo`, the null policy: whoever
-/// rang first wins, so a flooder starves its neighbors) or in
-/// descending-weight order (`weighted`, stable by submission sequence
-/// within a weight class, so a high-weight victim's transfer jumps the
-/// flood).
-#[derive(Debug, Clone)]
-pub struct DmaArbiter {
-    weighted: bool,
-    next_seq: u64,
-    pending: Vec<DmaRequest>,
-}
-
-impl DmaArbiter {
-    /// Weighted-fair issue order (descending weight, stable).
-    pub fn weighted() -> Self {
-        DmaArbiter {
-            weighted: true,
-            next_seq: 0,
-            pending: Vec::new(),
-        }
-    }
-
-    /// FIFO issue order (submission order).
-    pub fn fifo() -> Self {
-        DmaArbiter {
-            weighted: false,
-            next_seq: 0,
-            pending: Vec::new(),
-        }
-    }
-
-    /// Whether this arbiter reorders by weight.
-    pub fn is_weighted(&self) -> bool {
-        self.weighted
-    }
-
-    /// Queues one request for the current round.
-    pub fn submit(
-        &mut self,
-        tenant: u32,
-        weight: u64,
-        bytes: u64,
-        direction: DmaDirection,
-        mode: DmaMode,
-        initiator: Side,
-    ) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pending.push(DmaRequest {
-            tenant,
-            weight,
-            bytes,
-            direction,
-            mode,
-            initiator,
-            seq,
-        });
-    }
-
-    /// Requests waiting in the current round.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Issues the round's requests to `engine` at `now` in arbitration
-    /// order and returns `(tenant, transfer)` per request, in issue
-    /// order.
-    pub fn drain(&mut self, now: SimTime, engine: &mut DmaEngine) -> Vec<(u32, DmaTransfer)> {
-        let mut round = std::mem::take(&mut self.pending);
-        if self.weighted {
-            // Stable by construction: sort_by is stable and `seq` is
-            // strictly increasing, so equal weights keep submission
-            // order.
-            round.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.seq.cmp(&b.seq)));
-        }
-        round
-            .into_iter()
-            .map(|r| {
-                let t =
-                    engine.transfer_for(now, r.bytes, r.direction, r.mode, r.initiator, r.tenant);
-                (r.tenant, t)
-            })
-            .collect()
     }
 }
 
@@ -440,203 +235,6 @@ mod tests {
             Side::Host,
         );
         assert_eq!(t2.complete_at - later, t1.complete_at, "no queueing");
-    }
-
-    #[test]
-    fn idle_engine_never_queues_across_tenants() {
-        // The PR 4 property, extended to the shared multi-tenant engine:
-        // transfers from *different* tenants far enough apart that the
-        // engine drains in between must attribute zero queueing delay to
-        // either tenant — contention exists only under genuine overlap,
-        // regardless of who initiates.
-        let mut e = engine();
-        let t1 = e.transfer_for(
-            SimTime::ZERO,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-            0,
-        );
-        let later = SimTime::from_ms(600);
-        assert!(e.busy_until() < later, "engine drained between periods");
-        let t2 = e.transfer_for(
-            later,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-            1,
-        );
-        assert_eq!(t2.complete_at - later, t1.complete_at, "no queueing");
-        assert_eq!(e.tenant_stats(0).queued, SimTime::ZERO);
-        assert_eq!(e.tenant_stats(1).queued, SimTime::ZERO);
-        assert_eq!(e.tenant_stats(0).busy, e.tenant_stats(1).busy);
-    }
-
-    #[test]
-    fn overlapping_multi_tenant_transfers_queue_in_weight_order() {
-        // Three tenants ring in the same round, submission order 0,1,2
-        // with weights 1,4,2. Weighted arbitration must issue 1 → 2 → 0,
-        // so completion times order by descending weight and the
-        // low-weight tenant absorbs the queueing delay.
-        let mut e = engine();
-        let mut arb = DmaArbiter::weighted();
-        arb.submit(
-            0,
-            1,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        arb.submit(
-            1,
-            4,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        arb.submit(
-            2,
-            2,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        let done = arb.drain(SimTime::ZERO, &mut e);
-        let order: Vec<u32> = done.iter().map(|&(t, _)| t).collect();
-        assert_eq!(order, vec![1, 2, 0], "issue order follows weights");
-        let at = |t: u32| done.iter().find(|&&(x, _)| x == t).unwrap().1.complete_at;
-        assert!(at(1) < at(2) && at(2) < at(0));
-        assert_eq!(
-            e.tenant_stats(1).queued,
-            SimTime::ZERO,
-            "winner never waits"
-        );
-        assert!(e.tenant_stats(0).queued > e.tenant_stats(2).queued);
-
-        // The FIFO arbiter issues the identical round in submission
-        // order: the early submitter wins regardless of weight.
-        let mut e = engine();
-        let mut arb = DmaArbiter::fifo();
-        arb.submit(
-            0,
-            1,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        arb.submit(
-            1,
-            4,
-            1 << 20,
-            DmaDirection::NicToHost,
-            DmaMode::Async,
-            Side::Nic,
-        );
-        let done = arb.drain(SimTime::ZERO, &mut e);
-        assert_eq!(done[0].0, 0);
-        assert!(done[0].1.complete_at < done[1].1.complete_at);
-        assert_eq!(e.tenant_stats(0).queued, SimTime::ZERO);
-        assert!(e.tenant_stats(1).queued > SimTime::ZERO);
-    }
-
-    #[test]
-    fn weighted_arbiter_is_stable_within_a_weight_class() {
-        let mut e = engine();
-        let mut arb = DmaArbiter::weighted();
-        for t in 0..4u32 {
-            arb.submit(
-                t,
-                7,
-                4096,
-                DmaDirection::NicToHost,
-                DmaMode::Async,
-                Side::Nic,
-            );
-        }
-        let order: Vec<u32> = arb
-            .drain(SimTime::ZERO, &mut e)
-            .iter()
-            .map(|&(t, _)| t)
-            .collect();
-        assert_eq!(
-            order,
-            vec![0, 1, 2, 3],
-            "equal weights keep submission order"
-        );
-    }
-
-    #[test]
-    fn per_tenant_delay_attribution_sums_to_total_busy_time() {
-        // Pile up overlapping transfers from three tenants, then audit
-        // the books: per-tenant wire occupancy must sum exactly to the
-        // engine's total busy time, and per-tenant queueing must match
-        // an independent reconstruction from the returned completion
-        // times. Nothing is double-counted, nothing leaks.
-        let cfg = PcieConfig::pcie();
-        let mut e = DmaEngine::new(cfg.clone());
-        let setup = SimTime::from_ns(cfg.dma_setup_writes * cfg.soc_wb_word_ns);
-        let mut expect_queued = SimTime::ZERO;
-        let mut expect_busy = SimTime::ZERO;
-        let now = SimTime::ZERO;
-        for (i, &bytes) in [1 << 20, 256 << 10, 4 << 20, 64, 1 << 18, 3 << 20]
-            .iter()
-            .enumerate()
-        {
-            let tenant = (i % 3) as u32;
-            let t = e.transfer_for(
-                now,
-                bytes,
-                DmaDirection::NicToHost,
-                DmaMode::Async,
-                Side::Nic,
-                tenant,
-            );
-            let wire = cfg.dma_duration(bytes);
-            let start = t.complete_at - wire;
-            expect_queued += start - (now + setup);
-            expect_busy += wire;
-        }
-        let summed: SimTime = (0..3)
-            .map(|t| e.tenant_stats(t).busy)
-            .fold(SimTime::ZERO, |a, b| a + b);
-        assert_eq!(
-            summed,
-            e.busy_total(),
-            "per-tenant busy sums to engine total"
-        );
-        assert_eq!(summed, expect_busy);
-        let queued: SimTime = (0..3)
-            .map(|t| e.tenant_stats(t).queued)
-            .fold(SimTime::ZERO, |a, b| a + b);
-        assert_eq!(queued, expect_queued, "queueing attribution reconstructs");
-        assert!(queued > SimTime::ZERO, "overlap actually queued");
-        let moved: u64 = (0..3).map(|t| e.tenant_stats(t).bytes).sum();
-        assert_eq!(moved, e.bytes_moved());
-    }
-
-    #[test]
-    fn active_tenant_context_routes_untagged_transfers() {
-        // Layers that predate tenancy (the ingest flush) call the
-        // tenant-less `transfer`; the active-tenant context must charge
-        // them to the right books.
-        let mut e = engine();
-        e.set_active_tenant(3);
-        e.transfer(
-            SimTime::ZERO,
-            4096,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
-        assert_eq!(e.tenant_stats(3).transfers, 1);
-        assert_eq!(e.tenant_stats(0).transfers, 0);
-        assert_eq!(e.active_tenant(), 3);
     }
 
     #[test]

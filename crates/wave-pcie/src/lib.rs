@@ -50,9 +50,7 @@ pub mod pte;
 pub mod soc;
 
 pub use config::{InterconnectKind, PcieConfig};
-pub use dma::{
-    DmaArbiter, DmaDirection, DmaEngine, DmaMode, DmaRequest, DmaTransfer, TenantDmaStats,
-};
+pub use dma::{DmaDirection, DmaEngine, DmaMode, DmaTransfer};
 pub use mmio::{HostMmio, LineAddr, ReadOutcome, RegionId, WriteOutcome};
 pub use msix::{MsixController, MsixDelivery, MsixSendPath, MsixVector, MsixVectorTable};
 pub use pte::PteType;

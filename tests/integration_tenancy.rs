@@ -28,7 +28,6 @@ fn cfg() -> TenancyConfig {
         tenant_counts: vec![1, 4],
         duration: SimTime::from_ms(60),
         warmup: SimTime::from_ms(10),
-        dma_rounds: 32,
         ..TenancyConfig::quick()
     }
 }
