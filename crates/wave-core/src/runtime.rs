@@ -205,6 +205,14 @@ pub struct SlotTable<D: Copy> {
     words: u64,
     nic_pte: SocPteMode,
     slots: Vec<Option<Staged<D>>>,
+    /// The slots staged since the last drain, so a drain costs what is
+    /// staged rather than the table size. Consumes, revokes and takes
+    /// leave their id behind and a restage may repeat it; the list is
+    /// compacted once it outgrows twice the staged count, which keeps it
+    /// bounded on the per-slot consume path.
+    staged_ids: Vec<u32>,
+    /// Slots currently holding a decision.
+    staged: usize,
     /// Count of host reads that found a fresh, visible decision.
     hits: u64,
     /// Count of host reads that found nothing (empty, invisible, or
@@ -229,6 +237,8 @@ impl<D: Copy> SlotTable<D> {
             words,
             nic_pte,
             slots: vec![None; slots as usize],
+            staged_ids: Vec::new(),
+            staged: 0,
             hits: 0,
             misses: 0,
         }
@@ -241,7 +251,7 @@ impl<D: Copy> SlotTable<D> {
     /// Number of slots with a currently staged (agent-side view)
     /// decision.
     pub fn staged_count(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.staged
     }
 
     /// Total slots in the table.
@@ -270,14 +280,23 @@ impl<D: Copy> SlotTable<D> {
     /// whole batch at a transfer's completion instead of reading slots
     /// one MMIO line at a time. Each drained decision counts as a hit.
     pub fn drain_staged(&mut self) -> Vec<(SlotId, D)> {
-        let mut out = Vec::new();
-        for (i, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(staged) = slot.take() {
-                self.hits += 1;
-                out.push((SlotId(i as u32), staged.decision));
-            }
-        }
+        self.staged_ids.sort_unstable();
+        self.staged_ids.dedup();
+        let out: Vec<(SlotId, D)> = self
+            .staged_ids
+            .drain(..)
+            .filter_map(|i| Some((SlotId(i), self.slots[i as usize].take()?.decision)))
+            .collect();
+        self.hits += out.len() as u64;
+        self.staged = 0;
         out
+    }
+
+    /// Empties `slot`, keeping the staged count; returns what it held.
+    fn clear(&mut self, slot: SlotId) -> Option<Staged<D>> {
+        let staged = self.slots[slot.0 as usize].take();
+        self.staged -= staged.is_some() as usize;
+        staged
     }
 
     /// Agent stages (or replaces) a decision for `slot`. Returns the
@@ -297,10 +316,20 @@ impl<D: Copy> SlotTable<D> {
         let cost = ic.soc.access(self.nic_pte, self.words + 2);
         let visible_at = now + cost;
         ic.mmio.note_device_write(self.line(slot), visible_at);
-        self.slots[slot.0 as usize] = Some(Staged {
+        let previous = self.slots[slot.0 as usize].replace(Staged {
             decision,
             visible_at,
         });
+        if previous.is_none() {
+            self.staged += 1;
+            self.staged_ids.push(slot.0);
+            if self.staged_ids.len() > 2 * self.staged + 8 {
+                let slots = &self.slots;
+                self.staged_ids.retain(|&i| slots[i as usize].is_some());
+                self.staged_ids.sort_unstable();
+                self.staged_ids.dedup();
+            }
+        }
         cost
     }
 
@@ -318,7 +347,7 @@ impl<D: Copy> SlotTable<D> {
         ic: &mut Interconnect,
         slot: SlotId,
     ) -> (SimTime, Option<D>) {
-        let Some(staged) = self.slots[slot.0 as usize].take() else {
+        let Some(staged) = self.clear(slot) else {
             return (SimTime::ZERO, None);
         };
         let cost = ic.soc.access(self.nic_pte, 1);
@@ -332,7 +361,7 @@ impl<D: Copy> SlotTable<D> {
         let cost = ic.soc.access(self.nic_pte, 1);
         let visible_at = now + cost;
         ic.mmio.note_device_write(self.line(slot), visible_at);
-        self.slots[slot.0 as usize] = None;
+        self.clear(slot);
         cost
     }
 
@@ -389,7 +418,7 @@ impl<D: Copy> SlotTable<D> {
         }
         self.hits += 1;
         let decision = staged.expect("checked visible").decision;
-        self.slots[slot.0 as usize] = None;
+        self.clear(slot);
         // Consumed flag: posted write the agent observes locally.
         cpu_cost += ic.mmio.write(now + cpu_cost, line, 1).cpu;
         // Drop our cached copy so the next prefetch refetches.
@@ -1083,6 +1112,113 @@ mod tests {
         let empty = rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64, DmaMode::Async);
         assert!(empty.decisions.is_empty());
         assert_eq!(ic.dma.transfers(), before + 2);
+    }
+
+    fn slot_table(ic: &mut Interconnect, slots: u32) -> SlotTable<u64> {
+        SlotTable::new(ic, slots, 2, PteType::WriteThrough, SocPteMode::WriteBack)
+    }
+
+    /// The old full sweep, as the reference for the staged-id list.
+    fn swept(t: &SlotTable<u64>) -> Vec<(SlotId, u64)> {
+        (0..t.slots.len())
+            .filter_map(|i| Some((SlotId(i as u32), t.slots[i]?.decision)))
+            .collect()
+    }
+
+    #[test]
+    fn out_of_order_stages_drain_in_slot_order() {
+        let mut ic = Interconnect::pcie();
+        let mut t = slot_table(&mut ic, 1_000);
+        for s in [900u32, 3, 517, 42, 0, 999] {
+            t.stage(SimTime::ZERO, &mut ic, SlotId(s), s as u64 * 10);
+        }
+        let expected = swept(&t);
+        assert_eq!(t.drain_staged(), expected);
+        assert_eq!(expected.first(), Some(&(SlotId(0), 0)));
+        assert_eq!(t.staged_count(), 0);
+        assert!(t.drain_staged().is_empty());
+    }
+
+    #[test]
+    fn restaged_slot_drains_once_with_its_latest_decision() {
+        let mut ic = Interconnect::pcie();
+        let mut t = slot_table(&mut ic, 16);
+        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 1);
+        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 2);
+        // Emptied by the agent, then staged again: the id is listed twice.
+        t.revoke(SimTime::ZERO, &mut ic, SlotId(7));
+        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 3);
+        assert_eq!(t.staged_count(), 1);
+        assert_eq!(t.drain_staged(), vec![(SlotId(7), 3)]);
+        assert_eq!(t.hit_miss().0, 1, "one drained decision, one hit");
+    }
+
+    #[test]
+    fn staged_count_and_drain_match_a_sweep() {
+        let mut ic = Interconnect::pcie();
+        let mut t = slot_table(&mut ic, 8);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut now = SimTime::ZERO;
+        for step in 0..5_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            now += SimTime::from_ns(x % 2_000);
+            let slot = SlotId((x >> 8) as u32 % 8);
+            // Few slots and rare drains: the list churns and compacts
+            // between drains.
+            match (x >> 20) % 64 {
+                0..=31 => {
+                    t.stage(now, &mut ic, slot, step);
+                }
+                32..=41 => {
+                    t.revoke(now, &mut ic, slot);
+                }
+                42..=51 => {
+                    t.take_staged(now, &mut ic, slot);
+                }
+                52..=62 => {
+                    t.host_consume(now, &mut ic, slot);
+                }
+                _ => {
+                    let expected = swept(&t);
+                    assert_eq!(t.drain_staged(), expected, "step {step}");
+                }
+            }
+            assert_eq!(t.staged_count(), swept(&t).len(), "step {step}");
+            // Compaction runs on a push, bounded by what is staged then.
+            assert!(t.staged_ids.len() <= 2 * t.len() + 8, "step {step}");
+        }
+    }
+
+    #[test]
+    fn staged_id_list_stays_bounded_under_per_slot_consumes() {
+        let mut ic = Interconnect::pcie();
+        let mut t = slot_table(&mut ic, 24);
+        let mut now = SimTime::ZERO;
+        // Runs of 100 cycles on one slot, then the next slot.
+        for i in 0..10_000u64 {
+            let slot = SlotId((i / 100 % 24) as u32);
+            t.stage(now, &mut ic, slot, i);
+            now += SimTime::from_us(1);
+            let (_, got) = t.host_consume(now, &mut ic, slot);
+            assert_eq!(got, Some(i));
+            now += SimTime::from_us(1);
+        }
+        assert_eq!(t.staged_count(), 0);
+        // One slot staged at a time: at most 2 × 1 + 8 listed ids.
+        assert!(
+            t.staged_ids.len() <= 10,
+            "{} listed ids",
+            t.staged_ids.len()
+        );
+        for s in [5, 0, 23] {
+            t.stage(now, &mut ic, SlotId(s), s as u64);
+        }
+        assert_eq!(
+            t.drain_staged(),
+            vec![(SlotId(0), 0), (SlotId(5), 5), (SlotId(23), 23)]
+        );
     }
 
     #[test]

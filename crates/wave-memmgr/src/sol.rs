@@ -48,7 +48,7 @@ impl Default for SolConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct BatchState {
     alpha: f64,
     beta: f64,
@@ -89,6 +89,9 @@ pub struct SolPolicy {
     batches: Vec<BatchState>,
     /// Global batch id of each local index, strictly ascending.
     ids: Vec<usize>,
+    /// Batches currently classified hot: flips, adoptions and releases
+    /// keep it exact, so an iteration never recounts the slice.
+    hot: u64,
     last_epoch: SimTime,
     /// Classification flips observed by the most recent iteration —
     /// the migration decisions the agent stages back to the host.
@@ -137,6 +140,7 @@ impl SolPolicy {
         SolPolicy {
             cfg,
             batches: vec![fresh_batch(); ids.len()],
+            hot: ids.len() as u64,
             ids,
             last_epoch: SimTime::ZERO,
             flips: Vec::new(),
@@ -169,6 +173,30 @@ impl SolPolicy {
         self.ids
             .binary_search(&global)
             .unwrap_or_else(|_| panic!("batch {global} is not managed by this policy"))
+    }
+
+    /// [`SolPolicy::local_index`] for a walk over an ascending due list:
+    /// gallops forward from the row `*cursor` found last, then binary
+    /// searches the bracketed run, and leaves `*cursor` on the result.
+    /// A batch below the cursor (a list that is not ascending) falls
+    /// back to the full binary search.
+    fn seek(&self, cursor: &mut usize, global: usize) -> usize {
+        let ids = &self.ids;
+        let row = if ids[*cursor] <= global {
+            let (mut lo, mut step) = (*cursor, 1);
+            while lo + step < ids.len() && ids[lo + step] <= global {
+                lo += step;
+                step *= 2;
+            }
+            let hi = (lo + step).min(ids.len());
+            ids[lo..hi]
+                .binary_search(&global)
+                .map_or_else(|_| self.local_index(global), |r| lo + r)
+        } else {
+            self.local_index(global)
+        };
+        *cursor = row;
+        row
     }
 
     /// Posterior mean for a (global) batch index (test/telemetry).
@@ -208,6 +236,8 @@ impl SolPolicy {
             add.windows(2).all(|w| w[0] < w[1]),
             "duplicate batch in adoption"
         );
+        // Every adopted batch starts optimistic (hot).
+        self.hot += add.len() as u64;
         // One sorted-merge pass (O(n + k), not k O(n) inserts).
         let old_ids = std::mem::take(&mut self.ids);
         let old_batches = std::mem::take(&mut self.batches);
@@ -264,6 +294,8 @@ impl SolPolicy {
                 self.ids.swap(w, r);
                 self.batches.swap(w, r);
                 w += 1;
+            } else if self.batches[r].classified_hot {
+                self.hot -= 1;
             }
         }
         self.ids.truncate(w);
@@ -287,6 +319,8 @@ impl SolPolicy {
     /// Like [`SolPolicy::iterate`], but scans an explicit (global) batch
     /// list — the agent-side entry point, fed by the PTE deltas polled
     /// off the runtime's DMA ingest leg rather than recomputed locally.
+    /// The list may repeat a batch or come in any order; an ascending
+    /// one (what the host ships) is walked with a forward cursor.
     pub fn iterate_batches(
         &mut self,
         now: SimTime,
@@ -299,9 +333,10 @@ impl SolPolicy {
             scanned: due.len() as u64,
             ..SolStats::default()
         };
+        let mut cursor = 0;
         for &i in due {
             let touched = workload.sample_access(i, rng);
-            let local = self.local_index(i);
+            let local = self.seek(&mut cursor, i);
             let b = &mut self.batches[local];
             if touched {
                 b.alpha += 1.0;
@@ -314,6 +349,11 @@ impl SolPolicy {
             b.classified_hot = theta > self.cfg.hot_threshold;
             if b.classified_hot != was_hot {
                 self.flips.push((i, b.classified_hot));
+                if b.classified_hot {
+                    self.hot += 1;
+                } else {
+                    self.hot -= 1;
+                }
             }
             // Frequency adaptation: confident batches scan slower;
             // uncertain ones stay fast (the overhead-reduction loop the
@@ -328,13 +368,8 @@ impl SolPolicy {
             let period = self.cfg.base_period * (1u64 << b.rung);
             b.next_scan = now + period;
         }
-        for b in &self.batches {
-            if b.classified_hot {
-                stats.hot += 1;
-            } else {
-                stats.cold += 1;
-            }
-        }
+        stats.hot = self.hot;
+        stats.cold = self.batches.len() as u64 - self.hot;
         stats
     }
 
@@ -388,6 +423,7 @@ impl SolPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
     use wave_kvstore::{AccessPattern, FootprintConfig};
 
     fn small_world() -> (DbFootprint, SolPolicy, SmallRng) {
@@ -570,6 +606,160 @@ mod tests {
         }
         // Donor no longer reports them due (or at all).
         assert!(donor.due_batches(now).iter().all(|&g| g < n / 2 - 10));
+    }
+
+    /// The pre-cursor policy, distilled: a binary search per due batch,
+    /// a full hot/cold recount per iteration, and per-id inserts and
+    /// removes for adoption and release.
+    struct RefSol {
+        cfg: SolConfig,
+        ids: Vec<usize>,
+        batches: Vec<BatchState>,
+        flips: Vec<(usize, bool)>,
+    }
+
+    impl RefSol {
+        fn iterate_batches(
+            &mut self,
+            now: SimTime,
+            due: &[usize],
+            workload: &DbFootprint,
+            rng: &mut SmallRng,
+        ) -> SolStats {
+            self.flips.clear();
+            for &i in due {
+                let touched = workload.sample_access(i, rng);
+                let b = &mut self.batches[self.ids.binary_search(&i).expect("managed")];
+                if touched {
+                    b.alpha += 1.0;
+                } else {
+                    b.beta += 1.0;
+                }
+                b.scans += 1;
+                let theta = Beta::new(b.alpha, b.beta).sample(rng);
+                let was_hot = b.classified_hot;
+                b.classified_hot = theta > self.cfg.hot_threshold;
+                if b.classified_hot != was_hot {
+                    self.flips.push((i, b.classified_hot));
+                }
+                let mean = b.alpha / (b.alpha + b.beta);
+                if b.scans >= self.cfg.confidence_scans && (mean - 0.5).abs() > 0.25 {
+                    b.rung = (b.rung + 1).min(self.cfg.period_rungs - 1);
+                } else {
+                    b.rung = b.rung.saturating_sub(1);
+                }
+                b.next_scan = now + self.cfg.base_period * (1u64 << b.rung);
+            }
+            let hot = self.batches.iter().filter(|b| b.classified_hot).count() as u64;
+            SolStats {
+                scanned: due.len() as u64,
+                hot,
+                cold: self.batches.len() as u64 - hot,
+                ..SolStats::default()
+            }
+        }
+
+        fn adopt(&mut self, adopted: &[usize]) {
+            for &g in adopted {
+                let at = self.ids.binary_search(&g).expect_err("not yet managed");
+                self.ids.insert(at, g);
+                self.batches.insert(at, fresh_batch());
+            }
+        }
+
+        fn release(&mut self, released: &[usize]) {
+            for &g in released {
+                if let Ok(at) = self.ids.binary_search(&g) {
+                    self.ids.remove(at);
+                    self.batches.remove(at);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cursor_walk_and_running_hot_count_match_the_reference() {
+        let fp = DbFootprint::new(FootprintConfig::paper(0.002), AccessPattern::Scattered, 7);
+        let n = fp.batches();
+        let cfg = SolConfig::paper();
+        for seed in 0..6u64 {
+            let mut x = 0x9e37_79b9_7f4a_7c15 ^ (seed + 1);
+            let mut draw = move |below: usize| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x % below as u64) as usize
+            };
+            let ids: Vec<usize> = (0..n).filter(|_| draw(3) != 0).collect();
+            let mut real = SolPolicy::with_batches(cfg, ids.clone());
+            let mut refp = RefSol {
+                cfg,
+                batches: vec![fresh_batch(); ids.len()],
+                ids,
+                flips: Vec::new(),
+            };
+            let (mut rng_real, mut rng_ref) = (wave_sim::rng(seed), wave_sim::rng(seed));
+            let mut now = SimTime::ZERO;
+            for step in 0..250 {
+                let managed = real.ids.clone();
+                match draw(10) {
+                    0 => {
+                        let mut add: Vec<usize> = (0..n)
+                            .filter(|g| !managed.contains(g) && draw(40) == 0)
+                            .collect();
+                        add.reverse();
+                        real.adopt_batches(&add);
+                        refp.adopt(&add);
+                    }
+                    1 if managed.len() > 1 => {
+                        let mut drop: Vec<usize> = managed[1..]
+                            .iter()
+                            .copied()
+                            .filter(|_| draw(30) == 0)
+                            .collect();
+                        if let Some(&g) = drop.first() {
+                            drop.push(g); // a repeated id releases once
+                        }
+                        real.release_batches(&drop);
+                        refp.release(&drop);
+                    }
+                    _ => {
+                        let mut due = match draw(4) {
+                            // What the host ships: ascending, each once.
+                            0 => real.due_batches(now),
+                            // Ascending with repeats.
+                            1 => real
+                                .due_batches(now)
+                                .into_iter()
+                                .flat_map(|g| vec![g; 1 + (draw(4) == 0) as usize])
+                                .collect(),
+                            // Any order, repeats anywhere.
+                            2 => (0..draw(200))
+                                .map(|_| managed[draw(managed.len())])
+                                .collect(),
+                            _ => Vec::new(),
+                        };
+                        if draw(3) == 0 {
+                            due.reverse();
+                        }
+                        let a = real.iterate_batches(now, &due, &fp, &mut rng_real);
+                        let b = refp.iterate_batches(now, &due, &fp, &mut rng_ref);
+                        assert_eq!(a, b, "seed {seed} step {step}: stats");
+                        now += cfg.base_period * (1 + draw(3) as u64);
+                    }
+                }
+                assert_eq!(real.flips(), &refp.flips[..], "seed {seed} step {step}");
+                assert_eq!(real.ids, refp.ids, "seed {seed} step {step}: ids");
+                assert_eq!(real.batches, refp.batches, "seed {seed} step {step}");
+                let hot = real.batches.iter().filter(|b| b.classified_hot).count();
+                assert_eq!(real.hot, hot as u64, "seed {seed} step {step}: hot");
+                assert_eq!(
+                    rng_real.clone().next_u64(),
+                    rng_ref.clone().next_u64(),
+                    "seed {seed} step {step}: RNG state"
+                );
+            }
+        }
     }
 
     #[test]

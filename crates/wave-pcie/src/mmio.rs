@@ -26,6 +26,13 @@
 //! * **Coherent mode** (§7.3.3): with a UPI/CXL-style interconnect the
 //!   same API provides hardware coherence — device writes invalidate host
 //!   snapshots automatically and `clflush` becomes a no-op.
+//!
+//! Mapping a region costs nothing per line. A region may span a whole
+//! resource space (the memory agent maps one decision slot per page
+//! batch, and a DMA queue's ring whose entry lines the host never
+//! touches), so per-line state holds only what has been touched: it
+//! grows up to the highest line a fill or device write has reached, and
+//! a line past that is uncached and never written.
 
 use crate::config::PcieConfig;
 use crate::pte::PteType;
@@ -84,10 +91,13 @@ struct CacheLine {
     snapshot_at: SimTime,
 }
 
-/// Per-line state, directly indexed by line number. Regions are bounded
-/// (a queue's ring plus a few doorbell lines — `map_region` is told the
-/// exact line count up front), so dense `Vec`s beat hash maps on the
-/// per-access path: the line index *is* the address, no hashing at all.
+/// Per-line state, directly indexed by line number: the line index *is*
+/// the address, no hashing on the per-access path. Both vectors start
+/// empty and grow to `line + 1` on the first store that creates state
+/// (a fill, a prefetch, a device write); an index past the end reads as
+/// "uncached, never written". They grow separately, so a region the
+/// device writes but the host never caches (the memory agent's decision
+/// slots) holds one timestamp per line and no cache entries.
 /// Pending write-combining words are not region state: they live in the
 /// CPU's buffer ([`HostMmio`]'s pending-line list).
 #[derive(Debug)]
@@ -96,9 +106,45 @@ struct Region {
     lines: u64,
     /// Cached snapshot per line (`None` = not cached).
     cache: Vec<Option<CacheLine>>,
-    /// Last device-side write per line — drives hardware-coherence
-    /// invalidation in UPI mode and staleness assertions in tests.
-    device_writes: Vec<Option<SimTime>>,
+    /// Latest device-side write per line, [`SimTime::ZERO`] if never
+    /// written (no snapshot predates time zero, so it never reads as
+    /// stale) — drives hardware-coherence invalidation in UPI mode and
+    /// staleness assertions in tests.
+    device_writes: Vec<SimTime>,
+}
+
+impl Region {
+    /// Bounds-checks `line` and returns its index.
+    fn index(&self, line: u64) -> usize {
+        assert!(line < self.lines, "line {line} out of bounds");
+        line as usize
+    }
+
+    fn cached(&self, idx: usize) -> Option<CacheLine> {
+        self.cache.get(idx).copied().flatten()
+    }
+
+    fn written_at(&self, idx: usize) -> SimTime {
+        self.device_writes
+            .get(idx)
+            .copied()
+            .unwrap_or(SimTime::ZERO)
+    }
+
+    /// Drops `idx`'s cached snapshot, if any.
+    fn evict(&mut self, idx: usize) {
+        if let Some(line) = self.cache.get_mut(idx) {
+            *line = None;
+        }
+    }
+
+    /// `idx`'s cache entry, growing the vector to reach it.
+    fn cache_entry(&mut self, idx: usize) -> &mut Option<CacheLine> {
+        if idx >= self.cache.len() {
+            self.cache.resize(idx + 1, None);
+        }
+        &mut self.cache[idx]
+    }
 }
 
 /// Telemetry counters for the MMIO model.
@@ -180,8 +226,8 @@ impl HostMmio {
         self.regions.push(Region {
             pte,
             lines,
-            cache: vec![None; lines as usize],
-            device_writes: vec![None; lines as usize],
+            cache: Vec::new(),
+            device_writes: Vec::new(),
         });
         id
     }
@@ -204,12 +250,13 @@ impl HostMmio {
     pub fn note_device_write(&mut self, addr: LineAddr, at: SimTime) {
         let coherent = self.cfg.is_coherent();
         let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        let line = addr.line as usize;
-        let entry = r.device_writes[line].get_or_insert(at);
-        *entry = (*entry).max(at);
+        let idx = r.index(addr.line);
+        if idx >= r.device_writes.len() {
+            r.device_writes.resize(idx + 1, SimTime::ZERO);
+        }
+        r.device_writes[idx] = r.device_writes[idx].max(at);
         if coherent {
-            r.cache[line] = None;
+            r.evict(idx);
         }
     }
 
@@ -230,18 +277,16 @@ impl HostMmio {
         let coherent = self.cfg.is_coherent();
         let (outcome, kind) = {
             let r = self.region_mut(addr.region);
-            assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-            let idx = addr.line as usize;
+            let idx = r.index(addr.line);
             // Hardware coherence: a device store that has landed since
             // our snapshot invalidates the cached copy, even if the line
             // was filled while the store was still in flight.
             if coherent {
-                let stale = match (r.cache[idx], r.device_writes[idx]) {
-                    (Some(line), Some(w)) => w > line.snapshot_at && w <= now,
-                    _ => false,
-                };
-                if stale {
-                    r.cache[idx] = None;
+                let w = r.written_at(idx);
+                if r.cached(idx)
+                    .is_some_and(|line| w > line.snapshot_at && w <= now)
+                {
+                    r.evict(idx);
                 }
             }
             match r.pte {
@@ -256,7 +301,7 @@ impl HostMmio {
                     Kind::Miss,
                 ),
                 PteType::WriteThrough | PteType::WriteBack => {
-                    if let Some(line) = r.cache[idx] {
+                    if let Some(line) = r.cached(idx) {
                         if line.ready_at <= now {
                             // Plain hit: may be stale; reader sees the
                             // old snapshot.
@@ -284,7 +329,7 @@ impl HostMmio {
                     } else {
                         // Miss: full round trip; install a snapshot.
                         let snapshot_at = now + SimTime::from_ns(one_way);
-                        r.cache[idx] = Some(CacheLine {
+                        *r.cache_entry(idx) = Some(CacheLine {
                             ready_at: now + SimTime::from_ns(read_ns),
                             snapshot_at,
                         });
@@ -325,14 +370,13 @@ impl HostMmio {
         let words_per_line = self.cfg.words_per_line();
         self.stats.writes += words;
         let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        let idx = addr.line as usize;
+        let idx = r.index(addr.line);
         match r.pte {
             PteType::Uncacheable | PteType::WriteThrough | PteType::WriteBack => {
                 let cpu = SimTime::from_ns(uc_ns * words);
                 // Write-through also refreshes the local snapshot if the
                 // line is cached (stores go to cache and memory).
-                if let Some(line) = &mut r.cache[idx] {
+                if let Some(Some(line)) = r.cache.get_mut(idx) {
                     line.snapshot_at = line.snapshot_at.max(now);
                 }
                 WriteOutcome {
@@ -388,8 +432,8 @@ impl HostMmio {
         }
         self.stats.flushes += 1;
         let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        r.cache[addr.line as usize] = None;
+        let idx = r.index(addr.line);
+        r.evict(idx);
         SimTime::from_ns(self.cfg.clflush_ns)
     }
 
@@ -407,8 +451,8 @@ impl HostMmio {
         }
         self.stats.prefetches += 1;
         let r = self.region_mut(addr.region);
-        assert!(addr.line < r.lines, "line {} out of bounds", addr.line);
-        r.cache[addr.line as usize].get_or_insert(CacheLine {
+        let idx = r.index(addr.line);
+        r.cache_entry(idx).get_or_insert(CacheLine {
             ready_at: now + SimTime::from_ns(read_ns),
             snapshot_at: now + SimTime::from_ns(one_way),
         });
@@ -421,13 +465,8 @@ impl HostMmio {
     pub fn is_stale(&self, addr: LineAddr) -> bool {
         let r = &self.regions[addr.region.0 as usize];
         let idx = addr.line as usize;
-        match (
-            r.cache.get(idx).copied().flatten(),
-            r.device_writes.get(idx).copied().flatten(),
-        ) {
-            (Some(line), Some(w)) => w > line.snapshot_at,
-            _ => false,
-        }
+        r.cached(idx)
+            .is_some_and(|line| r.written_at(idx) > line.snapshot_at)
     }
 }
 
@@ -628,6 +667,28 @@ mod tests {
     fn read_rejects_out_of_bounds() {
         let (mut m, a) = mmio(PteType::Uncacheable);
         let _ = m.read(SimTime::ZERO, LineAddr::new(a.region, 64));
+    }
+
+    #[test]
+    fn per_line_state_covers_only_touched_lines() {
+        let mut m = HostMmio::new(PcieConfig::pcie());
+        let r = m.map_region(PteType::WriteThrough, 1_000_000);
+        let a = LineAddr::new(r, 3);
+        let _ = m.read(SimTime::ZERO, a);
+        m.note_device_write(a, SimTime::from_us(1));
+        let _ = m.clflush(SimTime::from_us(2), LineAddr::new(r, 999_999));
+        assert!(!m.is_stale(LineAddr::new(r, 999_999)));
+        let region = &m.regions[r.0 as usize];
+        assert!(
+            region.cache.len() <= 4,
+            "{} cache entries",
+            region.cache.len()
+        );
+        assert!(
+            region.device_writes.len() <= 4,
+            "{} device-write entries",
+            region.device_writes.len()
+        );
     }
 
     #[test]
