@@ -10,7 +10,7 @@
 //! | `KILL_WAVE_AGENT` | `agent_mut().kill()` |
 //! | `SEND_MESSAGES` (host) | [`AgentRuntime::host_send`] + [`AgentRuntime::host_flush`] |
 //! | `POLL_MESSAGES` (NIC) | [`AgentRuntime::poll`] / [`AgentRuntime::poll_into`] |
-//! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | [`AgentRuntime::stage_with`] / [`AgentRuntime::stage_raw`], then an MSI-X kick (`ic.msix.send`) |
+//! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | the agent builds the decision and calls [`AgentRuntime::stage`], then an MSI-X kick (`ic.msix.send`) |
 //! | `PREFETCH_TXNS` (host) | [`SlotTable::host_prefetch`] |
 //! | `POLL_TXNS` (host) | [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`], or [`AgentRuntime::dma_ship_staged`] |
 //! | `SET_TXNS_OUTCOMES` / `POLL_TXNS_OUTCOMES` | [`GenerationTable::validate`] on the host; failures are host-side counts, not queue traffic |
@@ -30,8 +30,9 @@
 //!   [`txn::GenerationTable`] used for atomic validation.
 //! * [`agent`] — SmartNIC agent lifecycle and its serial compute clock.
 //! * [`runtime`] — the reusable agent-runtime layer: one agent's
-//!   message queue + decision-slot table + pump gating, behind a
-//!   [`runtime::ResourcePolicy`]-driven stage API, generic over the
+//!   message queue + decision-slot table + pump gating; the caller runs
+//!   its own policy and stages the decisions it builds
+//!   ([`runtime::AgentRuntime::stage`]). It is generic over the
 //!   ingest transport (MMIO message queues for the scheduler, batched
 //!   delta-compressed DMA for the memory manager). Sharded deployments
 //!   instantiate one [`runtime::AgentRuntime`] per agent.
@@ -67,9 +68,7 @@ pub mod workload;
 
 pub use agent::{Agent, AgentId, AgentState};
 pub use opts::OptLevel;
-pub use runtime::{
-    AgentRuntime, DmaShipment, ResourcePolicy, RuntimeConfig, SlotId, SlotTable, StageCost,
-};
+pub use runtime::{AgentRuntime, DmaShipment, RuntimeConfig, SlotId, SlotTable};
 pub use shard_map::{
     FeedDemand, RebalanceConfig, RebalanceEvent, RebalancePolicy, Rebalancer, ResourceMove,
     ShardMap, ShedLoad,

@@ -11,9 +11,6 @@
 //! * [`SlotTable`] — generic per-resource decision slots in SmartNIC
 //!   DRAM with the full software-coherence semantics (staleness,
 //!   prefetch, `clflush`) of §5.3.2/§5.4.
-//! * [`ResourcePolicy`] — the policy-facing abstraction of the stage
-//!   step: produce a decision for a slot, report compute cost and
-//!   backlog.
 //! * [`AgentRuntime`] — one agent's bundle of message queue, slot
 //!   table, and serial compute clock ([`Agent`]), plus the pump-gating
 //!   state machine (`at most one pump event in flight`) that the
@@ -45,42 +42,24 @@
 //!
 //! # Worked example
 //!
-//! The smallest possible agent: a [`ResourcePolicy`] that echoes host
-//! request ids back as decisions, one [`AgentRuntime`] bound to the MMIO
-//! transport, and one full duty cycle — host *send*, agent *poll* and
-//! *stage*, host *consume*. This is the whole extension surface: a new
-//! resource manager implements `ResourcePolicy`, picks a transport in
-//! [`RuntimeConfig`], and drives exactly these calls from its event loop
-//! (sharded deployments instantiate K of everything below, each starting
-//! with one contiguous slice of the resources — see [`shard_range`]).
+//! The smallest possible agent: one [`AgentRuntime`] bound to the MMIO
+//! transport whose policy echoes host request ids back as decisions, and
+//! one full duty cycle — host *send*, agent *poll* and *stage*, host
+//! *consume*. This is the whole extension surface: a new resource
+//! manager picks a transport in [`RuntimeConfig`], runs its own policy
+//! on what it polls, builds each decision and stages it with
+//! [`AgentRuntime::stage`], driving exactly these calls from its event
+//! loop (sharded deployments instantiate K of everything below, each
+//! starting with one contiguous slice of the resources — see
+//! [`shard_range`]).
 //!
 //! ```
-//! use wave_core::runtime::{
-//!     AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost,
-//! };
+//! use wave_core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
 //! use wave_core::AgentId;
 //! use wave_pcie::{Interconnect, PteType, SocPteMode};
 //! use wave_queue::Transport;
 //! use wave_sim::cpu::{CoreClass, CpuModel};
 //! use wave_sim::SimTime;
-//!
-//! /// Echo each pending host request id back as a decision.
-//! struct Echo {
-//!     pending: Vec<u64>,
-//! }
-//!
-//! impl ResourcePolicy for Echo {
-//!     type Decision = u64;
-//!     fn produce(&mut self, _now: SimTime, _slot: SlotId) -> Option<u64> {
-//!         self.pending.pop()
-//!     }
-//!     fn compute_cost(&self) -> SimTime {
-//!         SimTime::from_ns(100) // host-reference cost per invocation
-//!     }
-//!     fn backlog(&self) -> usize {
-//!         self.pending.len()
-//!     }
-//! }
 //!
 //! let mut ic = Interconnect::pcie();
 //! let cfg = RuntimeConfig {
@@ -108,22 +87,15 @@
 //! assert!(delivered);
 //! let flushed = send_cpu + rt.host_flush(send_cpu, &mut ic);
 //!
-//! // Agent: pick the message up after the wire delay, run the policy,
-//! // stage the decision into the resource's slot.
+//! // Agent: pick the message up after the wire delay, run the policy
+//! // (an echo, 100 ns on the agent's clock), and stage its decision
+//! // into the resource's slot.
 //! let arrive = flushed + ic.one_way();
 //! let polled = rt.poll(arrive, &mut ic, usize::MAX);
 //! assert_eq!(polled.items, vec![7]);
-//! let mut policy = Echo { pending: polled.items };
-//! let mut agent_cpu = SimTime::ZERO;
-//! let staged = rt.stage_with(
-//!     arrive,
-//!     &mut ic,
-//!     &mut policy,
-//!     SlotId(0),
-//!     StageCost { ratio: 1.0, extra: SimTime::ZERO },
-//!     &mut agent_cpu,
-//! );
-//! assert!(staged);
+//! let mut agent_cpu = SimTime::from_ns(100);
+//! agent_cpu += rt.stage(arrive + agent_cpu, &mut ic, SlotId(0), polled.items[0]);
+//! assert!(rt.slots_ref().is_staged(SlotId(0)));
 //!
 //! // Host: consume the staged decision on the next idle transition.
 //! let later = arrive + agent_cpu + ic.one_way();
@@ -427,49 +399,6 @@ impl<D: Copy> SlotTable<D> {
     }
 }
 
-/// The policy side of the stage step, as seen by an [`AgentRuntime`].
-///
-/// Implementations wrap whatever domain policy the agent runs (a
-/// scheduler run queue, a page-placement ranker, …) plus the host-state
-/// views it needs (generation snapshots, transaction id allocation), and
-/// produce fully-formed decisions ready to stage.
-pub trait ResourcePolicy {
-    /// The staged decision payload.
-    type Decision: Copy;
-
-    /// Produces the next decision for `slot`, if the policy has one.
-    ///
-    /// Returning `None` after consuming internal state (e.g. the picked
-    /// thread's generation snapshot failed) is allowed — the runtime
-    /// charges the compute cost either way, as real agents do.
-    fn produce(&mut self, now: SimTime, slot: SlotId) -> Option<Self::Decision>;
-
-    /// Host-reference CPU cost of one policy invocation (the runtime
-    /// scales it by the agent's core-class ratio).
-    fn compute_cost(&self) -> SimTime;
-
-    /// Number of pending items the policy could still turn into
-    /// decisions (run-queue depth, pending migrations, …).
-    fn backlog(&self) -> usize;
-
-    /// Whether the policy wants decisions eagerly prestaged when the
-    /// backlog is deep (§5.4).
-    fn wants_prestaging(&self) -> bool {
-        true
-    }
-}
-
-/// Cost parameters of one stage step.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageCost {
-    /// Core-class scaling applied to the policy's compute cost (e.g.
-    /// the ARM slowdown for a NIC-resident agent).
-    pub ratio: f64,
-    /// Scenario-specific extra per decision (e.g. uncached MMIO header
-    /// reads), already in agent nanoseconds.
-    pub extra: SimTime,
-}
-
 /// Construction parameters for one [`AgentRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
@@ -665,75 +594,12 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         self.msg_q.next_visible_at()
     }
 
-    /// One stage step: charge the policy's compute cost (scaled per
-    /// `stage_cost`), ask `policy` for a decision, and stage it into
-    /// `slot`. Accumulates agent CPU into `cost`; returns whether a
-    /// decision was staged.
-    pub fn stage_with<P: ResourcePolicy<Decision = D>>(
-        &mut self,
-        now: SimTime,
-        ic: &mut Interconnect,
-        policy: &mut P,
-        slot: SlotId,
-        stage_cost: StageCost,
-        cost: &mut SimTime,
-    ) -> bool {
-        *cost += policy.compute_cost().scale(stage_cost.ratio);
-        *cost += stage_cost.extra;
-        let Some(d) = policy.produce(now, slot) else {
-            return false;
-        };
-        *cost += self.slots.stage(now + *cost, ic, slot, d);
-        true
-    }
-
-    /// Stages a caller-built decision directly (e.g. a "continue"
-    /// decision at a slice boundary). Returns the agent CPU cost.
-    pub fn stage_raw(
-        &mut self,
-        now: SimTime,
-        ic: &mut Interconnect,
-        slot: SlotId,
-        d: D,
-    ) -> SimTime {
+    /// Stages a caller-built decision into `slot` (Table 1
+    /// `TXN_CREATE`): the caller runs its policy, builds the decision
+    /// and charges the policy's compute on its own clock. Returns the
+    /// agent CPU cost of the slot write.
+    pub fn stage(&mut self, now: SimTime, ic: &mut Interconnect, slot: SlotId, d: D) -> SimTime {
         self.slots.stage(now, ic, slot, d)
-    }
-
-    /// §5.4 eager prestaging: walk `candidates` (slots whose resource is
-    /// busy, in caller-chosen order) and stage one decision into each
-    /// empty slot while the policy wants prestaging and reports backlog.
-    /// Each staged decision is recorded on the agent's telemetry at its
-    /// accumulated-cost instant. Returns how many were staged.
-    pub fn prestage_with<P: ResourcePolicy<Decision = D>>(
-        &mut self,
-        now: SimTime,
-        ic: &mut Interconnect,
-        policy: &mut P,
-        candidates: impl IntoIterator<Item = SlotId>,
-        stage_cost: StageCost,
-        cost: &mut SimTime,
-    ) -> u32 {
-        if !policy.wants_prestaging() {
-            return 0;
-        }
-        let mut staged = 0;
-        for slot in candidates {
-            if policy.backlog() == 0 {
-                break;
-            }
-            if !self.slots.is_staged(slot)
-                && self.stage_with(now, ic, policy, slot, stage_cost, cost)
-            {
-                // Through the runtime's own recorder so prestaged
-                // decisions count as load events too — under heavy load
-                // nearly every decision is a prestage, and a rebalancer
-                // fed only the kick-path count would read a *busy*
-                // shard as idle.
-                self.record_decision(now + *cost);
-                staged += 1;
-            }
-        }
-        staged
     }
 
     /// Ships every staged decision to the host in one batched DMA — the
@@ -841,31 +707,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wave_core_test_support::*;
-
-    // Local test support: a trivial FIFO policy over u64 decisions.
-    mod wave_core_test_support {
-        use super::{ResourcePolicy, SlotId};
-        use std::collections::VecDeque;
-        use wave_sim::SimTime;
-
-        pub struct FifoU64 {
-            pub queue: VecDeque<u64>,
-        }
-
-        impl ResourcePolicy for FifoU64 {
-            type Decision = u64;
-            fn produce(&mut self, _now: SimTime, _slot: SlotId) -> Option<u64> {
-                self.queue.pop_front()
-            }
-            fn compute_cost(&self) -> SimTime {
-                SimTime::from_ns(100)
-            }
-            fn backlog(&self) -> usize {
-                self.queue.len()
-            }
-        }
-    }
 
     fn runtime(ic: &mut Interconnect) -> AgentRuntime<u64, u64> {
         let cfg = RuntimeConfig {
@@ -922,123 +763,10 @@ mod tests {
     }
 
     #[test]
-    fn stage_with_policy_charges_cost_and_stages() {
-        let mut ic = Interconnect::pcie();
-        let mut rt = runtime(&mut ic);
-        let mut policy = FifoU64 {
-            queue: [7u64].into_iter().collect(),
-        };
-        let mut cost = SimTime::ZERO;
-        let staged = rt.stage_with(
-            SimTime::from_us(1),
-            &mut ic,
-            &mut policy,
-            SlotId(2),
-            StageCost {
-                ratio: 2.0,
-                extra: SimTime::from_ns(30),
-            },
-            &mut cost,
-        );
-        assert!(staged);
-        assert!(rt.slots_ref().is_staged(SlotId(2)));
-        // 100 ns compute × 2.0 ratio + 30 ns extra + the slot write.
-        assert!(cost >= SimTime::from_ns(230), "cost {cost}");
-        // Empty policy: cost still charged, nothing staged.
-        let mut cost2 = SimTime::ZERO;
-        let staged2 = rt.stage_with(
-            SimTime::from_us(2),
-            &mut ic,
-            &mut policy,
-            SlotId(3),
-            StageCost {
-                ratio: 2.0,
-                extra: SimTime::ZERO,
-            },
-            &mut cost2,
-        );
-        assert!(!staged2);
-        assert_eq!(cost2, SimTime::from_ns(200));
-        assert!(!rt.slots_ref().is_staged(SlotId(3)));
-    }
-
-    #[test]
-    fn prestage_respects_policy_backlog_and_occupancy() {
-        let mut ic = Interconnect::pcie();
-        let mut rt = runtime(&mut ic);
-        // Slot 1 already holds a decision; backlog of two more.
-        rt.stage_raw(SimTime::ZERO, &mut ic, SlotId(1), 50u64);
-        let mut policy = FifoU64 {
-            queue: [7u64, 8].into_iter().collect(),
-        };
-        let sc = StageCost {
-            ratio: 1.0,
-            extra: SimTime::ZERO,
-        };
-        let mut cost = SimTime::ZERO;
-        let staged = rt.prestage_with(
-            SimTime::from_us(1),
-            &mut ic,
-            &mut policy,
-            [SlotId(0), SlotId(1), SlotId(2), SlotId(3)],
-            sc,
-            &mut cost,
-        );
-        // Slot 0 and 2 get the backlog; slot 1 is occupied, and the
-        // backlog is dry before slot 3.
-        assert_eq!(staged, 2);
-        assert!(rt.slots_ref().is_staged(SlotId(0)));
-        assert!(rt.slots_ref().is_staged(SlotId(2)));
-        assert!(!rt.slots_ref().is_staged(SlotId(3)));
-        assert_eq!(rt.decisions(), 2, "prestages are recorded as decisions");
-        assert_eq!(policy.backlog(), 0);
-    }
-
-    #[test]
-    fn prestage_honors_wants_prestaging() {
-        struct NoPrestage(FifoU64);
-        impl ResourcePolicy for NoPrestage {
-            type Decision = u64;
-            fn produce(&mut self, now: SimTime, slot: SlotId) -> Option<u64> {
-                self.0.produce(now, slot)
-            }
-            fn compute_cost(&self) -> SimTime {
-                self.0.compute_cost()
-            }
-            fn backlog(&self) -> usize {
-                self.0.backlog()
-            }
-            fn wants_prestaging(&self) -> bool {
-                false
-            }
-        }
-        let mut ic = Interconnect::pcie();
-        let mut rt = runtime(&mut ic);
-        let mut policy = NoPrestage(FifoU64 {
-            queue: [1u64].into_iter().collect(),
-        });
-        let mut cost = SimTime::ZERO;
-        let staged = rt.prestage_with(
-            SimTime::from_us(1),
-            &mut ic,
-            &mut policy,
-            [SlotId(0)],
-            StageCost {
-                ratio: 1.0,
-                extra: SimTime::ZERO,
-            },
-            &mut cost,
-        );
-        assert_eq!(staged, 0);
-        assert_eq!(cost, SimTime::ZERO, "declined prestaging costs nothing");
-        assert_eq!(policy.backlog(), 1);
-    }
-
-    #[test]
     fn host_consume_returns_staged_decision() {
         let mut ic = Interconnect::pcie();
         let mut rt = runtime(&mut ic);
-        rt.stage_raw(SimTime::ZERO, &mut ic, SlotId(1), 99u64);
+        rt.stage(SimTime::ZERO, &mut ic, SlotId(1), 99u64);
         let slots = rt.slots();
         slots.host_invalidate(SimTime::from_us(1), &mut ic, SlotId(1));
         let (_c, got) = slots.host_consume(SimTime::from_us(2), &mut ic, SlotId(1));
@@ -1098,8 +826,8 @@ mod tests {
     fn dma_ship_staged_drains_slots_in_bulk() {
         let mut ic = Interconnect::pcie();
         let mut rt = dma_runtime(&mut ic);
-        rt.stage_raw(SimTime::ZERO, &mut ic, SlotId(1), 11u64);
-        rt.stage_raw(SimTime::ZERO, &mut ic, SlotId(5), 55u64);
+        rt.stage(SimTime::ZERO, &mut ic, SlotId(1), 11u64);
+        rt.stage(SimTime::ZERO, &mut ic, SlotId(5), 55u64);
         let before = ic.dma.transfers();
         let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64, DmaMode::Async);
         assert_eq!(ic.dma.transfers(), before + 1);

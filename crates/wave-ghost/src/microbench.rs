@@ -115,7 +115,7 @@ fn send_blocked(rt: &mut Runtime, ic: &mut Interconnect, now: SimTime, cpu: CpuI
 pub fn open_decision(placement: Placement, opts: OptLevel) -> SimTime {
     let (mut ic, mut rt, _cost) = test_rig(placement, opts);
     let t0 = SimTime::from_us(10);
-    let mut cost = rt.stage_raw(t0, &mut ic, SlotId(0), decision());
+    let mut cost = rt.stage(t0, &mut ic, SlotId(0), decision());
     let side = match placement {
         Placement::OnHost => wave_pcie::config::Side::Host,
         Placement::Offloaded => wave_pcie::config::Side::Nic,
@@ -151,7 +151,7 @@ pub fn context_switch(placement: Placement, opts: OptLevel) -> SimTime {
 
     if opts.prestage {
         // Agent staged the next decision earlier.
-        rt.stage_raw(SimTime::from_us(1), &mut ic, SlotId(cpu.0), decision());
+        rt.stage(SimTime::from_us(1), &mut ic, SlotId(cpu.0), decision());
         // Fast path: prefetch, kernel bookkeeping + message, consume,
         // commit, switch.
         let mut t = t0;
@@ -182,7 +182,7 @@ pub fn context_switch(placement: Placement, opts: OptLevel) -> SimTime {
     agent_t += polled.cpu;
     agent_t += ic.soc.access(opts.soc_pte(), cost_model.agent_state_words);
     agent_t += policy_compute;
-    agent_t += rt.stage_raw(agent_t, &mut ic, SlotId(cpu.0), decision());
+    agent_t += rt.stage(agent_t, &mut ic, SlotId(cpu.0), decision());
     let d = ic
         .msix
         .send(agent_t, MsixVector(0), MsixSendPath::Ioctl, side);

@@ -100,20 +100,23 @@ pub trait SchedPolicy: Send {
     }
 
     /// The preemption time slice, or `None` for run-to-completion.
+    /// Read once when the simulation is built; must be constant.
     fn time_slice(&self) -> Option<SimTime> {
         None
     }
 
     /// Host-reference CPU cost of one policy invocation (scaled by the
     /// agent's core class). Simple queue policies are cheap; ML policies
-    /// are not.
+    /// are not. Read once when the simulation is built; must be
+    /// constant.
     fn compute_cost(&self) -> SimTime {
         SimTime::from_ns(150)
     }
 
     /// Whether the policy wants to eagerly prestage decisions when the
     /// run queue is deep (§5.4 "the scheduler eagerly prestages decisions
-    /// when the run queue length is sufficiently deep").
+    /// when the run queue length is sufficiently deep"). Read once when
+    /// the simulation is built; must be constant.
     fn wants_prestaging(&self) -> bool {
         true
     }

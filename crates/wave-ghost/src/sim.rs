@@ -43,7 +43,7 @@
 
 use std::collections::BTreeMap;
 
-use wave_core::runtime::{AgentRuntime, ResourcePolicy, RuntimeConfig, SlotId, StageCost};
+use wave_core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
 use wave_core::shard_map::{
     FeedDemand, RebalanceConfig, RebalanceEvent, Rebalancer, ResourceMove, ShardMap,
 };
@@ -305,55 +305,23 @@ enum CoreState {
     Busy { tid: Tid, token: u64 },
 }
 
-/// One agent shard: its runtime bundle plus its policy instance.
+/// One agent shard: its runtime bundle, its policy instance, and the
+/// policy's constants, read once when the sim is built.
 struct Shard {
     rt: AgentRuntime<SchedMsg, SlotDecision>,
     policy: Box<dyn SchedPolicy>,
-}
-
-/// Adapts a [`SchedPolicy`] pick plus the host-side generation/txn state
-/// into the [`ResourcePolicy`] the runtime stages decisions through.
-struct PickProducer<'a> {
-    policy: &'a mut dyn SchedPolicy,
-    /// The arena the policy's intrusive queues are linked through.
-    threads: &'a mut ThreadTable,
-    gen: &'a GenerationTable,
-    next_txn: &'a mut u64,
-    /// `Some` restricts the pick to one SLO class (class-aware steal).
-    class: Option<SloClass>,
-}
-
-impl ResourcePolicy for PickProducer<'_> {
-    type Decision = SlotDecision;
-
-    fn produce(&mut self, now: SimTime, _slot: SlotId) -> Option<SlotDecision> {
-        let tid = match self.class {
-            Some(c) => self.policy.pick_class(self.threads, now, c)?,
-            None => self.policy.pick_next(self.threads, now)?,
-        };
-        // Thread vanished between message and pick; drop it.
-        let target = self.gen.snapshot(tid.0)?;
-        let txn = TxnId(*self.next_txn);
-        *self.next_txn += 1;
-        Some(SlotDecision {
-            txn,
-            tid,
-            target,
-            preempt: false,
-        })
-    }
-
-    fn compute_cost(&self) -> SimTime {
-        self.policy.compute_cost()
-    }
-
-    fn backlog(&self) -> usize {
-        self.policy.queue_depth()
-    }
-
-    fn wants_prestaging(&self) -> bool {
-        self.policy.wants_prestaging()
-    }
+    /// Agent cost of one pick: the policy's compute cost scaled to the
+    /// agent core, plus any scenario-specific extra (e.g.
+    /// OnHost-Schedule reading RPC headers over PCIe before it can
+    /// place the request).
+    pick_cost: SimTime,
+    /// Agent cost of handling one message: a cheap enqueue/remove, half
+    /// the policy's scaled compute cost.
+    msg_cost: SimTime,
+    /// [`SchedPolicy::time_slice`].
+    time_slice: Option<SimTime>,
+    /// [`SchedPolicy::wants_prestaging`].
+    prestage: bool,
 }
 
 /// The scheduling simulation model. Drive it with [`SchedSim::run`].
@@ -406,15 +374,11 @@ pub struct SchedSim {
     /// to `completions` for the fleet driver to drain window by window.
     log_completions: bool,
     completions: Vec<HostCompletion>,
-    agent_core: CoreClass,
     offloaded: bool,
     diag: Diag,
     stack_busy: Vec<SimTime>,
-    /// Reused candidate buffer for the prestage walk (keeps the pump
+    /// Reused wakeup buffer for the per-pump IRQ kicks (keeps the pump
     /// hot path allocation-free).
-    prestage_scratch: Vec<SlotId>,
-    /// Reused wakeup buffer for the per-pump IRQ kicks — same
-    /// rationale as `prestage_scratch`.
     kicked_scratch: Vec<(CpuId, SimTime)>,
     /// Reused message buffer the pump drains the queue into.
     msg_scratch: Vec<SchedMsg>,
@@ -478,6 +442,7 @@ impl SchedSim {
         // the same one the sharded memory manager applies to its batch
         // space — and only a rebalance commit ever changes it.
         let map = ShardMap::contiguous(cfg.workers as usize, cfg.agents);
+        let ratio = cfg.cpu.ratio(agent_core, WorkloadClass::ComputeBound) / cfg.nic_share;
         for (i, policy) in policies.into_iter().enumerate() {
             // Every shard's slot table spans all worker cores, indexed by
             // core id, so a core can change owners without re-mapping
@@ -496,7 +461,15 @@ impl SchedSim {
                 pickup: SimTime::from_ns(cfg.cost.agent_pickup_ns),
             };
             let rt = AgentRuntime::new(&mut ic, AgentId(i as u32), agent_core, cfg.cpu, &rcfg);
-            shards.push(Shard { rt, policy });
+            let compute = policy.compute_cost();
+            shards.push(Shard {
+                rt,
+                pick_cost: compute.scale(ratio) + cfg.agent_decision_extra,
+                msg_cost: compute.scale(ratio * 0.5),
+                time_slice: policy.time_slice(),
+                prestage: policy.wants_prestaging(),
+                policy,
+            });
         }
         assert!(
             cfg.phases.windows(2).all(|w| w[0] <= w[1]),
@@ -552,11 +525,9 @@ impl SchedSim {
             dropped: 0,
             log_completions: false,
             completions: Vec::new(),
-            agent_core,
             offloaded,
             diag: Diag::default(),
             stack_busy: vec![SimTime::ZERO; cfg.ingress.map_or(0, |i| i.stack_cores as usize)],
-            prestage_scratch: Vec::with_capacity(cfg.workers as usize),
             kicked_scratch: Vec::with_capacity(cfg.workers as usize),
             msg_scratch: Vec::with_capacity(64),
             class_scratch: Vec::new(),
@@ -763,11 +734,6 @@ impl SchedSim {
         let mut nic_cost = self.shards[si]
             .rt
             .poll_into(now, &mut self.ic, 64, &mut msgs);
-        let policy_ratio = self
-            .cfg
-            .cpu
-            .ratio(self.agent_core, WorkloadClass::ComputeBound)
-            / self.cfg.nic_share;
         // Policy bookkeeping words per handled event (run-queue nodes
         // etc.) pay the SoC mapping cost.
         for &msg in &msgs {
@@ -775,10 +741,7 @@ impl SchedSim {
             // cheap enqueue/remove; the full policy pick cost is paid at
             // staging time in `stage_pick`.
             nic_cost += self.ic.soc.access(self.cfg.opts.soc_pte(), 8);
-            nic_cost += self.shards[si]
-                .policy
-                .compute_cost()
-                .scale(policy_ratio * 0.5);
+            nic_cost += self.shards[si].msg_cost;
             if msg.makes_runnable() {
                 // A runnable message always refers to a live thread (a
                 // thread cannot die before its wakeup is consumed); a
@@ -824,7 +787,7 @@ impl SchedSim {
             // shard's queue, then (optionally, and only once the local
             // queue is truly empty) stolen from a sibling.
             let have = self.shards[si].rt.slots_ref().is_staged(SlotId(cpu.0))
-                || self.stage_pick(now, si, cpu, &mut nic_cost)
+                || self.stage_pick(now, si, si, None, cpu, &mut nic_cost)
                 || (self.cfg.steal
                     && self.shards[si].policy.queue_depth() == 0
                     && self.steal_pick(now, si, cpu, &mut nic_cost));
@@ -841,40 +804,26 @@ impl SchedSim {
         }
         self.kicked_scratch = kicked;
 
-        // Prestage one decision per busy core whose slot is empty (§5.4).
-        // The runtime consults the policy's wants_prestaging/backlog and
-        // walks the candidate slots in core order; the guard here only
-        // skips the candidate scan when prestaging could stage nothing.
-        if self.cfg.opts.prestage
-            && self.shards[si].policy.wants_prestaging()
-            && self.shards[si].policy.queue_depth() > 0
-        {
-            let mut candidates = std::mem::take(&mut self.prestage_scratch);
-            candidates.clear();
-            candidates.extend(
-                owned
-                    .iter()
-                    .filter(|&&c| matches!(self.cores[c as usize], CoreState::Busy { .. }))
-                    .map(|&c| SlotId(c)),
-            );
-            let stage_cost = self.stage_cost();
-            let shard = &mut self.shards[si];
-            let mut producer = PickProducer {
-                policy: shard.policy.as_mut(),
-                threads: &mut self.threads,
-                gen: &self.gen,
-                next_txn: &mut self.next_txn,
-                class: None,
-            };
-            shard.rt.prestage_with(
-                now,
-                &mut self.ic,
-                &mut producer,
-                candidates.iter().copied(),
-                stage_cost,
-                &mut nic_cost,
-            );
-            self.prestage_scratch = candidates;
+        // §5.4 eager prestaging: walk the busy cores in core order and
+        // stage one decision into each empty slot while the run queue
+        // has backlog. Prestages count as load events like kicked
+        // decisions: under heavy load nearly every decision is a
+        // prestage, and a rebalancer fed only the kick-path count would
+        // read a busy shard as idle.
+        if self.cfg.opts.prestage && self.shards[si].prestage {
+            for &c in &owned {
+                if !matches!(self.cores[c as usize], CoreState::Busy { .. }) {
+                    continue;
+                }
+                if self.shards[si].policy.queue_depth() == 0 {
+                    break;
+                }
+                if !self.shards[si].rt.slots_ref().is_staged(SlotId(c))
+                    && self.stage_pick(now, si, si, None, CpuId(c), &mut nic_cost)
+                {
+                    self.shards[si].rt.record_decision(now + nic_cost);
+                }
+            }
         }
         self.owned_cores[si] = owned;
 
@@ -884,24 +833,6 @@ impl SchedSim {
         if let Some(next) = self.shards[si].rt.next_visible_at() {
             let at = next.max(self.shards[si].rt.busy_until());
             self.schedule_agent_pump(sim, si, at);
-        }
-    }
-
-    /// Dequeues a thread from shard `si`'s policy and stages it for
-    /// `cpu`. Returns whether a decision was staged; accumulates agent
-    /// cost.
-    /// Pick-cost parameters shared by local picks and steals: the
-    /// agent-core scaling plus any scenario-specific extra (e.g.
-    /// OnHost-Schedule reading RPC headers over PCIe before it can place
-    /// the request).
-    fn stage_cost(&self) -> StageCost {
-        StageCost {
-            ratio: self
-                .cfg
-                .cpu
-                .ratio(self.agent_core, WorkloadClass::ComputeBound)
-                / self.cfg.nic_share,
-            extra: self.cfg.agent_decision_extra,
         }
     }
 
@@ -934,20 +865,49 @@ impl SchedSim {
         }
     }
 
-    fn stage_pick(&mut self, now: SimTime, si: usize, cpu: CpuId, nic_cost: &mut SimTime) -> bool {
-        let stage_cost = self.stage_cost();
-        let slot = SlotId(cpu.0);
-        let shard = &mut self.shards[si];
-        let mut producer = PickProducer {
-            policy: shard.policy.as_mut(),
-            threads: &mut self.threads,
-            gen: &self.gen,
-            next_txn: &mut self.next_txn,
-            class: None,
+    /// Builds a decision to run `tid`: snapshots its generation and
+    /// allocates a txn id. `None` if the thread vanished between message
+    /// and pick.
+    fn decision(&mut self, tid: Tid) -> Option<SlotDecision> {
+        let target = self.gen.snapshot(tid.0)?;
+        let txn = TxnId(self.next_txn);
+        self.next_txn += 1;
+        Some(SlotDecision {
+            txn,
+            tid,
+            target,
+            preempt: false,
+        })
+    }
+
+    /// Picks a thread from shard `victim`'s policy (restricted to
+    /// `class` for a class-aware steal) and stages it in shard `thief`'s
+    /// slot for `cpu` — `thief == victim` for a local pick. The pick
+    /// cost is charged whether or not a decision comes out, as real
+    /// agents pay it. Returns whether a decision was staged;
+    /// accumulates agent cost.
+    fn stage_pick(
+        &mut self,
+        now: SimTime,
+        thief: usize,
+        victim: usize,
+        class: Option<SloClass>,
+        cpu: CpuId,
+        nic_cost: &mut SimTime,
+    ) -> bool {
+        let shard = &mut self.shards[victim];
+        *nic_cost += shard.pick_cost;
+        let tid = match class {
+            Some(c) => shard.policy.pick_class(&mut self.threads, now, c),
+            None => shard.policy.pick_next(&mut self.threads, now),
         };
-        shard
+        let Some(d) = tid.and_then(|tid| self.decision(tid)) else {
+            return false;
+        };
+        *nic_cost += self.shards[thief]
             .rt
-            .stage_with(now, &mut self.ic, &mut producer, slot, stage_cost, nic_cost)
+            .stage(now + *nic_cost, &mut self.ic, SlotId(cpu.0), d);
+        true
     }
 
     /// Steal hook: shard `si` has an idle core and an empty run queue;
@@ -966,29 +926,8 @@ impl SchedSim {
         let Some((vi, class)) = steal_victim(policies, si, &mut self.class_scratch) else {
             return false;
         };
-        let stage_cost = self.stage_cost();
-        let slot = SlotId(cpu.0);
-        // Split-borrow the thief's runtime and the victim's policy.
-        let (lo, hi) = self.shards.split_at_mut(si.max(vi));
-        let (thief, victim_policy) = if si < vi {
-            (&mut lo[si], &mut hi[0].policy)
-        } else {
-            (&mut hi[0], &mut lo[vi].policy)
-        };
-        let mut producer = PickProducer {
-            policy: victim_policy.as_mut(),
-            threads: &mut self.threads,
-            gen: &self.gen,
-            next_txn: &mut self.next_txn,
-            class: Some(class),
-        };
-        let staged =
-            thief
-                .rt
-                .stage_with(now, &mut self.ic, &mut producer, slot, stage_cost, nic_cost);
-        if staged {
-            self.diag.steals += 1;
-        }
+        let staged = self.stage_pick(now, si, vi, Some(class), cpu, nic_cost);
+        self.diag.steals += staged as u64;
         staged
     }
 
@@ -1134,8 +1073,7 @@ impl SchedSim {
     /// either completion or an agent-side preemption check.
     fn begin_segment(&mut self, sim: &mut S, cpu: CpuId, tid: Tid, token: u64, start: SimTime) {
         let remaining = self.threads[tid].remaining;
-        let slice = self.shards[self.shard_of(cpu)].policy.time_slice();
-        match slice {
+        match self.shards[self.shard_of(cpu)].time_slice {
             Some(slice) if remaining > slice => {
                 // The agent tracks the slice and will preempt via MSI-X.
                 let at = start + slice;
@@ -1172,27 +1110,17 @@ impl SchedSim {
         let now = sim.now().max(self.shards[si].rt.busy_until());
         let mut nic_cost = SimTime::ZERO;
         // Pick the replacement (if any) and stage it.
-        let staged = self.stage_pick(now, si, cpu, &mut nic_cost);
-        if staged {
+        if self.stage_pick(now, si, si, None, cpu, &mut nic_cost) {
             self.diag.preempt_staged += 1;
         } else {
             // Queue empty: stage a self-requeue ("continue") decision.
             self.diag.preempt_extend += 1;
-            let Some(target) = self.gen.snapshot(tid.0) else {
+            let Some(d) = self.decision(tid) else {
                 return;
             };
-            let txn = TxnId(self.next_txn);
-            self.next_txn += 1;
-            let d = SlotDecision {
-                txn,
-                tid,
-                target,
-                preempt: false,
-            };
-            let slot = SlotId(cpu.0);
             nic_cost += self.shards[si]
                 .rt
-                .stage_raw(now + nic_cost, &mut self.ic, slot, d);
+                .stage(now + nic_cost, &mut self.ic, SlotId(cpu.0), d);
         }
         let (sender_cpu, handler_at) = self.kick(now + nic_cost, cpu);
         nic_cost += sender_cpu;
@@ -1599,6 +1527,95 @@ mod tests {
         cfg.max_outstanding = 500;
         let report = SchedSim::new(cfg, Box::new(FifoPolicy::new())).run();
         assert!(report.dropped > 0);
+    }
+
+    // --- Policy constants --------------------------------------------------
+
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// FIFO that counts reads of its constants (`compute_cost`,
+    /// `time_slice`, `wants_prestaging`, in that order) and may decline
+    /// prestaging.
+    struct Probe {
+        inner: FifoPolicy,
+        reads: Arc<[AtomicU64; 3]>,
+        prestage: bool,
+    }
+
+    impl Probe {
+        fn boxed(reads: &Arc<[AtomicU64; 3]>, prestage: bool) -> Box<dyn SchedPolicy> {
+            Box::new(Probe {
+                inner: FifoPolicy::new(),
+                reads: Arc::clone(reads),
+                prestage,
+            })
+        }
+    }
+
+    impl SchedPolicy for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn on_runnable(
+            &mut self,
+            threads: &mut ThreadTable,
+            now: SimTime,
+            tid: Tid,
+            meta: ThreadMeta,
+        ) {
+            self.inner.on_runnable(threads, now, tid, meta)
+        }
+        fn on_removed(&mut self, threads: &mut ThreadTable, now: SimTime, tid: Tid) {
+            self.inner.on_removed(threads, now, tid)
+        }
+        fn pick_next(&mut self, threads: &mut ThreadTable, now: SimTime) -> Option<Tid> {
+            self.inner.pick_next(threads, now)
+        }
+        fn queue_depth(&self) -> usize {
+            self.inner.queue_depth()
+        }
+        fn compute_cost(&self) -> SimTime {
+            self.reads[0].fetch_add(1, Ordering::Relaxed);
+            self.inner.compute_cost()
+        }
+        fn time_slice(&self) -> Option<SimTime> {
+            self.reads[1].fetch_add(1, Ordering::Relaxed);
+            self.inner.time_slice()
+        }
+        fn wants_prestaging(&self) -> bool {
+            self.reads[2].fetch_add(1, Ordering::Relaxed);
+            self.prestage
+        }
+    }
+
+    #[test]
+    fn policy_constants_are_read_once_per_shard() {
+        let mut cfg = sharded_cfg(8, 4, 120_000.0);
+        cfg.workload = WorkloadSpec::poisson(ServiceMix::paper_bimodal(), 120_000.0);
+        cfg.steal = true;
+        assert!(cfg.opts.prestage);
+        let reads = Arc::new([0, 0, 0].map(AtomicU64::new));
+        let r = SchedSim::with_policy_factory(cfg, |_| Probe::boxed(&reads, true)).run();
+        // Both pick paths ran: steals and prestaged idle transitions.
+        assert!(r.diag.steals > 0, "{:?}", r.diag);
+        assert!(r.diag.complete_hit > 0, "{:?}", r.diag);
+        let reads = reads.each_ref().map(|n| n.load(Ordering::Relaxed));
+        assert_eq!(
+            reads,
+            [4, 4, 4],
+            "compute_cost, time_slice, wants_prestaging"
+        );
+    }
+
+    #[test]
+    fn declined_prestaging_never_hits() {
+        let cfg = quick_cfg(Placement::Offloaded, OptLevel::full(), 150_000.0);
+        let reads = Arc::new([0, 0, 0].map(AtomicU64::new));
+        let declined = SchedSim::new(cfg.clone(), Probe::boxed(&reads, false)).run();
+        assert_eq!(declined.diag.complete_hit, 0, "{:?}", declined.diag);
+        let stock = SchedSim::new(cfg, Box::new(FifoPolicy::new())).run();
+        assert!(stock.diag.complete_hit > 0, "{:?}", stock.diag);
     }
 
     // --- Sharding ----------------------------------------------------------

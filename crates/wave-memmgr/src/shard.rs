@@ -255,7 +255,7 @@ impl MemShard {
                 batch: b as u32,
                 hot,
             };
-            stage_cpu += rt.stage_raw(stage_at + stage_cpu, ic, SlotId(b as u32), d);
+            stage_cpu += rt.stage(stage_at + stage_cpu, ic, SlotId(b as u32), d);
             rt.record_decision(stage_at + stage_cpu);
         }
         rt.run_raw(stage_at, stage_cpu);

@@ -80,17 +80,6 @@ impl CpuModel {
         }
     }
 
-    /// An idealized NIC whose cores match the host — useful in tests to
-    /// isolate interconnect effects from compute effects.
-    pub fn equal_cores() -> Self {
-        CpuModel {
-            nic_compute_ratio: 1.0,
-            nic_membound_ratio: 1.0,
-            nic_frequency_scale: 1.0,
-            nic_cores: 16,
-        }
-    }
-
     /// Returns a copy with the NIC clocked at `ghz` instead of the nominal
     /// 3 GHz (the §7.3.3 frequency sweep).
     pub fn with_nic_ghz(mut self, ghz: f64) -> Self {

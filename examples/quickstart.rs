@@ -76,7 +76,7 @@ pub fn run() -> SimTime {
     );
     let target = kernel.snapshot(polled.items[0]).expect("thread exists");
     let mut agent_t = pump_at + polled.cpu;
-    agent_t += rt.stage_raw(agent_t, &mut ic, core, target);
+    agent_t += rt.stage(agent_t, &mut ic, core, target);
     rt.record_decision(agent_t);
     let kick = ic
         .msix

@@ -66,7 +66,7 @@ fn commit(
     tid: u64,
 ) -> SimTime {
     let target = kernel.snapshot(tid).expect("kernel has the thread");
-    let staged = now + rt.stage_raw(now, ic, slot, target);
+    let staged = now + rt.stage(now, ic, slot, target);
     rt.record_decision(staged);
     ic.msix
         .send(staged, MsixVector(slot.0), MsixSendPath::Ioctl, Side::Nic)
@@ -96,7 +96,7 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
     // read yet, then crashes (fault injection). No more heartbeats.
     let t2 = SimTime::from_ms(2);
     let observed = kernel.snapshot(5).expect("kernel has the thread");
-    rt.stage_raw(t2, &mut ic, SlotId(1), observed);
+    rt.stage(t2, &mut ic, SlotId(1), observed);
     rt.agent_mut().crash();
     let t_detect = SimTime::from_ms(25);
     assert!(
