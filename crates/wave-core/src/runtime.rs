@@ -104,7 +104,7 @@
 //! ```
 
 use wave_pcie::config::Side;
-use wave_pcie::{DmaDirection, DmaMode, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
+use wave_pcie::{DmaDirection, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
 use wave_queue::{PollOutcome, Transport, WaveQueue};
 use wave_sim::cpu::{CoreClass, CpuModel};
 use wave_sim::SimTime;
@@ -617,16 +617,11 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         now: SimTime,
         ic: &mut Interconnect,
         wire_bytes: u64,
-        mode: DmaMode,
     ) -> DmaShipment<D> {
         let decisions = self.slots.drain_staged();
-        let t = ic.dma.transfer(
-            now,
-            wire_bytes.max(64),
-            DmaDirection::NicToHost,
-            mode,
-            Side::Nic,
-        );
+        let t = ic
+            .dma
+            .transfer(now, wire_bytes.max(64), DmaDirection::NicToHost, Side::Nic);
         DmaShipment {
             decisions,
             initiator_cpu: t.initiator_cpu,
@@ -781,7 +776,7 @@ mod tests {
             msg_words: 8,
             decision_words: 6,
             slots: 8,
-            msg_transport: Transport::Dma(DmaMode::Async),
+            msg_transport: Transport::Dma,
             wire_bytes_per_msg: Some(8),
             msg_pte: PteType::WriteCombining,
             decision_pte: PteType::WriteThrough,
@@ -801,7 +796,7 @@ mod tests {
     fn dma_transport_batches_ingest() {
         let mut ic = Interconnect::pcie();
         let mut rt = dma_runtime(&mut ic);
-        assert_eq!(rt.msg_transport(), Transport::Dma(DmaMode::Async));
+        assert_eq!(rt.msg_transport(), Transport::Dma);
         for v in 0..500u64 {
             let (_cost, ok) = rt.host_send(SimTime::ZERO, &mut ic, v);
             assert!(ok);
@@ -829,7 +824,7 @@ mod tests {
         rt.stage(SimTime::ZERO, &mut ic, SlotId(1), 11u64);
         rt.stage(SimTime::ZERO, &mut ic, SlotId(5), 55u64);
         let before = ic.dma.transfers();
-        let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64, DmaMode::Async);
+        let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64);
         assert_eq!(ic.dma.transfers(), before + 1);
         assert_eq!(ship.decisions, vec![(SlotId(1), 11), (SlotId(5), 55)]);
         assert!(ship.complete_at > SimTime::from_us(1));
@@ -837,7 +832,7 @@ mod tests {
         let (hits, _) = rt.slots_ref().hit_miss();
         assert_eq!(hits, 2, "bulk consume counts as host hits");
         // An empty shipment still moves its header.
-        let empty = rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64, DmaMode::Async);
+        let empty = rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64);
         assert!(empty.decisions.is_empty());
         assert_eq!(ic.dma.transfers(), before + 2);
     }

@@ -8,8 +8,8 @@
 //!
 //! * [`ThreadTable`] — a generational slab arena. Thread state lives in
 //!   one dense `Vec<ThreadSlot>`; a [`Tid`] packs the slot index (low 32
-//!   bits) with a per-slot generation (high 32 bits), mirroring the
-//!   engine's `EventId` scheme. Lookup is an index plus a generation
+//!   bits) with a per-slot generation (high 32 bits), so a handle to a
+//!   retired thread goes stale. Lookup is an index plus a generation
 //!   compare — no hashing, no probing — and a retired thread's slot is
 //!   recycled through a free list, so steady state performs zero
 //!   allocations.

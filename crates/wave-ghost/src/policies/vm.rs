@@ -46,15 +46,12 @@ impl VmPolicy {
     }
 
     /// The paper's configuration: quanta in the 5–10 ms range; we use the
-    /// midpoint 7.5 ms, preemptible at 1 ms boundaries via
-    /// [`VmPolicy::preemption_granularity`].
+    /// midpoint 7.5 ms as the time slice. A running vCPU is preempted
+    /// only when that slice expires, and then queues behind the vCPUs
+    /// with less accounted runtime; nothing preempts it at the paper's
+    /// 1 ms granularity.
     pub fn paper_default() -> Self {
         Self::new(SimTime::from_us(7_500))
-    }
-
-    /// The 1 ms preemption granularity of the paper's policy.
-    pub fn preemption_granularity() -> SimTime {
-        SimTime::from_ms(1)
     }
 
     /// Records `ran` of CPU time for a vCPU (called by the enforcement

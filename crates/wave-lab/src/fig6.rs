@@ -46,14 +46,6 @@ impl Fig6Config {
         }
     }
 
-    /// Full-fidelity Fig. 6b.
-    pub fn multi_queue_paper() -> Self {
-        Fig6Config {
-            kind: SchedulerKind::MultiQueueSlo,
-            ..Self::single_queue_paper()
-        }
-    }
-
     /// CI-speed Fig. 6b.
     pub fn multi_queue_quick() -> Self {
         Fig6Config {

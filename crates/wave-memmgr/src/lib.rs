@@ -7,8 +7,6 @@
 //! Beta prior, scans access bits on a per-batch frequency ladder
 //! (600 ms … 9.6 s), and migrates between tiers once per 38.4 s epoch.
 //!
-//! * [`pagetable`] — address spaces, PTEs with access/dirty bits, batch
-//!   views, scan costs (TLB flush per batch).
 //! * [`sol`] — the SOL policy proper: per-batch Beta posterior, Thompson
 //!   classification, the scan-frequency ladder, epoch migration. Runs
 //!   for real against the [`wave_kvstore::DbFootprint`] workload model.
@@ -26,12 +24,10 @@
 //!   K>1 fans out on real OS threads, and per-shard iteration costs
 //!   merge with explicit serial/parallel phase attribution.
 
-pub mod pagetable;
 pub mod runner;
 pub mod shard;
 pub mod sol;
 
-pub use pagetable::{AddressSpace, BatchId, PageFlags};
 pub use runner::{IterationCost, MigrationDecision, PteDelta, RunnerConfig};
 pub use shard::{sharded_iteration_cost, ShardedCost, ShardedSolRunner};
 pub use sol::{SolConfig, SolPolicy, SolStats};

@@ -42,7 +42,7 @@
 
 use wave_core::runtime::RuntimeConfig;
 use wave_pcie::config::Side;
-use wave_pcie::{DmaDirection, DmaMode, Interconnect, PteType, SocPteMode};
+use wave_pcie::{DmaDirection, Interconnect, PteType, SocPteMode};
 use wave_queue::Transport;
 use wave_sim::cpu::{CoreClass, CpuModel, WorkloadClass};
 use wave_sim::SimTime;
@@ -133,7 +133,6 @@ impl RunnerConfig {
             SimTime::ZERO,
             wire.max(64),
             DmaDirection::HostToNic,
-            DmaMode::Async,
             Side::Host,
         );
         let dma_in = t_in.complete_at;
@@ -143,7 +142,6 @@ impl RunnerConfig {
             dma_in + scan + classify,
             (wire / 4).max(64),
             DmaDirection::NicToHost,
-            DmaMode::Async,
             Side::Nic,
         );
         let dma_out = t_out.complete_at - (dma_in + scan + classify);
@@ -166,7 +164,7 @@ impl RunnerConfig {
             msg_words: self.wire_bytes_per_batch.div_ceil(8).max(1),
             decision_words: 2,
             slots: n as u32,
-            msg_transport: Transport::Dma(DmaMode::Async),
+            msg_transport: Transport::Dma,
             wire_bytes_per_msg: Some(self.wire_bytes_per_batch),
             msg_pte: PteType::WriteCombining,
             decision_pte: PteType::WriteThrough,
@@ -343,7 +341,7 @@ mod tests {
         let (hits, _) = rt.slots_ref().hit_miss();
         assert_eq!(hits, shipped);
         assert_eq!(rt.decisions(), shipped);
-        assert_eq!(rt.msg_transport(), Transport::Dma(DmaMode::Async));
+        assert_eq!(rt.msg_transport(), Transport::Dma);
     }
 
     #[test]

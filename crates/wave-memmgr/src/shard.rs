@@ -77,7 +77,7 @@ use wave_core::shard_map::{
 use wave_core::workload::{MemPhase, MemPhaseSource};
 use wave_core::AgentId;
 use wave_kvstore::DbFootprint;
-use wave_pcie::{DmaMode, Interconnect};
+use wave_pcie::Interconnect;
 use wave_sim::cpu::CpuModel;
 use wave_sim::par::par_map_mut;
 use wave_sim::SimTime;
@@ -264,7 +264,7 @@ impl MemShard {
         // only a subset migrates, so the decision stream is ~4:1
         // smaller than the ingest (<1 ms per the paper).
         let ship_at = arrive + scan + classify;
-        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64), DmaMode::Async);
+        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64));
         self.shipped += shipment.decisions.len() as u64;
         self.last_shipment = shipment.decisions.iter().map(|&(_, d)| d).collect();
         let dma_out = shipment.complete_at - ship_at;

@@ -6,10 +6,9 @@
 //! manager's page-table-entry shipments (§4.2) need 1+ Gbps — while
 //! µs-scale traffic uses MMIO.
 //!
-//! Following iPipe's measurements (2–7× speedup for asynchronous DMA,
-//! quoted in §5.1), the engine supports both [`DmaMode::Sync`] (the
-//! initiator blocks until completion) and [`DmaMode::Async`] (the
-//! initiator pays only the doorbell cost and later observes completion).
+//! Every transfer is asynchronous, the mode iPipe measured 2–7× faster
+//! (quoted in §5.1): the initiator pays only the doorbell writes and
+//! later observes completion at [`DmaTransfer::complete_at`].
 //! A single engine serializes transfers, so queueing delay emerges under
 //! load — but *only* under genuine overlap: a transfer issued after the
 //! engine drains sees no queueing, which is what lets periodic callers
@@ -28,22 +27,10 @@ pub enum DmaDirection {
     NicToHost,
 }
 
-/// Whether the initiating core blocks for completion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum DmaMode {
-    /// Initiator blocks until the transfer completes.
-    Sync,
-    /// Initiator continues after ringing the doorbell; completion is
-    /// observed via polling or an event.
-    #[default]
-    Async,
-}
-
 /// A scheduled DMA transfer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DmaTransfer {
-    /// CPU time consumed on the initiating core (doorbell writes, plus
-    /// the blocking wait for [`DmaMode::Sync`]).
+    /// CPU time consumed on the initiating core: the doorbell writes.
     pub initiator_cpu: SimTime,
     /// Absolute time at which the data is fully visible on the receiving
     /// side.
@@ -78,7 +65,8 @@ impl DmaEngine {
         }
     }
 
-    /// Initiates a transfer of `bytes` at `now` from `initiator`.
+    /// Initiates a transfer of `bytes` at `now` from `initiator`, which
+    /// pays the doorbell setup and continues.
     ///
     /// The engine serializes transfers: if it is still busy, the new
     /// transfer starts when the previous one drains.
@@ -87,7 +75,6 @@ impl DmaEngine {
         now: SimTime,
         bytes: u64,
         direction: DmaDirection,
-        mode: DmaMode,
         initiator: Side,
     ) -> DmaTransfer {
         let doorbell_word_ns = match initiator {
@@ -101,12 +88,8 @@ impl DmaEngine {
         self.busy_until = complete_at;
         self.transfers += 1;
         self.bytes_moved += bytes;
-        let initiator_cpu = match mode {
-            DmaMode::Sync => complete_at.saturating_sub(now),
-            DmaMode::Async => setup,
-        };
         DmaTransfer {
-            initiator_cpu,
+            initiator_cpu: setup,
             complete_at,
             bytes,
             direction,
@@ -140,69 +123,16 @@ mod tests {
     #[test]
     fn async_initiator_pays_setup_only() {
         let mut e = engine();
-        let t = e.transfer(
-            SimTime::ZERO,
-            4096,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t = e.transfer(SimTime::ZERO, 4096, DmaDirection::HostToNic, Side::Host);
         assert_eq!(t.initiator_cpu, SimTime::from_ns(3 * 50));
         assert!(t.complete_at > t.initiator_cpu);
     }
 
     #[test]
-    fn sync_initiator_blocks_to_completion() {
-        let mut e = engine();
-        let t = e.transfer(
-            SimTime::ZERO,
-            4096,
-            DmaDirection::NicToHost,
-            DmaMode::Sync,
-            Side::Nic,
-        );
-        assert_eq!(SimTime::ZERO + t.initiator_cpu, t.complete_at);
-    }
-
-    #[test]
-    fn async_is_cheaper_than_sync_for_initiator() {
-        // The iPipe observation: async DMA frees the initiating core.
-        let mut e1 = engine();
-        let mut e2 = engine();
-        let a = e1.transfer(
-            SimTime::ZERO,
-            1 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
-        let s = e2.transfer(
-            SimTime::ZERO,
-            1 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Sync,
-            Side::Host,
-        );
-        assert!(s.initiator_cpu.as_ns() > 5 * a.initiator_cpu.as_ns());
-    }
-
-    #[test]
     fn engine_serializes_transfers() {
         let mut e = engine();
-        let t1 = e.transfer(
-            SimTime::ZERO,
-            1 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
-        let t2 = e.transfer(
-            SimTime::ZERO,
-            64,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t1 = e.transfer(SimTime::ZERO, 1 << 20, DmaDirection::HostToNic, Side::Host);
+        let t2 = e.transfer(SimTime::ZERO, 64, DmaDirection::HostToNic, Side::Host);
         assert!(
             t2.complete_at > t1.complete_at,
             "second transfer queues behind first"
@@ -218,22 +148,10 @@ mod tests {
         // drains in between must see identical relative latencies —
         // queueing delay exists only under genuine overlap.
         let mut e = engine();
-        let t1 = e.transfer(
-            SimTime::ZERO,
-            1 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t1 = e.transfer(SimTime::ZERO, 1 << 20, DmaDirection::HostToNic, Side::Host);
         let later = SimTime::from_ms(600);
         assert!(e.busy_until() < later, "engine drained between periods");
-        let t2 = e.transfer(
-            later,
-            1 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t2 = e.transfer(later, 1 << 20, DmaDirection::HostToNic, Side::Host);
         assert_eq!(t2.complete_at - later, t1.complete_at, "no queueing");
     }
 
@@ -242,22 +160,10 @@ mod tests {
         // Doubling bytes should roughly double transfer time for large
         // payloads.
         let mut e = engine();
-        let t1 = e.transfer(
-            SimTime::ZERO,
-            10 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t1 = e.transfer(SimTime::ZERO, 10 << 20, DmaDirection::HostToNic, Side::Host);
         let d1 = t1.complete_at;
         let mut e = engine();
-        let t2 = e.transfer(
-            SimTime::ZERO,
-            20 << 20,
-            DmaDirection::HostToNic,
-            DmaMode::Async,
-            Side::Host,
-        );
+        let t2 = e.transfer(SimTime::ZERO, 20 << 20, DmaDirection::HostToNic, Side::Host);
         let d2 = t2.complete_at;
         let ratio = d2.as_ns() as f64 / d1.as_ns() as f64;
         assert!((ratio - 2.0).abs() < 0.1, "ratio {ratio}");

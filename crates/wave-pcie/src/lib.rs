@@ -30,8 +30,8 @@
 //!   (`clflush` on MSI-X receipt, §5.3.2) runs.
 //! * **Prefetching** (§5.4) issues a non-blocking fill whose completion
 //!   time is tracked, so a read issued early enough is free.
-//! * **DMA** ([`dma::DmaEngine`]) provides high-throughput transfers with
-//!   MMIO doorbell setup costs, synchronous and asynchronous modes.
+//! * **DMA** ([`dma::DmaEngine`]) provides high-throughput asynchronous
+//!   transfers with MMIO doorbell setup costs.
 //! * **MSI-X** ([`msix::MsixController`]) delivers interrupts with the
 //!   Table 2 latencies.
 //! * **Coherent mode** ([`PcieConfig::coherent_upi`]) models the §7.3.3
@@ -50,7 +50,7 @@ pub mod pte;
 pub mod soc;
 
 pub use config::{InterconnectKind, PcieConfig};
-pub use dma::{DmaDirection, DmaEngine, DmaMode, DmaTransfer};
+pub use dma::{DmaDirection, DmaEngine, DmaTransfer};
 pub use mmio::{HostMmio, LineAddr, ReadOutcome, RegionId, WriteOutcome};
 pub use msix::{MsixController, MsixDelivery, MsixSendPath, MsixVector, MsixVectorTable};
 pub use pte::PteType;

@@ -17,8 +17,7 @@
 //!   SmartNIC DRAM and are written by the host through
 //!   [`wave_pcie::HostMmio`], so write-combining buffers hide entries
 //!   until a fence. DMA queues stage entries locally and ship them in
-//!   batches through [`wave_pcie::DmaEngine`], synchronously or
-//!   asynchronously.
+//!   asynchronous batches through [`wave_pcie::DmaEngine`].
 //! * **Lazy head synchronization** (after iPipe): the producer learns the
 //!   consumer's progress only from a periodically-published head pointer,
 //!   avoiding a PCIe round trip per push; it pays the expensive head read

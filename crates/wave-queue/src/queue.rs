@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use wave_pcie::config::Side;
-use wave_pcie::{DmaDirection, DmaMode, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
+use wave_pcie::{DmaDirection, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
 use wave_sim::SimTime;
 
 /// Backing transport for a queue (the paper's `SET_QUEUE_TYPE`).
@@ -13,8 +13,9 @@ pub enum Transport {
     /// MMIO with the region's PTE type. Low latency, low throughput.
     Mmio,
     /// Entries are staged locally and shipped in batches by the DMA
-    /// engine. High throughput, higher latency.
-    Dma(DmaMode),
+    /// engine; the producer pays only the doorbell. High throughput,
+    /// higher latency.
+    Dma,
 }
 
 /// Why a push failed.
@@ -252,7 +253,7 @@ impl<T> WaveQueue<T> {
                     visible_at: w.visible_at,
                 }
             }
-            Transport::Dma(_) => {
+            Transport::Dma => {
                 // Stage locally: a couple of ns per word.
                 PushOutcome {
                     cpu: SimTime::from_ns(2 * self.entry_words),
@@ -283,7 +284,7 @@ impl<T> WaveQueue<T> {
                 }
                 f.cpu
             }
-            Transport::Dma(mode) => {
+            Transport::Dma => {
                 let pending = self
                     .entries
                     .iter()
@@ -298,7 +299,7 @@ impl<T> WaveQueue<T> {
                 };
                 let t = ic
                     .dma
-                    .transfer(now, bytes, DmaDirection::HostToNic, mode, Side::Host);
+                    .transfer(now, bytes, DmaDirection::HostToNic, Side::Host);
                 for slot in &mut self.entries {
                     if slot.visible_at == SimTime::MAX {
                         slot.visible_at = t.complete_at;
@@ -451,7 +452,7 @@ mod tests {
         let mut ic = Interconnect::pcie();
         let mut q = WaveQueue::<u64>::new(
             &mut ic,
-            Transport::Dma(DmaMode::Async),
+            Transport::Dma,
             1024,
             8,
             PteType::Uncacheable,
@@ -462,7 +463,7 @@ mod tests {
             assert_eq!(out.visible_at, None, "DMA entries stage locally");
         }
         let cpu = q.flush(SimTime::ZERO, &mut ic);
-        // Async: producer pays only the doorbell.
+        // The producer pays only the doorbell.
         assert!(cpu < SimTime::from_us(1));
         let complete = ic.dma.busy_until();
         let early = q.poll_nic(complete - SimTime::from_ns(10), &mut ic, 256);
@@ -478,7 +479,7 @@ mod tests {
         let mk = |ic: &mut Interconnect, wire: Option<u64>| {
             let mut q = WaveQueue::<u64>::new(
                 ic,
-                Transport::Dma(DmaMode::Async),
+                Transport::Dma,
                 1024,
                 8,
                 PteType::Uncacheable,
@@ -510,26 +511,6 @@ mod tests {
         min.push(SimTime::ZERO, &mut ic_min, 1).unwrap();
         min.flush(SimTime::ZERO, &mut ic_min);
         assert_eq!(ic_min.dma.bytes_moved(), 64);
-    }
-
-    #[test]
-    fn dma_sync_blocks_producer() {
-        // The host producer of a synchronous DMA queue waits out the
-        // whole transfer inside `flush`.
-        let mut ic = Interconnect::pcie();
-        let mut q = WaveQueue::<u64>::new(
-            &mut ic,
-            Transport::Dma(DmaMode::Sync),
-            1024,
-            8,
-            PteType::Uncacheable,
-            SocPteMode::WriteBack,
-        );
-        for v in 0..1000u64 {
-            q.push(SimTime::ZERO, &mut ic, v).unwrap();
-        }
-        let cpu = q.flush(SimTime::ZERO, &mut ic);
-        assert!(cpu > SimTime::from_us(1), "sync DMA blocks: {cpu}");
     }
 
     #[test]

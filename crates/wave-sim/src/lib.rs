@@ -8,9 +8,12 @@
 //! The engine is deliberately minimal and fully deterministic:
 //!
 //! * [`SimTime`] is virtual time in integer nanoseconds.
-//! * [`Sim`] is a binary-heap event loop generic over a user-supplied
-//!   model type `M`; events are boxed `FnOnce(&mut M, &mut Sim<M>)`
-//!   closures ordered by `(time, sequence-number)`.
+//! * [`Sim`] is an event loop generic over a user-supplied model type
+//!   `M`; events are `FnOnce(&mut M, &mut Sim<M>)` closures, fired in
+//!   `(time, sequence-number)` order up to an optional horizon. They sit
+//!   in a timer wheel and a recycled closure pool (see [`engine`]), so a
+//!   steady-state simulation does not allocate per event. Events cannot
+//!   be cancelled; a model drops a stale timer with its own token.
 //! * [`dist`] provides the random distributions the experiments need
 //!   (exponential inter-arrivals, Zipf, Gamma/Beta for SOL's Thompson
 //!   sampling) built on a seeded [`rand::rngs::SmallRng`].
@@ -33,7 +36,7 @@
 //! sim.schedule(SimTime::from_us(1), |m: &mut Model, s| {
 //!     m.fired += 1;
 //!     // Events may schedule further events.
-//!     s.schedule_in(SimTime::from_us(1), |m: &mut Model, _s| m.fired += 1);
+//!     s.schedule(s.now() + SimTime::from_us(1), |m: &mut Model, _s| m.fired += 1);
 //! });
 //! let mut model = Model { fired: 0 };
 //! sim.run(&mut model);
@@ -50,7 +53,7 @@ pub mod stats;
 pub mod time;
 pub mod turbo;
 
-pub use engine::{EventId, Sim};
+pub use engine::Sim;
 pub use time::SimTime;
 
 /// Convenience constructor for the deterministic RNG used across the

@@ -1,92 +1,34 @@
 //! Pop-order equivalence: timer wheel vs. reference binary heap.
 //!
 //! The engine's correctness contract is exact `(time, seq)` execution
-//! order — two events at the same instant fire in scheduling order, and
-//! a cancelled event fires never, regardless of where its entry happens
-//! to sit (run heap, wheel bucket, overflow heap). This suite drives the
-//! real [`wave_sim::Sim`] and a deliberately naive reference model (one
-//! global `BinaryHeap` plus a cancelled-set — the engine's pre-wheel
-//! design) through identical random schedule/cancel/step interleavings
-//! and asserts the execution logs are identical, element by element.
+//! order up to and including the horizon — two events at the same
+//! instant fire in scheduling order, regardless of where their entries
+//! happen to sit (run heap, wheel bucket, overflow heap). This suite
+//! drives the real [`wave_sim::Sim`] and a deliberately naive reference
+//! model (one global `BinaryHeap`, the engine's pre-wheel design) through
+//! identical random interleavings of scheduling and run-to-horizon
+//! windows — `set_horizon` + `run`, the way `SchedSim`'s stepper and the
+//! fleet lanes drive their hosts — and asserts after every window that
+//! the execution logs, the clocks and the executed-event counts are
+//! identical.
 //!
 //! Delta distribution is chosen to stress every routing path: zero
 //! deltas (same-instant ties), sub-slot deltas, deltas around one wheel
 //! slot, deltas around the full wheel span (overflow boundary), and
-//! far-future deltas (deep overflow + window jumps). Cancels target
-//! arbitrary outstanding ids, including ones already migrated into the
-//! drain heap, and ids that already fired (must be a no-op).
+//! far-future deltas (deep overflow + window jumps). Horizons are drawn
+//! from the same deltas, so events land exactly on a horizon. Fired
+//! events schedule children, some of them in the past (clamped to now)
+//! while their bucket drains.
 
 // The reference model *is* the old std-collections design; the hot-crate
 // disallowed-types gate does not apply to it.
 #![allow(clippy::disallowed_types)]
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use proptest::prelude::*;
 use wave_sim::{Sim, SimTime};
-
-/// Execution log: `(time_ns, schedule_index)` per fired event.
-#[derive(Default)]
-struct Log(Vec<(u64, u64)>);
-
-/// The pre-wheel engine, distilled: a max-heap of `Reverse<(time, seq)>`
-/// with lazy cancellation. Trusted by inspection.
-#[derive(Default)]
-struct RefModel {
-    now: u64,
-    heap: BinaryHeap<Reverse<(u64, u64)>>,
-    cancelled: HashSet<u64>,
-    log: Vec<(u64, u64)>,
-    executed: u64,
-}
-
-impl RefModel {
-    fn schedule(&mut self, at: u64, seq: u64) {
-        self.heap.push(Reverse((at.max(self.now), seq)));
-    }
-
-    fn cancel(&mut self, seq: u64) {
-        self.cancelled.insert(seq);
-    }
-
-    /// Mirrors `Sim::step`: reclaiming a cancelled entry counts against
-    /// `n` without executing or advancing the clock.
-    fn step(&mut self, n: u64) {
-        for _ in 0..n {
-            let Some(Reverse((at, seq))) = self.heap.pop() else {
-                break;
-            };
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            self.now = at;
-            self.log.push((at, seq));
-            self.executed += 1;
-        }
-    }
-
-    fn run(&mut self) {
-        self.step(u64::MAX);
-    }
-}
-
-/// SplitMix64 — operand stream derived deterministically from one seed.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
 
 /// Deltas spanning every queue tier: ties, intra-slot, slot-scale,
 /// span-boundary (the wheel covers 512 × 128 ns = 65536 ns), and deep
@@ -96,114 +38,171 @@ const DELTAS: [u64; 12] = [
     1, 100, 127, 128, 129, 5_000, 65_535, 65_536, 65_537, 10_000_000,
 ];
 
+/// SplitMix64 finaliser.
+fn mix(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Operand stream derived deterministically from one seed.
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, bound: u64) -> u64 {
+        self.0 = mix(self.0);
+        self.0 % bound.max(1)
+    }
+
+    fn delta(&mut self) -> u64 {
+        // Jitter occasionally hits arbitrary offsets.
+        DELTAS[self.below(DELTAS.len() as u64) as usize] + self.below(4)
+    }
+}
+
+/// The child a fired event `label` schedules at `now`, as `(at, label)`:
+/// a quarter of events schedule one, half of those in the past.
+fn child(label: u64, now: u64) -> Option<(u64, u64)> {
+    let h = mix(label);
+    let at = match h % 8 {
+        0 => now + DELTAS[(h >> 8) as usize % DELTAS.len()] + (h >> 16) % 4,
+        1 => now.saturating_sub((h >> 8) % 300),
+        _ => return None,
+    };
+    Some((at, h))
+}
+
+/// Execution log: `(time_ns, label)` per fired event.
+#[derive(Default)]
+struct Log(Vec<(u64, u64)>);
+
+fn fire(m: &mut Log, s: &mut Sim<Log>, label: u64) {
+    let now = s.now().as_ns();
+    m.0.push((now, label));
+    if let Some((at, label)) = child(label, now) {
+        s.schedule(SimTime::from_ns(at), move |m, s| fire(m, s, label));
+    }
+}
+
+/// The pre-wheel engine, distilled: a max-heap of `Reverse<(time, seq,
+/// label)>` with the same clamp and horizon rules. Trusted by inspection.
+#[derive(Default)]
+struct RefModel {
+    now: u64,
+    seq: u64,
+    heap: BinaryHeap<Reverse<(u64, u64, u64)>>,
+    log: Vec<(u64, u64)>,
+    executed: u64,
+}
+
+impl RefModel {
+    fn schedule(&mut self, at: u64, label: u64) {
+        self.heap.push(Reverse((at.max(self.now), self.seq, label)));
+        self.seq += 1;
+    }
+
+    /// Mirrors `Sim::run` under `horizon`: events at or before it fire;
+    /// the clock stops at the horizon if an event lies beyond it.
+    fn run(&mut self, horizon: u64) -> u64 {
+        let start = self.executed;
+        while let Some(&Reverse((at, _, label))) = self.heap.peek() {
+            if at > horizon {
+                self.now = horizon;
+                break;
+            }
+            self.heap.pop();
+            self.now = at;
+            self.log.push((at, label));
+            self.executed += 1;
+            if let Some((at, label)) = child(label, at) {
+                self.schedule(at, label);
+            }
+        }
+        self.executed - start
+    }
+}
+
+/// The engine under test and the reference, driven in lock-step.
+#[derive(Default)]
+struct Pair {
+    sim: Sim<Log>,
+    log: Log,
+    reference: RefModel,
+    labels: u64,
+}
+
+impl Pair {
+    fn schedule(&mut self, at: u64) {
+        let label = self.labels;
+        self.labels += 1;
+        self.sim
+            .schedule(SimTime::from_ns(at), move |m, s| fire(m, s, label));
+        self.reference.schedule(at, label);
+    }
+
+    /// Runs both engines to `horizon` and checks they agree on
+    /// everything observable.
+    fn window(&mut self, horizon: u64) {
+        self.sim.set_horizon(SimTime::from_ns(horizon));
+        let ran = self.sim.run(&mut self.log);
+        assert_eq!(
+            ran,
+            self.reference.run(horizon),
+            "window event count diverged"
+        );
+        assert_eq!(self.sim.executed(), self.reference.executed);
+        assert_eq!(self.sim.now().as_ns(), self.reference.now, "clock diverged");
+        assert_eq!(self.log.0, self.reference.log, "execution order diverged");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Identical `(time, seq)` execution order, clock, and pending
-    /// counts between the wheel engine and the reference heap under
-    /// arbitrary schedule/cancel/step interleavings.
+    /// Identical `(time, seq)` execution order, clock, and executed
+    /// counts between the wheel engine and the reference heap after every
+    /// window of arbitrary schedule/run-to-horizon interleavings.
     #[test]
     fn wheel_matches_reference_heap(
         ops in prop::collection::vec(0u8..10, 1..250),
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = Rng(seed);
-        let mut sim: Sim<Log> = Sim::new();
-        let mut reference = RefModel::default();
-        let mut log = Log::default();
-        // Ids issued so far: schedule index -> real engine id. The
-        // schedule index doubles as the reference model's seq (both
-        // engines number schedules identically).
-        let mut ids = Vec::new();
-
+        let mut pair = Pair::default();
         for op in ops {
+            let now = pair.sim.now().as_ns();
             match op {
                 // Weight scheduling heaviest: queues should be deep.
-                0..=5 => {
-                    let delta = DELTAS[rng.below(DELTAS.len() as u64) as usize];
-                    // Occasionally jitter to hit arbitrary offsets.
-                    let delta = delta + rng.below(4);
-                    let at = sim.now().as_ns().saturating_add(delta);
-                    let seq = ids.len() as u64;
-                    ids.push(Some(sim.schedule(
-                        SimTime::from_ns(at),
-                        move |m: &mut Log, s: &mut Sim<Log>| {
-                            m.0.push((s.now().as_ns(), seq));
-                        },
-                    )));
-                    reference.schedule(at, seq);
-                }
-                // Cancel a random issued id (may already have fired or
-                // been cancelled — both must be no-ops in the engine and
-                // are naturally absorbed by the reference's lazy set).
-                6 | 7 => {
-                    if !ids.is_empty() {
-                        let pick = rng.below(ids.len() as u64) as usize;
-                        if let Some(id) = ids[pick].take() {
-                            sim.cancel(id);
-                            reference.cancel(pick as u64);
-                        }
-                    }
-                }
-                // Execute a bounded burst, racing cancels against
-                // entries already staged in the drain heap.
-                8 => {
-                    let n = 1 + rng.below(8);
-                    sim.step(&mut log, n);
-                    reference.step(n);
-                }
-                // Single-event step: the tightest schedule/cancel/pop
-                // interleaving granularity.
-                _ => {
-                    sim.step(&mut log, 1);
-                    reference.step(1);
-                }
+                0..=4 => pair.schedule(now + rng.delta()),
+                // In the past: clamped to now.
+                5 => pair.schedule(now.saturating_sub(rng.delta())),
+                // Horizons share the schedule deltas, so events land
+                // exactly on them.
+                _ => pair.window(now + rng.delta()),
             }
-            prop_assert_eq!(sim.pending(), reference.heap.len(), "pending diverged");
         }
-
-        // Drain both to the end.
-        sim.run(&mut log);
-        reference.run();
-
-        prop_assert_eq!(&log.0, &reference.log, "execution order diverged");
-        prop_assert_eq!(sim.executed(), reference.executed);
-        if !reference.log.is_empty() {
-            prop_assert_eq!(sim.now().as_ns(), reference.now, "clock diverged");
-        }
-        prop_assert_eq!(sim.pending(), 0);
+        pair.window(u64::MAX);
+        prop_assert!(pair.reference.heap.is_empty());
     }
 
-    /// Same-instant storms: every event at one of two times, heavy
-    /// cancellation — the pure tie-ordering and cancellation-race path.
+    /// Same-instant storms: every event at one of two times, split by a
+    /// horizon at the first; late events scheduled after that window
+    /// clamp onto the first instant and fire before the second.
     #[test]
     fn tie_storm_matches_reference(
-        cancels in prop::collection::vec(prop::bool::ANY, 4..120),
+        late in prop::collection::vec(prop::bool::ANY, 4..120),
         seed in 0u64..u64::MAX,
     ) {
         let mut rng = Rng(seed);
-        let mut sim: Sim<Log> = Sim::new();
-        let mut reference = RefModel::default();
+        let mut pair = Pair::default();
         let t_a = 1_000u64;
         let t_b = 1_000_000u64; // other side of the wheel span
-        let mut ids = Vec::new();
-        for (i, &cancel_me) in cancels.iter().enumerate() {
-            let at = if rng.below(2) == 0 { t_a } else { t_b };
-            let seq = i as u64;
-            ids.push(sim.schedule(SimTime::from_ns(at), move |m: &mut Log, s| {
-                m.0.push((s.now().as_ns(), seq));
-            }));
-            reference.schedule(at, seq);
-            if cancel_me {
-                // Cancel a random earlier survivor (possibly this one).
-                let pick = rng.below(ids.len() as u64) as usize;
-                sim.cancel(ids[pick]);
-                reference.cancel(pick as u64);
+        for phase in [false, true] {
+            for _ in late.iter().filter(|&&l| l == phase) {
+                pair.schedule(if rng.below(2) == 0 { t_a } else { t_b });
             }
+            pair.window(if phase { u64::MAX } else { t_a });
         }
-        let mut log = Log::default();
-        sim.run(&mut log);
-        reference.run();
-        prop_assert_eq!(&log.0, &reference.log);
     }
 }

@@ -62,7 +62,7 @@ fn audit_engine_steady_state() {
         // Mixed horizons: most rearms land in wheel buckets, every 16th
         // in the overflow heap.
         let delta = if m.is_multiple_of(16) { 400_000 } else { 640 };
-        s.schedule_in(SimTime::from_ns(delta), tick);
+        s.schedule(s.now() + SimTime::from_ns(delta), tick);
     }
     let mut sim: Sim<u64> = Sim::new();
     for i in 0..1024u64 {
