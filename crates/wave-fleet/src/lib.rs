@@ -286,7 +286,7 @@ pub struct FleetReport {
     pub per_host_completed: Vec<u64>,
     /// Messages the fabric carried.
     pub fabric_messages: u64,
-    /// Executor counters (windows, events, messages).
+    /// Executor counters (windows, events, messages, advances).
     pub exec: FleetExecStats,
 }
 
@@ -294,6 +294,8 @@ impl FleetReport {
     /// A determinism fingerprint: FNV-1a over every count and latency
     /// quantile the run produced. Two runs of the same config —
     /// regardless of worker count — must produce equal fingerprints.
+    /// The executor's window and advance counts are left out: they
+    /// describe how the run was scheduled, not what it simulated.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.u64(self.hosts as u64);

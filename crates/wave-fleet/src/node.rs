@@ -136,6 +136,10 @@ impl FleetHost for HostNode {
         }
         events
     }
+
+    fn next_event(&self) -> Option<SimTime> {
+        self.stepper.next_event()
+    }
 }
 
 /// Everything the frontdoor measured, extracted after the run.
@@ -332,6 +336,12 @@ impl FleetHost for Frontdoor {
         inbox.clear();
         processed
     }
+
+    /// The next arrival, while emission lasts; completions come only as
+    /// deliveries.
+    fn next_event(&self) -> Option<SimTime> {
+        self.next_arrival.filter(|&t| t <= self.duration)
+    }
 }
 
 /// A fleet node: either a host or the frontdoor, so the executor can
@@ -355,6 +365,13 @@ impl FleetHost for FleetNode {
         match self {
             FleetNode::Host(h) => h.advance(horizon, inbox, outbox),
             FleetNode::Frontdoor(f) => f.advance(horizon, inbox, outbox),
+        }
+    }
+
+    fn next_event(&self) -> Option<SimTime> {
+        match self {
+            FleetNode::Host(h) => h.next_event(),
+            FleetNode::Frontdoor(f) => f.next_event(),
         }
     }
 }

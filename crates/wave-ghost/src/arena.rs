@@ -74,12 +74,8 @@ pub struct ThreadSlot {
     pub slo: SloClass,
     /// Current run state.
     pub run: ThreadRun,
-    /// Accumulated virtual runtime (used by the VM policy's least-run
-    /// ordering; reset when the slot is reused, i.e. fresh threads start
-    /// at zero exactly like fresh ids did).
-    pub vruntime: SimTime,
-    /// Ordering key the owning queue stored at enqueue time (arrival
-    /// for slack-based policies, a vruntime snapshot for the VM policy).
+    /// Key the owning queue stored at enqueue time (the arrival time a
+    /// slack-based policy reads back at pick time).
     qkey: SimTime,
     /// Slot generation; a [`Tid`] resolves only while its generation
     /// matches.
@@ -99,7 +95,6 @@ impl ThreadSlot {
             arrival: SimTime::ZERO,
             slo: SloClass::DEFAULT,
             run: ThreadRun::Runnable,
-            vruntime: SimTime::ZERO,
             qkey: SimTime::ZERO,
             generation,
             queue: UNQUEUED,
@@ -257,11 +252,11 @@ impl std::ops::IndexMut<Tid> for ThreadTable {
     }
 }
 
-/// An intrusive FIFO/ordered queue threaded through [`ThreadTable`]
+/// An intrusive FIFO queue threaded through [`ThreadTable`]
 /// slots.
 ///
 /// The queue owns no storage beyond three words; membership, links, and
-/// the ordering key live in the arena rows themselves. All operations
+/// the enqueue key live in the arena rows themselves. All operations
 /// take the table explicitly. Operations on stale ids are no-ops;
 /// operations on a thread queued *elsewhere* are rejected (the token
 /// mismatch) rather than corrupting the other queue.
@@ -335,46 +330,6 @@ impl ThreadQueue {
             t => table.slots[t as usize].next = idx,
         }
         self.tail = idx;
-        self.len += 1;
-        true
-    }
-
-    /// Inserts `tid` in ascending `qkey` order, **after** any equal
-    /// keys (the stable rule `existing > new` the VM policy's ordered
-    /// `VecDeque` insert used). O(position); the scheduler's queues are
-    /// either FIFO (O(1) appends) or short ordered lists.
-    pub fn insert_by_key(&mut self, table: &mut ThreadTable, tid: Tid, qkey: SimTime) -> bool {
-        // Find the first node strictly greater than the new key before
-        // claiming, so the walk borrows the table immutably.
-        let mut at = self.head;
-        while at != NIL {
-            let s = &table.slots[at as usize];
-            if s.qkey > qkey {
-                break;
-            }
-            at = s.next;
-        }
-        let Some(idx) = self.claim(table, tid, qkey) else {
-            return false;
-        };
-        if at == NIL {
-            // Nothing greater: append.
-            table.slots[idx as usize].prev = self.tail;
-            match self.tail {
-                NIL => self.head = idx,
-                t => table.slots[t as usize].next = idx,
-            }
-            self.tail = idx;
-        } else {
-            let prev = table.slots[at as usize].prev;
-            table.slots[idx as usize].next = at;
-            table.slots[idx as usize].prev = prev;
-            table.slots[at as usize].prev = idx;
-            match prev {
-                NIL => self.head = idx,
-                p => table.slots[p as usize].next = idx,
-            }
-        }
         self.len += 1;
         true
     }
@@ -486,12 +441,12 @@ mod tests {
     fn slot_reuse_mints_distinct_ids_and_resets_state() {
         let mut tab = ThreadTable::new();
         let a = t(&mut tab);
-        tab[a].vruntime = SimTime::from_ms(5);
+        tab[a].run = ThreadRun::Finished;
         tab.remove(a);
         let b = t(&mut tab);
         assert_eq!(a.slot(), b.slot(), "LIFO free list reuses the slot");
         assert_ne!(a, b, "generation differs");
-        assert_eq!(tab[b].vruntime, SimTime::ZERO, "reused slot starts fresh");
+        assert_eq!(tab[b].run, ThreadRun::Runnable, "reused slot starts fresh");
         assert!(tab.get(a).is_none());
     }
 
@@ -551,23 +506,6 @@ mod tests {
         assert!(!q.push_back(&mut tab, id), "stale enqueue rejected");
         assert!(!q.remove(&mut tab, id));
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn ordered_insert_is_stable_after_equals() {
-        let mut tab = ThreadTable::new();
-        let mut q = ThreadQueue::new();
-        let a = t(&mut tab);
-        let b = t(&mut tab);
-        let c = t(&mut tab);
-        let d = t(&mut tab);
-        q.insert_by_key(&mut tab, a, SimTime::from_ns(10));
-        q.insert_by_key(&mut tab, b, SimTime::from_ns(5));
-        // Equal key: must land *after* `a` (the `existing > new` rule).
-        q.insert_by_key(&mut tab, c, SimTime::from_ns(10));
-        q.insert_by_key(&mut tab, d, SimTime::from_ns(7));
-        assert_eq!(q.iter(&tab).collect::<Vec<_>>(), vec![b, d, a, c]);
-        assert_eq!(q.front_key(&tab), Some(SimTime::from_ns(5)));
     }
 
     #[test]

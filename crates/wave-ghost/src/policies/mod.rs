@@ -8,7 +8,7 @@
 //! * [`MultiQueueShinjuku`] — per-SLO-class queues (§7.3.2), used when
 //!   the RPC stack shares its SLO annotations with the scheduler.
 //! * [`VmPolicy`] — the GCE/Tableau-style virtual-machine policy
-//!   (§7.2.4): millisecond quanta, fairness-oriented.
+//!   (§7.2.4): FIFO round-robin with 7.5 ms slices.
 
 mod fifo;
 mod multiqueue;

@@ -6,27 +6,22 @@ use crate::arena::{ThreadQueue, ThreadTable};
 use crate::msg::Tid;
 use crate::policy::{SchedPolicy, ThreadMeta};
 
-/// Tableau-inspired VM scheduling: fair sharing with bounded tail
-/// latency.
+/// Tableau-inspired VM scheduling: FIFO round-robin with 7.5 ms slices.
 ///
 /// "vCPUs run for a time quantum ranging from 5-10 ms but can be
 /// preempted at 1-ms granularity. This fine-grained control ensures
 /// fairness as vCPUs may consume varying amounts of CPU time within
 /// their assigned quantum."
 ///
-/// The policy always runs the vCPU with the least accumulated CPU time
-/// (a deficit round-robin approximation of Tableau's table-driven plan).
-/// The accumulated runtime lives in the vCPU's [`ThreadTable`] arena row
-/// (`vruntime`) — the run queue is an intrusive list ordered by a
-/// runtime snapshot taken at enqueue, so the account/on_runnable path
-/// touches only the row the event is about. Because decisions are
-/// needed only every few milliseconds, the paper's offloaded variant
-/// disables both prestaging and prefetching — and, crucially, disables
-/// host timer ticks (Fig. 5's effect).
+/// A runnable vCPU joins the tail of one FIFO run queue and runs for at
+/// most one slice; a vCPU whose slice expires queues behind every vCPU
+/// already waiting, so equal slices share the cores round-robin. Because
+/// decisions are needed only every few milliseconds, the paper's
+/// offloaded variant disables both prestaging and prefetching — and,
+/// crucially, disables host timer ticks (Fig. 5's effect).
 #[derive(Debug)]
 pub struct VmPolicy {
-    /// Runnable vCPUs ordered by accumulated runtime (smallest first;
-    /// ties keep insertion order).
+    /// Runnable vCPUs in arrival order.
     queue: ThreadQueue,
     quantum: SimTime,
 }
@@ -47,20 +42,10 @@ impl VmPolicy {
 
     /// The paper's configuration: quanta in the 5–10 ms range; we use the
     /// midpoint 7.5 ms as the time slice. A running vCPU is preempted
-    /// only when that slice expires, and then queues behind the vCPUs
-    /// with less accounted runtime; nothing preempts it at the paper's
-    /// 1 ms granularity.
+    /// only when that slice expires, and then queues behind the waiting
+    /// vCPUs; nothing preempts it at the paper's 1 ms granularity.
     pub fn paper_default() -> Self {
         Self::new(SimTime::from_us(7_500))
-    }
-
-    /// Records `ran` of CPU time for a vCPU (called by the enforcement
-    /// layer after a quantum ends). A stale id is a no-op — the vCPU
-    /// already exited.
-    pub fn account(&mut self, threads: &mut ThreadTable, tid: Tid, ran: SimTime) {
-        if let Some(s) = threads.get_mut(tid) {
-            s.vruntime += ran;
-        }
     }
 }
 
@@ -70,11 +55,7 @@ impl SchedPolicy for VmPolicy {
     }
 
     fn on_runnable(&mut self, threads: &mut ThreadTable, _now: SimTime, tid: Tid, _m: ThreadMeta) {
-        let Some(rt) = threads.get(tid).map(|s| s.vruntime) else {
-            return;
-        };
-        // Insert ordered by accumulated runtime: least-run first.
-        self.queue.insert_by_key(threads, tid, rt);
+        self.queue.push_back(threads, tid);
     }
 
     fn on_removed(&mut self, threads: &mut ThreadTable, _now: SimTime, tid: Tid) {
@@ -115,20 +96,18 @@ mod tests {
     }
 
     #[test]
-    fn least_runtime_first() {
+    fn runnable_vcpus_run_in_fifo_order() {
         let mut table = ThreadTable::new();
         let mut p = VmPolicy::paper_default();
         let a = vcpu(&mut table);
         let b = vcpu(&mut table);
-        p.account(&mut table, a, SimTime::from_ms(10));
-        p.account(&mut table, b, SimTime::from_ms(2));
         p.on_runnable(&mut table, SimTime::ZERO, a, ThreadMeta::at(SimTime::ZERO));
         p.on_runnable(&mut table, SimTime::ZERO, b, ThreadMeta::at(SimTime::ZERO));
-        assert_eq!(
-            p.pick_next(&mut table, SimTime::ZERO),
-            Some(b),
-            "least-run vCPU first"
-        );
+        assert_eq!(p.pick_next(&mut table, SimTime::ZERO), Some(a));
+        // `a`'s slice expires: it queues behind `b`.
+        p.on_runnable(&mut table, SimTime::ZERO, a, ThreadMeta::at(SimTime::ZERO));
+        assert_eq!(p.pick_next(&mut table, SimTime::ZERO), Some(b));
+        assert_eq!(p.pick_next(&mut table, SimTime::ZERO), Some(a));
     }
 
     #[test]
@@ -145,25 +124,22 @@ mod tests {
         let mut p = VmPolicy::paper_default();
         let x = vcpu(&mut table);
         let y = vcpu(&mut table);
-        // Two vCPUs alternate; accumulated runtimes stay balanced.
+        // Two vCPUs alternate: each round runs both.
         for round in 0..10 {
             p.on_runnable(&mut table, SimTime::ZERO, x, ThreadMeta::at(SimTime::ZERO));
             p.on_runnable(&mut table, SimTime::ZERO, y, ThreadMeta::at(SimTime::ZERO));
             let a = p.pick_next(&mut table, SimTime::ZERO).unwrap();
             let b = p.pick_next(&mut table, SimTime::ZERO).unwrap();
             assert_ne!(a, b, "round {round}");
-            p.account(&mut table, a, SimTime::from_ms(7));
-            p.account(&mut table, b, SimTime::from_ms(7));
         }
     }
 
     #[test]
-    fn exited_vcpu_account_is_noop() {
+    fn exited_vcpu_is_not_enqueued() {
         let mut table = ThreadTable::new();
         let mut p = VmPolicy::paper_default();
         let a = vcpu(&mut table);
         table.remove(a);
-        p.account(&mut table, a, SimTime::from_ms(1));
         p.on_runnable(&mut table, SimTime::ZERO, a, ThreadMeta::at(SimTime::ZERO));
         assert_eq!(p.queue_depth(), 0, "stale vCPU must not enqueue");
     }

@@ -1327,9 +1327,11 @@ impl SchedStepper {
         self.sim.run(&mut self.model)
     }
 
-    /// The host's local virtual clock.
-    pub fn now(&self) -> SimTime {
-        self.sim.now()
+    /// The time of the host's earliest pending event, if any: the next
+    /// [`advance`](Self::advance) runs nothing unless its horizon reaches
+    /// it or an [`inject`](Self::inject) comes first.
+    pub fn next_event(&self) -> Option<SimTime> {
+        self.sim.next_at()
     }
 
     /// Enables per-request completion logging (fleet mode). Off by

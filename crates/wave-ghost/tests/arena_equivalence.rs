@@ -13,9 +13,8 @@
 //! The suite drives the real arena and a deliberately naive reference
 //! model (map + deques, trusted by inspection) through identical
 //! operation streams and compares the full observable state after every
-//! operation. Ordered (`insert_by_key`) queues check the VM policy's
-//! stable `existing > new` insertion rule against a literal `VecDeque`
-//! `position` scan.
+//! operation. A keyed queue (`push_back_keyed`) also checks the key
+//! each thread stores at enqueue and `front_key` reads back.
 
 // The reference model *is* the old std-collections design; the hot-crate
 // disallowed-types gate does not apply to it.
@@ -46,9 +45,8 @@ impl Rng {
 }
 
 /// The pre-arena design, distilled: per-thread state in a `HashMap`
-/// keyed by the raw id, FIFO queues as `VecDeque<u64>`, the ordered
-/// queue as a `VecDeque<(key, id)>` with the old stable `position`
-/// insert. Trusted by inspection.
+/// keyed by the raw id, FIFO queues as `VecDeque<u64>`, the keyed
+/// queue as a `VecDeque<(key, id)>`. Trusted by inspection.
 #[derive(Default)]
 struct RefModel {
     /// id → (remaining_ns, arrival_ns, slo).
@@ -57,11 +55,11 @@ struct RefModel {
     queued: HashMap<u64, usize>,
     /// FIFO queues (indices 0..FIFOS).
     fifos: Vec<VecDeque<u64>>,
-    /// The ordered queue: `(key_ns, id)` ascending, stable after equals.
-    ordered: VecDeque<(u64, u64)>,
+    /// The keyed queue: `(key_ns, id)` in arrival order.
+    keyed: VecDeque<(u64, u64)>,
 }
 
-/// Number of FIFO queues each model carries; the ordered queue is the
+/// Number of FIFO queues each model carries; the keyed queue is the
 /// extra index `FIFOS`.
 const FIFOS: usize = 3;
 
@@ -91,18 +89,11 @@ impl RefModel {
         true
     }
 
-    fn push_ordered(&mut self, id: u64, key: u64) -> bool {
+    fn push_keyed(&mut self, id: u64, key: u64) -> bool {
         if !self.threads.contains_key(&id) || self.queued.contains_key(&id) {
             return false;
         }
-        // The old VM-policy rule: first strictly-greater key, so equal
-        // keys keep arrival order.
-        let pos = self
-            .ordered
-            .iter()
-            .position(|&(k, _)| k > key)
-            .unwrap_or(self.ordered.len());
-        self.ordered.insert(pos, (key, id));
+        self.keyed.push_back((key, id));
         self.queued.insert(id, FIFOS);
         true
     }
@@ -111,7 +102,7 @@ impl RefModel {
         let id = if q < FIFOS {
             self.fifos[q].pop_front()?
         } else {
-            self.ordered.pop_front()?.1
+            self.keyed.pop_front()?.1
         };
         self.queued.remove(&id);
         Some(id)
@@ -126,7 +117,7 @@ impl RefModel {
         if q < FIFOS {
             self.fifos[q].retain(|&x| x != id);
         } else {
-            self.ordered.retain(|&(_, x)| x != id);
+            self.keyed.retain(|&(_, x)| x != id);
         }
         self.queued.remove(&id);
         true
@@ -165,8 +156,13 @@ impl Harness {
             assert_eq!(self.queues[q].len(), want.len());
         }
         let got: Vec<u64> = self.queues[FIFOS].iter(&self.table).map(|t| t.0).collect();
-        let want: Vec<u64> = self.refm.ordered.iter().map(|&(_, id)| id).collect();
-        assert_eq!(got, want, "ordered queue diverged");
+        let want: Vec<u64> = self.refm.keyed.iter().map(|&(_, id)| id).collect();
+        assert_eq!(got, want, "keyed queue diverged");
+        assert_eq!(
+            self.queues[FIFOS].front_key(&self.table),
+            self.refm.keyed.front().map(|&(k, _)| SimTime::from_ns(k)),
+            "keyed queue's front key diverged"
+        );
         assert_eq!(self.table.len(), self.refm.threads.len());
         for &tid in &self.live {
             let (rem, arr, slo) = self.refm.threads[&tid.0];
@@ -209,17 +205,16 @@ impl Harness {
                     assert!(self.refm.push_fifo(q, tid.0));
                 }
             }
-            // Enqueue on the ordered queue with a coarse key (collisions
-            // likely, exercising the stable-after-equals rule).
+            // Enqueue on the keyed queue.
             4 => {
                 let key = rng.next() % 8 * 100;
                 if let Some(tid) = self.pick_unqueued(rng) {
-                    assert!(self.queues[FIFOS].insert_by_key(
+                    assert!(self.queues[FIFOS].push_back_keyed(
                         &mut self.table,
                         tid,
                         SimTime::from_ns(key)
                     ));
-                    assert!(self.refm.push_ordered(tid.0, key));
+                    assert!(self.refm.push_keyed(tid.0, key));
                 }
             }
             // Pop any queue (a pick, or a steal when the thief drained

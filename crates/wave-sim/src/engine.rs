@@ -7,44 +7,36 @@
 //! iteration order anywhere. Given the same seed and inputs, a simulation
 //! replays bit-identically (a property the test-suite asserts).
 //!
-//! The whole interface is [`Sim::schedule`], [`Sim::set_horizon`] and
-//! [`Sim::run`]. An event cannot be cancelled: a model that re-arms a
+//! The whole interface is [`Sim::schedule`], [`Sim::set_horizon`],
+//! [`Sim::run`] and [`Sim::next_at`]. An event cannot be cancelled: a model that re-arms a
 //! timer drops the stale one with its own token, checked when the event
 //! fires (`SchedSim` keeps a per-segment run token for its preemption and
 //! completion timers), the way a kernel ignores a stale interrupt.
 //!
-//! # Internals: timer wheel + slab + closure pool
+//! # Internals: one heap + slab + closure pool
 //!
 //! The engine is the hot path of every experiment in the workspace, so its
 //! data layout is tuned for the dominant event shape — short-horizon
-//! timers that are scheduled, fired, and immediately replaced:
+//! timers that are scheduled, fired, and immediately replaced — in
+//! shallow queues: a fleet host holds 2.9 pending events on average (5 at
+//! most), and the busiest single-host run (`sched_trace`) 14.7 (33).
 //!
-//! * **Bucketed timer wheel.** Pending events live in one of three
-//!   places. Events within the *current drain window* sit in a small
-//!   binary heap (`run`) popped in exact `(time, seq)` order. Events up
-//!   to the wheel span (`WHEEL_SLOTS << GRANULARITY_SHIFT` ≈ 65 µs)
-//!   ahead sit in unordered per-slot `Vec` buckets
-//!   (one slot = 128 ns of virtual time), found via an
-//!   occupancy bitmap; scheduling there is O(1). Far-future events go to
-//!   an overflow binary heap and cascade into the wheel as the window
-//!   advances, so they pay one extra O(log n) hop at most. When the
-//!   cursor reaches a slot, its bucket is heapified *wholesale* into
-//!   `run` (O(n), cache-linear) — cheaper than n heap pushes into a
-//!   large global heap. Determinism is unaffected: every entry carries
-//!   its full `(time, seq)` key and `run` is a strict priority queue, so
-//!   pop order is exactly that of one global `BinaryHeap`.
+//! * **One binary heap.** Pending events are 24-byte `(time, seq, slot)`
+//!   entries in one `BinaryHeap`, popped in exact `(time, seq)` order.
+//!   At these depths a push or pop touches a handful of cache lines, and
+//!   an idle engine holds no queue memory beyond the heap's buffer.
 //! * **Slab + closure pool.** Each scheduled closure is moved into a
 //!   block from a size-classed `pool` of reusable blocks and referenced
-//!   from a free-listed slab slot; a queue entry is just
-//!   `(time, seq, slot)`. Steady-state scheduling (fire one event, arm
-//!   the next) therefore allocates nothing once the pool has warmed up.
+//!   from a free-listed slab slot, so a queue entry carries no closure.
+//!   Steady-state scheduling (fire one event, arm the next) therefore
+//!   allocates nothing once the pool has warmed up.
 //!   Every closure goes through the pool: one larger than
 //!   `MAX_POOLED_SIZE` or aligned past `BLOCK_ALIGN` is a compile error
 //!   in [`Sim::schedule`].
 //!
 //! The repository's `wavebench` benchmark measures the host cost of the
 //! engine inside whole simulations, the root `alloc_audit` test pins the
-//! pooled steady state, and `wave-sim`'s `wheel_equivalence` proptest
+//! pooled steady state, and `wave-sim`'s `engine_equivalence` proptest
 //! suite pins pop order, clock and event count against a reference
 //! `BinaryHeap` model under arbitrary schedule/run-to-horizon
 //! interleavings.
@@ -56,40 +48,29 @@ use std::mem::{align_of, size_of};
 
 use crate::time::SimTime;
 
-/// Virtual nanoseconds covered by one wheel slot.
-const GRANULARITY_SHIFT: u32 = 7;
-/// Number of wheel slots (must be a power of two). 512 slots keep the
-/// bucket headers (512 × 24 B = 12 KiB) L1-resident, which measures
-/// faster than a wider wheel despite pushing more long timers through
-/// the overflow heap.
-const WHEEL_SLOTS: usize = 512;
-const SLOT_MASK: u64 = WHEEL_SLOTS as u64 - 1;
-const BITMAP_WORDS: usize = WHEEL_SLOTS / 64;
-
 /// A queue entry: the full ordering key plus the slab reference. The
 /// closure itself lives in the slab, so entries are small `Copy` values
 /// that sort and move cheaply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WheelEntry {
+struct Entry {
     at: SimTime,
     seq: u64,
     slot: u32,
 }
 
-impl PartialOrd for WheelEntry {
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for WheelEntry {
+impl Ord for Entry {
     /// Reverse ordering: `BinaryHeap` is a max-heap, we want the
-    /// earliest `(at, seq)` on top.
+    /// earliest `(at, seq)` on top. Compared as one 128-bit key, which
+    /// the heap's sift loops pick children by without a branch.
     fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        let key = |e: &Self| (e.at.as_ns() as u128) << 64 | e.seq as u128;
+        key(other).cmp(&key(self))
     }
 }
 
@@ -225,18 +206,8 @@ pub struct Sim<M> {
     seq: u64,
     executed: u64,
     horizon: SimTime,
-    /// Entries in slots `< next_slot`, popped in exact `(at, seq)`
-    /// order. Small: one wheel slot's population plus stragglers
-    /// scheduled at/near `now` while draining.
-    run: BinaryHeap<WheelEntry>,
-    /// Unordered buckets for slots `[next_slot, next_slot + WHEEL_SLOTS)`.
-    buckets: Vec<Vec<WheelEntry>>,
-    /// One bit per bucket: "has entries".
-    occupied: [u64; BITMAP_WORDS],
-    /// First wheel slot not yet drained into `run`.
-    next_slot: u64,
-    /// Entries in slots `>= next_slot + WHEEL_SLOTS`.
-    overflow: BinaryHeap<WheelEntry>,
+    /// Pending events, earliest `(at, seq)` on top.
+    queue: BinaryHeap<Entry>,
     /// Event payload slab; `None` marks a vacant slot.
     slots: Vec<Option<Payload<M>>>,
     /// Vacant slab slots, reused last-freed first.
@@ -293,11 +264,7 @@ impl<M> Sim<M> {
             seq: 0,
             executed: 0,
             horizon: SimTime::MAX,
-            run: BinaryHeap::new(),
-            buckets: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: [0; BITMAP_WORDS],
-            next_slot: 0,
-            overflow: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             pool: pool::ClosurePool::new(),
@@ -312,6 +279,13 @@ impl<M> Sim<M> {
     /// Number of events executed so far.
     pub fn executed(&self) -> u64 {
         self.executed
+    }
+
+    /// The time of the earliest pending event, if any: what a driver
+    /// compares with its next horizon to tell whether [`Sim::run`] would
+    /// execute anything.
+    pub fn next_at(&self) -> Option<SimTime> {
+        self.queue.peek().map(|e| e.at)
     }
 
     /// Sets an absolute time horizon; events strictly after the horizon are
@@ -379,101 +353,7 @@ impl<M> Sim<M> {
             }
         };
 
-        self.push_entry(WheelEntry { at, seq, slot });
-    }
-
-    // --- Wheel mechanics ---------------------------------------------------
-
-    /// Routes a queue entry to `run`, a wheel bucket, or overflow.
-    fn push_entry(&mut self, e: WheelEntry) {
-        let slot_no = e.at.as_ns() >> GRANULARITY_SHIFT;
-        if slot_no < self.next_slot {
-            // At/near `now`, inside the already-drained window.
-            self.run.push(e);
-        } else if slot_no < self.next_slot + WHEEL_SLOTS as u64 {
-            let b = (slot_no & SLOT_MASK) as usize;
-            self.buckets[b].push(e);
-            self.occupied[b / 64] |= 1 << (b % 64);
-        } else {
-            self.overflow.push(e);
-        }
-    }
-
-    /// Finds the next occupied bucket at or after `next_slot` within the
-    /// window, as an absolute slot number.
-    fn next_occupied_slot(&self) -> Option<u64> {
-        let start = (self.next_slot & SLOT_MASK) as usize;
-        // First word: mask off bits before `start`.
-        let first_word = start / 64;
-        let mut word = self.occupied[first_word] & (!0u64 << (start % 64));
-        let mut scanned = 0usize;
-        let mut w = first_word;
-        loop {
-            if word != 0 {
-                let bit = w * 64 + word.trailing_zeros() as usize;
-                // Distance from `start` in circular order.
-                let dist = (bit + WHEEL_SLOTS - start) & (WHEEL_SLOTS - 1);
-                return Some(self.next_slot + dist as u64);
-            }
-            scanned += 1;
-            if scanned > BITMAP_WORDS {
-                return None;
-            }
-            w = (w + 1) % BITMAP_WORDS;
-            word = self.occupied[w];
-            if w == first_word {
-                // Wrapped: only bits before `start` remain unseen.
-                word &= !(!0u64 << (start % 64));
-                if word == 0 {
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Cascades overflow entries that now fall inside the wheel window.
-    fn refill_from_overflow(&mut self) {
-        let end = self.next_slot + WHEEL_SLOTS as u64;
-        while let Some(e) = self.overflow.peek() {
-            let slot_no = e.at.as_ns() >> GRANULARITY_SHIFT;
-            if slot_no >= end {
-                break;
-            }
-            let e = self.overflow.pop().expect("peeked entry exists");
-            debug_assert!(slot_no >= self.next_slot, "overflow entry in the past");
-            let b = (slot_no & SLOT_MASK) as usize;
-            self.buckets[b].push(e);
-            self.occupied[b / 64] |= 1 << (b % 64);
-        }
-    }
-
-    /// The earliest pending entry, without removing it. Drains wheel
-    /// buckets (and cascades overflow) into `run` as needed; executes
-    /// nothing.
-    fn peek_next(&mut self) -> Option<WheelEntry> {
-        while self.run.is_empty() {
-            match self.next_occupied_slot() {
-                Some(s) => {
-                    let b = (s & SLOT_MASK) as usize;
-                    // Heapify the whole bucket into `run`, recycling the
-                    // (now empty) run allocation back into the bucket so
-                    // steady state allocates nothing.
-                    let bucket = std::mem::take(&mut self.buckets[b]);
-                    self.occupied[b / 64] &= !(1 << (b % 64));
-                    let old_run = std::mem::replace(&mut self.run, BinaryHeap::from(bucket));
-                    self.buckets[b] = old_run.into_vec();
-                    self.next_slot = s + 1;
-                    self.refill_from_overflow();
-                }
-                None => {
-                    // Wheel empty: jump the window to the overflow head.
-                    let e = self.overflow.peek()?;
-                    self.next_slot = e.at.as_ns() >> GRANULARITY_SHIFT;
-                    self.refill_from_overflow();
-                }
-            }
-        }
-        self.run.peek().copied()
+        self.queue.push(Entry { at, seq, slot });
     }
 
     /// Vacates `slot` and runs its closure. The closure is moved out of
@@ -498,12 +378,12 @@ impl<M> Sim<M> {
     /// the horizon. Returns the number of events executed by this call.
     pub fn run(&mut self, model: &mut M) -> u64 {
         let start = self.executed;
-        while let Some(next) = self.peek_next() {
+        while let Some(&next) = self.queue.peek() {
             if next.at > self.horizon {
                 self.now = self.horizon;
                 break;
             }
-            self.run.pop();
+            self.queue.pop();
             debug_assert!(next.at >= self.now, "event queue went backwards");
             self.now = next.at;
             self.dispatch(next.slot, model);
@@ -516,10 +396,6 @@ impl<M> Sim<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Virtual nanoseconds covered by one wheel slot / the whole window.
-    const GRANULARITY: u64 = 1 << GRANULARITY_SHIFT;
-    const WHEEL_SPAN: u64 = (WHEEL_SLOTS as u64) << GRANULARITY_SHIFT;
 
     #[derive(Default)]
     struct Log(Vec<u32>);
@@ -603,26 +479,14 @@ mod tests {
         assert_eq!(sim.executed(), 10);
     }
 
-    /// Events spread far beyond the wheel span exercise the overflow
-    /// heap and the window-jump path.
+    /// Events from nanoseconds to a second ahead, scheduled latest
+    /// first, fire in time order.
     #[test]
-    fn far_future_events_cascade_from_overflow() {
+    fn far_future_events_fire_in_time_order() {
         let mut sim = Sim::new();
-        // One event per decade of horizon, scheduled shuffled.
-        let times = [
-            7u64,
-            GRANULARITY * 3,
-            WHEEL_SPAN - 1,
-            WHEEL_SPAN + 1,
-            WHEEL_SPAN * 3 + 13,
-            WHEEL_SPAN * 17 + 5,
-            1_000_000_000,
-        ];
-        let mut order: Vec<usize> = (0..times.len()).collect();
-        order.reverse();
-        for &i in &order {
-            let t = times[i];
-            sim.schedule(SimTime::from_ns(t), move |m: &mut Log, _| {
+        let times = [7u64, 384, 65_535, 65_537, 196_621, 1_114_117, 1_000_000_000];
+        for i in (0..times.len()).rev() {
+            sim.schedule(SimTime::from_ns(times[i]), move |m: &mut Log, _| {
                 m.0.push(i as u32)
             });
         }
@@ -630,6 +494,28 @@ mod tests {
         sim.run(&mut log);
         assert_eq!(log.0, (0..times.len() as u32).collect::<Vec<_>>());
         assert_eq!(sim.now(), SimTime::from_ns(1_000_000_000));
+    }
+
+    /// `next_at` reports the earliest pending time: none when empty, the
+    /// shared instant after a tie, and `now` after a past-time clamp.
+    #[test]
+    fn next_at_is_the_earliest_pending_time() {
+        let mut sim: Sim<Log> = Sim::new();
+        assert_eq!(sim.next_at(), None);
+        sim.schedule(SimTime::from_ns(40), |_, _| {});
+        sim.schedule(SimTime::from_ns(20), |_, _| {});
+        sim.schedule(SimTime::from_ns(20), |_, _| {});
+        assert_eq!(sim.next_at(), Some(SimTime::from_ns(20)));
+        sim.set_horizon(SimTime::from_ns(30));
+        let mut log = Log::default();
+        assert_eq!(sim.run(&mut log), 2);
+        assert_eq!(sim.next_at(), Some(SimTime::from_ns(40)));
+        // In the past relative to now = 30: clamped to now.
+        sim.schedule(SimTime::from_ns(5), |_, _| {});
+        assert_eq!(sim.next_at(), Some(SimTime::from_ns(30)));
+        sim.set_horizon(SimTime::MAX);
+        assert_eq!(sim.run(&mut log), 2);
+        assert_eq!(sim.next_at(), None);
     }
 
     /// Same-instant events split across schedule-before-drain and
@@ -640,7 +526,7 @@ mod tests {
         let t = SimTime::from_ns(10);
         sim.schedule(t, move |m: &mut Log, s| {
             m.0.push(0);
-            // Scheduled while slot 10's bucket is draining; same time.
+            // Scheduled while the instant is running; same time.
             s.schedule(t, |m: &mut Log, _| m.0.push(2));
         });
         sim.schedule(t, |m: &mut Log, _| m.0.push(1));

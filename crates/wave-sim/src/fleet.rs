@@ -18,19 +18,24 @@
 //!    time falls inside the next window are popped in ascending
 //!    `(time, src_host, seq)` order into their destination's lane.
 //! 2. **Advance** (parallel): each lane moves its messages into its
-//!    hosts' inboxes and drains each host's events up to the window
-//!    horizon via [`FleetHost::advance`], in host-index order; sends are
-//!    buffered per lane, never applied directly.
+//!    hosts' inboxes and, in host-index order, advances only the hosts
+//!    with a delivery in this window or a local event at or before its
+//!    horizon ([`FleetHost::next_event`]), draining their events up to
+//!    the horizon via [`FleetHost::advance`]; sends are buffered per
+//!    lane, never applied directly.
 //! 3. **Barrier** (serial): the lanes' sends are collected in host-index
 //!    order, stamped with per-source sequence numbers, routed through
 //!    the [`Transit`] model (which may add queueing delay on top of the
 //!    minimum latency), and pushed onto the pending heap.
 //!
-//! Because the per-host advance is deterministic given its inbox, and
-//! both the delivery order and the barrier collection order are fixed by
-//! `(time, src, seq)` rather than by thread completion order, the fleet
-//! result is **bit-identical for any worker count** — `workers = 1` is
-//! the sequential reference the tests pin the parallel runs against.
+//! Skipping a host is exact: it has nothing to run, so it cannot send,
+//! and its later deliveries land at or after its clock. Because the
+//! per-host advance is deterministic given its inbox, the skip decision
+//! reads only the host's own state, and both the delivery order and the
+//! barrier collection order are fixed by `(time, src, seq)` rather than
+//! by thread completion order, the fleet result is **bit-identical for
+//! any worker count** — `workers = 1` is the sequential reference the
+//! tests pin the parallel runs against.
 
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::BinaryHeap;
@@ -93,6 +98,17 @@ pub trait FleetHost: Send {
         inbox: &mut Vec<Envelope<Self::Msg>>,
         outbox: &mut Vec<Outbound<Self::Msg>>,
     ) -> u64;
+
+    /// The time of this host's earliest pending local event, or `None`
+    /// if it has none until a delivery arrives. The executor reads it
+    /// after each [`advance`](Self::advance) and does not advance the
+    /// host in a window that brings it no delivery and whose horizon
+    /// lies before this time, so it must not be later than any event the
+    /// host would run. The default, `Some(SimTime::ZERO)`, advances the
+    /// host every window.
+    fn next_event(&self) -> Option<SimTime> {
+        Some(SimTime::ZERO)
+    }
 }
 
 /// Maps a buffered send to its delivery time at the destination.
@@ -152,6 +168,8 @@ pub struct FleetExecStats {
     pub events: u64,
     /// Cross-host messages delivered.
     pub messages: u64,
+    /// [`FleetHost::advance`] calls: hosts that had work in a window.
+    pub advances: u64,
 }
 
 /// The conservative windowed executor: N hosts, one logical clock each,
@@ -164,6 +182,8 @@ pub struct FleetExecutor<H: FleetHost> {
     pending: BinaryHeap<Pend<H::Msg>>,
     /// Per-source emission counters for deterministic `seq` stamping.
     emit_seq: Vec<u64>,
+    /// Each host's [`FleetHost::next_event`] after its last advance.
+    next_event: Vec<Option<SimTime>>,
     stats: FleetExecStats,
 }
 
@@ -184,6 +204,8 @@ impl<H: FleetHost> FleetExecutor<H> {
         assert!(workers >= 1, "need at least one worker");
         FleetExecutor {
             emit_seq: vec![0; hosts.len()],
+            // Every host runs in the first window.
+            next_event: vec![Some(SimTime::ZERO); hosts.len()],
             hosts,
             lookahead,
             workers,
@@ -231,8 +253,9 @@ impl<H: FleetHost> FleetExecutor<H> {
         let lanes: &Vec<_> = &self
             .hosts
             .chunks_mut(per_lane)
+            .zip(self.next_event.chunks_mut(per_lane))
             .enumerate()
-            .map(|(i, hosts)| Mutex::new(Lane::new(i * per_lane, hosts)))
+            .map(|(i, (hosts, next))| Mutex::new(Lane::new(i * per_lane, hosts, next)))
             .collect();
         let gate = &Gate {
             parties: lanes.len(),
@@ -275,6 +298,7 @@ impl<H: FleetHost> FleetExecutor<H> {
                 for lane in lanes {
                     let mut lane = lane.lock().expect(POISONED);
                     self.stats.events += std::mem::take(&mut lane.events);
+                    self.stats.advances += std::mem::take(&mut lane.advances);
                     for (src, send) in lane.outbound.drain(..) {
                         let seq = self.emit_seq[src as usize];
                         self.emit_seq[src as usize] += 1;
@@ -329,6 +353,7 @@ const POISONED: &str = "a lane is locked only while no lane has panicked";
 struct Lane<'a, H: FleetHost> {
     first: usize,
     hosts: &'a mut [H],
+    next_event: &'a mut [Option<SimTime>],
     inboxes: Vec<Vec<Envelope<H::Msg>>>,
     horizon: SimTime,
     /// The window's deliveries to this lane, in `(at, src, seq)` order.
@@ -338,31 +363,45 @@ struct Lane<'a, H: FleetHost> {
     /// One host's sends, moved to `outbound` after its advance.
     outbox: Vec<Outbound<H::Msg>>,
     events: u64,
+    advances: u64,
 }
 
 impl<'a, H: FleetHost> Lane<'a, H> {
-    fn new(first: usize, hosts: &'a mut [H]) -> Self {
+    fn new(first: usize, hosts: &'a mut [H], next_event: &'a mut [Option<SimTime>]) -> Self {
         Lane {
             first,
             inboxes: (0..hosts.len()).map(|_| Vec::new()).collect(),
             hosts,
+            next_event,
             horizon: SimTime::ZERO,
             inbound: Vec::new(),
             outbound: Vec::new(),
             outbox: Vec::new(),
             events: 0,
+            advances: 0,
         }
     }
 
     /// One window: inbound messages into their hosts' inboxes, then
-    /// every host advanced to the horizon in index order.
+    /// every host with work advanced to the horizon in index order.
     fn advance(&mut self) {
         for e in self.inbound.drain(..) {
             self.inboxes[e.dst as usize - self.first].push(e);
         }
-        let hosts = self.hosts.iter_mut().zip(&mut self.inboxes);
-        for (src, (host, inbox)) in (self.first as u32..).zip(hosts) {
+        let hosts = self
+            .hosts
+            .iter_mut()
+            .zip(&mut self.inboxes)
+            .zip(&mut *self.next_event);
+        for (src, ((host, inbox), next)) in (self.first as u32..).zip(hosts) {
+            // Nothing delivered and nothing local due: it would run no
+            // event, so it could not send either.
+            if inbox.is_empty() && next.is_none_or(|t| t > self.horizon) {
+                continue;
+            }
+            self.advances += 1;
             self.events += host.advance(self.horizon, inbox, &mut self.outbox);
+            *next = host.next_event();
             self.outbound
                 .extend(self.outbox.drain(..).map(|send| (src, send)));
         }
@@ -491,7 +530,7 @@ mod tests {
         }
     }
 
-    /// A toy host running on the real timer-wheel engine: deliveries are
+    /// A toy host running on the real event engine: deliveries are
     /// scheduled into a local `Sim` and drained window by window.
     struct ToyHost {
         sim: Sim<ToyModel>,
@@ -532,6 +571,10 @@ mod tests {
             let executed = self.sim.run(&mut self.model);
             outbox.append(&mut self.model.out);
             executed
+        }
+
+        fn next_event(&self) -> Option<SimTime> {
+            self.sim.next_at()
         }
     }
 
@@ -769,6 +812,17 @@ mod tests {
         // Seed + two TTL hops, all delivered before `end`.
         assert_eq!(stats.messages, 3);
         assert_eq!(stats.events, 3);
+        // Every host in the first window, then only each hop's receiver.
+        assert_eq!(stats.advances, 5);
+    }
+
+    #[test]
+    fn a_host_without_work_is_advanced_only_in_the_first_window() {
+        let (n, l) = (3u32, SimTime::from_us(10));
+        let hosts = (0..n).map(|i| ToyHost::new(i, n)).collect();
+        let mut ex = FleetExecutor::new(hosts, l, 2);
+        let stats = ex.run_until(SimTime::from_us(100), &mut UniformTransit { latency: l });
+        assert_eq!((stats.windows, stats.advances, stats.events), (10, 3, 0));
     }
 
     #[test]
@@ -806,6 +860,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "a scoped thread panicked")]
     fn a_panicking_lane_stops_the_run() {
+        // `Failing` keeps the default `next_event`, so host 2 is advanced
+        // in every window although nothing is ever delivered to it.
         struct Failing(ToyHost, u32);
         impl FleetHost for Failing {
             type Msg = ToyMsg;

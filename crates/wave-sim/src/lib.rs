@@ -11,8 +11,8 @@
 //! * [`Sim`] is an event loop generic over a user-supplied model type
 //!   `M`; events are `FnOnce(&mut M, &mut Sim<M>)` closures, fired in
 //!   `(time, sequence-number)` order up to an optional horizon. They sit
-//!   in a timer wheel and a recycled closure pool (see [`engine`]), so a
-//!   steady-state simulation does not allocate per event. Events cannot
+//!   in one binary heap and a recycled closure pool (see [`engine`]), so
+//!   a steady-state simulation does not allocate per event. Events cannot
 //!   be cancelled; a model drops a stale timer with its own token.
 //! * [`dist`] provides the random distributions the experiments need
 //!   (exponential inter-arrivals, Zipf, Gamma/Beta for SOL's Thompson

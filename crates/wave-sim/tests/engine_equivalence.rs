@@ -1,24 +1,22 @@
-//! Pop-order equivalence: timer wheel vs. reference binary heap.
+//! Pop-order equivalence: the event engine vs. a reference binary heap.
 //!
 //! The engine's correctness contract is exact `(time, seq)` execution
 //! order up to and including the horizon — two events at the same
-//! instant fire in scheduling order, regardless of where their entries
-//! happen to sit (run heap, wheel bucket, overflow heap). This suite
-//! drives the real [`wave_sim::Sim`] and a deliberately naive reference
-//! model (one global `BinaryHeap`, the engine's pre-wheel design) through
-//! identical random interleavings of scheduling and run-to-horizon
-//! windows — `set_horizon` + `run`, the way `SchedSim`'s stepper and the
-//! fleet lanes drive their hosts — and asserts after every window that
-//! the execution logs, the clocks and the executed-event counts are
+//! instant fire in scheduling order. This suite drives the real
+//! [`wave_sim::Sim`] (slab, closure pool, 24-byte queue entries) and a
+//! deliberately naive reference model (a heap of labelled tuples with
+//! the same clamp and horizon rules) through identical random
+//! interleavings of scheduling and run-to-horizon windows —
+//! `set_horizon` + `run`, the way `SchedSim`'s stepper and the fleet
+//! lanes drive their hosts — and asserts after every window that the
+//! execution logs, the clocks and the executed-event counts are
 //! identical.
 //!
-//! Delta distribution is chosen to stress every routing path: zero
-//! deltas (same-instant ties), sub-slot deltas, deltas around one wheel
-//! slot, deltas around the full wheel span (overflow boundary), and
-//! far-future deltas (deep overflow + window jumps). Horizons are drawn
-//! from the same deltas, so events land exactly on a horizon. Fired
-//! events schedule children, some of them in the past (clamped to now)
-//! while their bucket drains.
+//! Deltas run from zero (same-instant ties) through nanoseconds to
+//! milliseconds, so queues hold near and far events at once. Horizons
+//! are drawn from the same deltas, so events land exactly on a horizon.
+//! Fired events schedule children, some of them in the past (clamped to
+//! now) while their own instant is running.
 
 // The reference model *is* the old std-collections design; the hot-crate
 // disallowed-types gate does not apply to it.
@@ -30,9 +28,7 @@ use std::collections::BinaryHeap;
 use proptest::prelude::*;
 use wave_sim::{Sim, SimTime};
 
-/// Deltas spanning every queue tier: ties, intra-slot, slot-scale,
-/// span-boundary (the wheel covers 512 × 128 ns = 65536 ns), and deep
-/// overflow.
+/// Deltas from exact ties through nanoseconds to ten milliseconds.
 const DELTAS: [u64; 12] = [
     0, 0, // double weight on exact ties
     1, 100, 127, 128, 129, 5_000, 65_535, 65_536, 65_537, 10_000_000,
@@ -85,7 +81,7 @@ fn fire(m: &mut Log, s: &mut Sim<Log>, label: u64) {
     }
 }
 
-/// The pre-wheel engine, distilled: a max-heap of `Reverse<(time, seq,
+/// The engine's contract, distilled: a max-heap of `Reverse<(time, seq,
 /// label)>` with the same clamp and horizon rules. Trusted by inspection.
 #[derive(Default)]
 struct RefModel {
@@ -161,10 +157,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Identical `(time, seq)` execution order, clock, and executed
-    /// counts between the wheel engine and the reference heap after every
+    /// counts between the engine and the reference heap after every
     /// window of arbitrary schedule/run-to-horizon interleavings.
     #[test]
-    fn wheel_matches_reference_heap(
+    fn engine_matches_reference_heap(
         ops in prop::collection::vec(0u8..10, 1..250),
         seed in 0u64..u64::MAX,
     ) {
@@ -197,7 +193,7 @@ proptest! {
         let mut rng = Rng(seed);
         let mut pair = Pair::default();
         let t_a = 1_000u64;
-        let t_b = 1_000_000u64; // other side of the wheel span
+        let t_b = 1_000_000u64;
         for phase in [false, true] {
             for _ in late.iter().filter(|&&l| l == phase) {
                 pair.schedule(if rng.below(2) == 0 { t_a } else { t_b });

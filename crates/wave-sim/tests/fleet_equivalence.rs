@@ -66,7 +66,9 @@ impl Model {
 }
 
 /// Windowed-executor host: processes the window's inbox (already in
-/// `(at, src, seq)` order) at the delivered timestamps.
+/// `(at, src, seq)` order) at the delivered timestamps. It has no local
+/// events, so the executor advances it only in windows that deliver to
+/// it.
 struct Host(Model);
 
 impl FleetHost for Host {
@@ -83,6 +85,10 @@ impl FleetHost for Host {
             self.0.deliver(e.at, e.src, e.msg, outbox);
         }
         n
+    }
+
+    fn next_event(&self) -> Option<SimTime> {
+        None
     }
 }
 
