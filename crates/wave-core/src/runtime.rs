@@ -250,18 +250,21 @@ impl<D: Copy> SlotTable<D> {
     /// Drains every staged decision in slot order — the bulk consume
     /// used by DMA-transport runtimes, where the host receives the
     /// whole batch at a transfer's completion instead of reading slots
-    /// one MMIO line at a time. Each drained decision counts as a hit.
-    pub fn drain_staged(&mut self) -> Vec<(SlotId, D)> {
+    /// one MMIO line at a time. Appends the drained decisions to `out`,
+    /// a caller-owned buffer, so a drain allocates nothing once `out`
+    /// has grown. Each drained decision counts as a hit.
+    pub fn drain_staged(&mut self, out: &mut Vec<(SlotId, D)>) {
         self.staged_ids.sort_unstable();
         self.staged_ids.dedup();
-        let out: Vec<(SlotId, D)> = self
-            .staged_ids
-            .drain(..)
-            .filter_map(|i| Some((SlotId(i), self.slots[i as usize].take()?.decision)))
-            .collect();
-        self.hits += out.len() as u64;
+        let start = out.len();
+        let slots = &mut self.slots;
+        out.extend(
+            self.staged_ids
+                .drain(..)
+                .filter_map(|i| Some((SlotId(i), slots[i as usize].take()?.decision))),
+        );
+        self.hits += (out.len() - start) as u64;
         self.staged = 0;
-        out
     }
 
     /// Empties `slot`, keeping the staged count; returns what it held.
@@ -431,12 +434,10 @@ pub struct RuntimeConfig {
     pub pickup: SimTime,
 }
 
-/// Result of shipping the staged decisions to the host in one batched
+/// Timing of shipping the staged decisions to the host in one batched
 /// DMA ([`AgentRuntime::dma_ship_staged`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DmaShipment<D> {
-    /// The shipped decisions, in slot order; the slots are now empty.
-    pub decisions: Vec<(SlotId, D)>,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DmaShipment {
     /// Agent CPU cost (doorbell for async, blocking wait for sync).
     pub initiator_cpu: SimTime,
     /// When the batch is fully visible in host DRAM.
@@ -605,6 +606,8 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     /// Ships every staged decision to the host in one batched DMA — the
     /// memory manager's migration-decision leg (§4.2), and the DMA
     /// counterpart of the per-slot [`SlotTable::host_consume`] path.
+    /// The shipped decisions are appended to `out` in slot order
+    /// ([`SlotTable::drain_staged`]).
     ///
     /// `wire_bytes` is the compressed on-wire size of the batch; the
     /// decision stream ships a header even when nothing is staged, so
@@ -617,13 +620,13 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         now: SimTime,
         ic: &mut Interconnect,
         wire_bytes: u64,
-    ) -> DmaShipment<D> {
-        let decisions = self.slots.drain_staged();
+        out: &mut Vec<(SlotId, D)>,
+    ) -> DmaShipment {
+        self.slots.drain_staged(out);
         let t = ic
             .dma
             .transfer(now, wire_bytes.max(64), DmaDirection::NicToHost, Side::Nic);
         DmaShipment {
-            decisions,
             initiator_cpu: t.initiator_cpu,
             complete_at: t.complete_at,
         }
@@ -824,21 +827,29 @@ mod tests {
         rt.stage(SimTime::ZERO, &mut ic, SlotId(1), 11u64);
         rt.stage(SimTime::ZERO, &mut ic, SlotId(5), 55u64);
         let before = ic.dma.transfers();
-        let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64);
+        let mut shipped = Vec::new();
+        let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64, &mut shipped);
         assert_eq!(ic.dma.transfers(), before + 1);
-        assert_eq!(ship.decisions, vec![(SlotId(1), 11), (SlotId(5), 55)]);
+        assert_eq!(shipped, vec![(SlotId(1), 11), (SlotId(5), 55)]);
         assert!(ship.complete_at > SimTime::from_us(1));
         assert_eq!(rt.slots_ref().staged_count(), 0, "slots emptied");
         let (hits, _) = rt.slots_ref().hit_miss();
         assert_eq!(hits, 2, "bulk consume counts as host hits");
-        // An empty shipment still moves its header.
-        let empty = rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64);
-        assert!(empty.decisions.is_empty());
+        // An empty shipment still moves its header, and a drain appends
+        // to what the buffer already holds.
+        rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64, &mut shipped);
+        assert_eq!(shipped.len(), 2);
         assert_eq!(ic.dma.transfers(), before + 2);
     }
 
     fn slot_table(ic: &mut Interconnect, slots: u32) -> SlotTable<u64> {
         SlotTable::new(ic, slots, 2, PteType::WriteThrough, SocPteMode::WriteBack)
+    }
+
+    fn drained(t: &mut SlotTable<u64>) -> Vec<(SlotId, u64)> {
+        let mut out = Vec::new();
+        t.drain_staged(&mut out);
+        out
     }
 
     /// The old full sweep, as the reference for the staged-id list.
@@ -856,10 +867,10 @@ mod tests {
             t.stage(SimTime::ZERO, &mut ic, SlotId(s), s as u64 * 10);
         }
         let expected = swept(&t);
-        assert_eq!(t.drain_staged(), expected);
+        assert_eq!(drained(&mut t), expected);
         assert_eq!(expected.first(), Some(&(SlotId(0), 0)));
         assert_eq!(t.staged_count(), 0);
-        assert!(t.drain_staged().is_empty());
+        assert!(drained(&mut t).is_empty());
     }
 
     #[test]
@@ -872,7 +883,7 @@ mod tests {
         t.revoke(SimTime::ZERO, &mut ic, SlotId(7));
         t.stage(SimTime::ZERO, &mut ic, SlotId(7), 3);
         assert_eq!(t.staged_count(), 1);
-        assert_eq!(t.drain_staged(), vec![(SlotId(7), 3)]);
+        assert_eq!(drained(&mut t), vec![(SlotId(7), 3)]);
         assert_eq!(t.hit_miss().0, 1, "one drained decision, one hit");
     }
 
@@ -905,7 +916,7 @@ mod tests {
                 }
                 _ => {
                     let expected = swept(&t);
-                    assert_eq!(t.drain_staged(), expected, "step {step}");
+                    assert_eq!(drained(&mut t), expected, "step {step}");
                 }
             }
             assert_eq!(t.staged_count(), swept(&t).len(), "step {step}");
@@ -939,7 +950,7 @@ mod tests {
             t.stage(now, &mut ic, SlotId(s), s as u64);
         }
         assert_eq!(
-            t.drain_staged(),
+            drained(&mut t),
             vec![(SlotId(0), 0), (SlotId(5), 5), (SlotId(23), 23)]
         );
     }

@@ -196,14 +196,16 @@ pub trait RebalancePolicy: std::fmt::Debug + Send {
 }
 
 /// Picks the donor's moved resources: its highest-index resources, in
-/// descending order — deterministic, and keeps low indices stable.
+/// descending order — deterministic, and keeps low indices stable. The
+/// walk starts at the top of the map and stops after `k` moves.
 fn take_from(map: &ShardMap, donor: u32, to: u32, k: usize) -> Vec<ResourceMove> {
-    let mut owned: Vec<usize> = map.resources_of(donor).collect();
-    owned.reverse();
-    owned
-        .into_iter()
+    map.owner
+        .iter()
+        .enumerate()
+        .rev()
+        .filter(|&(_, &o)| o == donor)
         .take(k)
-        .map(|resource| ResourceMove {
+        .map(|(resource, _)| ResourceMove {
             resource,
             from: donor,
             to,

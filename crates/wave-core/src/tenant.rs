@@ -19,15 +19,14 @@
 //!   tenant is admitted *degraded*: its hosts discover decisions on a
 //!   poll grid ([`TenantRegistry::poll_pickup`]) instead of being
 //!   kicked, and the would-be interrupts are counted as suppressed.
-//!   Teardown returns the whole slice.
 
 use wave_pcie::{MsixVector, MsixVectorTable};
 use wave_sim::SimTime;
 
 use crate::workload::SloClass;
 
-/// A tenant handle. Tenant ids index the registry's slot table and tag
-/// MSI-X vector ownership.
+/// A tenant handle: tenants are numbered in registration order, and the
+/// id tags MSI-X vector ownership.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
@@ -191,7 +190,7 @@ pub struct TenantBinding {
 pub struct TenantRegistry {
     arbitration: Arbitration,
     vectors: MsixVectorTable,
-    tenants: Vec<Option<TenantBinding>>,
+    tenants: Vec<TenantBinding>,
 }
 
 /// Default degraded-mode poll grid: hosts of a vectorless tenant
@@ -215,27 +214,19 @@ impl TenantRegistry {
         self.arbitration
     }
 
-    /// Admits a tenant: assigns the lowest free id, allocates one MSI-X
+    /// Admits a tenant: assigns the next id, allocates one MSI-X
     /// vector per worker (all-or-nothing). On vector exhaustion the
     /// tenant is admitted *degraded* — no vectors, hosts poll on
     /// [`TenantRegistry::poll_pickup`]'s grid — rather than rejected: NIC
     /// cycles are still schedulable, only the kick path is gone.
     pub fn register(&mut self, spec: TenantSpec) -> TenantId {
-        let slot = self
-            .tenants
-            .iter()
-            .position(|t| t.is_none())
-            .unwrap_or_else(|| {
-                self.tenants.push(None);
-                self.tenants.len() - 1
-            });
-        let id = TenantId(slot as u32);
+        let id = TenantId(self.tenants.len() as u32);
         let vectors = self
             .vectors
             .alloc_block(id.0, spec.workers as usize)
             .unwrap_or_default();
         let degraded = vectors.is_empty() && spec.workers > 0;
-        self.tenants[slot] = Some(TenantBinding {
+        self.tenants.push(TenantBinding {
             id,
             spec,
             vectors,
@@ -244,30 +235,19 @@ impl TenantRegistry {
         id
     }
 
-    /// Tears a tenant down: releases its MSI-X slice (claimable by the
-    /// next registrant) and frees its slot.
-    pub fn deregister(&mut self, id: TenantId) {
-        if let Some(slot) = self.tenants.get_mut(id.0 as usize) {
-            if slot.is_some() {
-                self.vectors.release_owner(id.0);
-                *slot = None;
-            }
-        }
-    }
-
     /// The binding for `id`, if registered.
     pub fn binding(&self, id: TenantId) -> Option<&TenantBinding> {
-        self.tenants.get(id.0 as usize).and_then(|t| t.as_ref())
+        self.tenants.get(id.0 as usize)
     }
 
     /// Registered tenants.
     pub fn len(&self) -> usize {
-        self.tenants.iter().filter(|t| t.is_some()).count()
+        self.tenants.len()
     }
 
     /// Whether no tenant is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.tenants.is_empty()
     }
 
     /// `Some(grid)` when `id` runs degraded (no vectors): its hosts
@@ -278,16 +258,6 @@ impl TenantRegistry {
         self.binding(id)
             .filter(|b| b.degraded)
             .map(|_| DEFAULT_POLL_GRID)
-    }
-
-    /// Free vectors remaining on the NIC.
-    pub fn msix_available(&self) -> usize {
-        self.vectors.available()
-    }
-
-    /// Vectors currently held by tenants.
-    pub fn msix_in_use(&self) -> usize {
-        self.vectors.in_use()
     }
 
     /// Service shares for the registered tenants under the registry's
@@ -316,13 +286,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_admits_binds_and_tears_down() {
+    fn registry_admits_binds_and_degrades_on_exhaustion() {
         let mut reg = TenantRegistry::new(Arbitration::WeightedFair, 16);
         let a = reg.register(TenantSpec::new("a", 4, 8));
         let b = reg.register(TenantSpec::new("b", 1, 8));
         assert_eq!((a, b), (TenantId(0), TenantId(1)));
-        assert_eq!(reg.msix_in_use(), 16);
-        assert!(reg.binding(a).is_some_and(|x| !x.degraded));
+        for id in [a, b] {
+            let bound = reg.binding(id).unwrap();
+            assert!(!bound.degraded && bound.vectors.len() == 8);
+        }
         assert_eq!(reg.poll_pickup(a), None);
 
         // Third tenant finds the table exhausted: admitted degraded.
@@ -330,15 +302,8 @@ mod tests {
         let bc = reg.binding(c).unwrap();
         assert!(bc.degraded && bc.vectors.is_empty());
         assert_eq!(reg.poll_pickup(c), Some(DEFAULT_POLL_GRID));
-
-        // Teardown of `a` frees its slice; the next registrant gets
-        // vectors (and `a`'s slot id).
-        reg.deregister(a);
-        assert_eq!(reg.msix_available(), 8);
-        let d = reg.register(TenantSpec::new("d", 2, 8));
-        assert_eq!(d, TenantId(0), "slot reuse");
-        assert!(!reg.binding(d).unwrap().degraded);
         assert_eq!(reg.len(), 3);
+        assert!(reg.binding(TenantId(3)).is_none());
     }
 
     #[test]

@@ -154,6 +154,13 @@ impl ShardedCost {
 /// One shard's complete agent world. Owning everything (runtime,
 /// policy, interconnect, RNG) is what makes the fan-out thread-safe and
 /// the fault blast-radius exactly one slice of the batch space.
+///
+/// An iteration allocates nothing once the shard has warmed up: the
+/// host leg streams the policy's due filter straight into the PTE
+/// queue, the agent polls into the reused `polled` buffer and scans
+/// straight off it, and the ship leg drains the slots into the reused
+/// `last_shipment` buffer. Each buffer keeps the capacity of the
+/// largest iteration so far.
 #[derive(Debug)]
 struct MemShard {
     policy: SolPolicy,
@@ -163,11 +170,13 @@ struct MemShard {
     /// decision slot per batch of the workload: the slot index is the
     /// global batch id.
     rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
+    /// The PTE deltas the agent polled this iteration.
+    polled: Vec<PteDelta>,
     /// Migration decisions shipped to the host so far.
     shipped: u64,
-    /// The decisions of the most recent `dma_out` shipment, in slot
-    /// order (what the host received last iteration).
-    last_shipment: Vec<MigrationDecision>,
+    /// The most recent `dma_out` shipment, in slot order (what the host
+    /// received last iteration), refilled in place each iteration.
+    last_shipment: Vec<(SlotId, MigrationDecision)>,
     /// False between a watchdog kill and the operator restart.
     alive: bool,
 }
@@ -205,44 +214,43 @@ impl MemShard {
         if !self.alive {
             return (SolStats::default(), IterationCost::idle());
         }
-        let due = self.policy.due_batches(now);
-        let batches = (due.len() as u64).max(1);
-        let wire = batches * cfg.wire_bytes_per_batch;
-        let (scan, classify) = cfg.phase_costs(cpu, batches);
-
         let ic = &mut self.ic;
         let rt = self.rt.get_or_insert_with(|| {
             let rcfg = cfg.runtime_config(workload.batches());
             AgentRuntime::new(ic, AgentId(0), cfg.placement, *cpu, &rcfg)
         });
 
-        // Host leg: push the delta stream and flush — the queue's
-        // batched, delta-compressed DMA is the dma_in transfer, issued
-        // at `now` so only genuinely concurrent traffic queues.
-        if due.is_empty() {
+        // Host leg: push the due batches' delta stream and flush — the
+        // queue's batched, delta-compressed DMA is the dma_in transfer,
+        // issued at `now` so only genuinely concurrent traffic queues.
+        let mut due = 0;
+        for batch in self.policy.due(now) {
+            rt.host_send(now, ic, PteDelta { batch });
+            due += 1;
+        }
+        if due == 0 {
             rt.host_send(now, ic, PteDelta::HEARTBEAT);
-        } else {
-            for &b in &due {
-                rt.host_send(now, ic, PteDelta { batch: b as u32 });
-            }
         }
         rt.host_flush(now, ic);
         let arrive = rt.next_visible_at().expect("stream in flight");
         let dma_in = arrive - now;
+        let batches = due.max(1);
+        let wire = batches * cfg.wire_bytes_per_batch;
+        let (scan, classify) = cfg.phase_costs(cpu, batches);
 
         // Agent leg: pick the stream up at arrival and run the two-phase
         // pass over exactly the batches the host shipped.
-        let polled = rt.poll(arrive, ic, usize::MAX);
-        let scanned: Vec<usize> = polled
-            .items
+        self.polled.clear();
+        rt.poll_into(arrive, ic, usize::MAX, &mut self.polled);
+        let shipped_batches = self
+            .polled
             .iter()
             .filter(|d| **d != PteDelta::HEARTBEAT)
-            .map(|d| d.batch as usize)
-            .collect();
-        rt.note_load(scanned.len() as u64);
+            .map(|d| d.batch);
         let stats = self
             .policy
-            .iterate_batches(now, &scanned, workload, &mut self.rng);
+            .iterate_batches(now, shipped_batches, workload, &mut self.rng);
+        rt.note_load(stats.scanned);
 
         // Stage each classification flip as a migration decision at its
         // batch's slot (slot id == global batch id). Decision-forming
@@ -250,12 +258,9 @@ impl MemShard {
         // accrue, onto the agent's serial clock.
         let stage_at = arrive + scan;
         let mut stage_cpu = SimTime::ZERO;
-        for &(b, hot) in self.policy.flips() {
-            let d = MigrationDecision {
-                batch: b as u32,
-                hot,
-            };
-            stage_cpu += rt.stage(stage_at + stage_cpu, ic, SlotId(b as u32), d);
+        for &(batch, hot) in self.policy.flips() {
+            let d = MigrationDecision { batch, hot };
+            stage_cpu += rt.stage(stage_at + stage_cpu, ic, SlotId(batch), d);
             rt.record_decision(stage_at + stage_cpu);
         }
         rt.run_raw(stage_at, stage_cpu);
@@ -264,9 +269,9 @@ impl MemShard {
         // only a subset migrates, so the decision stream is ~4:1
         // smaller than the ingest (<1 ms per the paper).
         let ship_at = arrive + scan + classify;
-        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64));
-        self.shipped += shipment.decisions.len() as u64;
-        self.last_shipment = shipment.decisions.iter().map(|&(_, d)| d).collect();
+        self.last_shipment.clear();
+        let shipment = rt.dma_ship_staged(ship_at, ic, (wire / 4).max(64), &mut self.last_shipment);
+        self.shipped += self.last_shipment.len() as u64;
         let dma_out = shipment.complete_at - ship_at;
 
         (
@@ -341,6 +346,7 @@ impl ShardedSolRunner {
                     ic: Interconnect::pcie(),
                     rng: wave_sim::rng(seed ^ (i as u64) << 32),
                     rt: None,
+                    polled: Vec::new(),
                     shipped: 0,
                     last_shipment: Vec::new(),
                     alive: true,
@@ -562,8 +568,11 @@ impl ShardedSolRunner {
 
     /// Shard `i`'s most recent `dma_out` shipment, in slot order (the
     /// host's view).
-    pub fn last_shipment(&self, i: u32) -> &[MigrationDecision] {
-        &self.shards[i as usize].last_shipment
+    pub fn last_shipment(&self, i: u32) -> impl ExactSizeIterator<Item = MigrationDecision> + '_ {
+        self.shards[i as usize]
+            .last_shipment
+            .iter()
+            .map(|&(_, d)| d)
     }
 
     /// Shard `i`'s agent runtime, once its first iteration has built it
@@ -680,7 +689,7 @@ impl ShardedSolRunner {
                 self.shards[s].policy.release_batches(&r);
             }
         }
-        let ids = self.shard_batches(i);
+        let ids = self.map.resources_of(i).map(|g| g as u32).collect();
         let sh = &mut self.shards[i as usize];
         sh.alive = true;
         sh.policy = SolPolicy::with_batches(self.sol, ids);
@@ -743,10 +752,10 @@ mod tests {
         assert_eq!((stats.hot + stats.cold) as usize, fp.batches());
         for i in 0..4u32 {
             let slice = k4.shard_batches(i);
-            let shipped = k4.last_shipment(i);
-            assert!(!shipped.is_empty(), "shard {i} shipped nothing");
+            let mut shipped = k4.last_shipment(i);
+            assert!(shipped.len() > 0, "shard {i} shipped nothing");
             assert!(
-                shipped.iter().all(|d| slice.contains(&(d.batch as usize))),
+                shipped.all(|d| slice.contains(&(d.batch as usize))),
                 "shard {i} shipped a decision outside its slice"
             );
         }

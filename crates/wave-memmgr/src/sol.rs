@@ -8,6 +8,12 @@
 //! because every scan costs a TLB flush plus policy compute. Once per
 //! 38.4 s epoch (4× the slowest scan), cold batches are demoted to the
 //! slow tier and hot ones promoted back.
+//!
+//! The agent runs on SmartNIC cores whose DRAM every other agent on the
+//! card shares, so a managed batch costs one 24-byte row plus a 4-byte
+//! id: α and β as `u32` counts, the next scan instant, the ladder rung
+//! and the classification. The scan count is derived (α + β − 2), not
+//! stored. The full 417,792-batch space fits in 11.7 MB.
 
 use rand::rngs::SmallRng;
 use wave_kvstore::DbFootprint;
@@ -48,14 +54,35 @@ impl Default for SolConfig {
     }
 }
 
+/// One managed batch's row: 24 bytes.
+///
+/// The posterior is kept as integer counts: `alpha` is one plus the
+/// scans that saw the batch touched, `beta` one plus those that did not.
+/// Both are small exact integers, so `f64::from` at the Beta draw and
+/// the mean yields exactly the `f64` a running float sum would. The
+/// scan count is derived, not stored: it is `alpha + beta - 2`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct BatchState {
-    alpha: f64,
-    beta: f64,
-    rung: u32,
     next_scan: SimTime,
-    scans: u32,
+    alpha: u32,
+    beta: u32,
+    rung: u32,
     classified_hot: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<BatchState>() == 24);
+
+impl BatchState {
+    /// Scans observed since the prior was pulled.
+    fn scans(&self) -> u32 {
+        self.alpha + self.beta - 2
+    }
+
+    /// Posterior mean α / (α + β).
+    fn mean(&self) -> f64 {
+        let (a, b) = (f64::from(self.alpha), f64::from(self.beta));
+        a / (a + b)
+    }
 }
 
 /// Aggregate statistics for one policy iteration.
@@ -81,34 +108,40 @@ pub struct SolStats {
 /// arbitrary **non-contiguous set** of global batch ids
 /// ([`SolPolicy::with_batches`]). All batch indices crossing the API —
 /// due lists, scan lists, flips, migrations — are **global**; the
-/// sorted id list is an internal translation onto the local state
-/// vector ([`SolPolicy::local_index`]).
+/// sorted id list is an internal translation onto the local rows
+/// ([`SolPolicy::local_index`]). Ids are `u32`, like the batch field of
+/// the PTE deltas and migration decisions the agent exchanges, so a
+/// managed batch costs its 24-byte row plus a 4-byte id.
 #[derive(Debug)]
 pub struct SolPolicy {
     cfg: SolConfig,
     batches: Vec<BatchState>,
-    /// Global batch id of each local index, strictly ascending.
-    ids: Vec<usize>,
+    /// Global batch id of each local row, strictly ascending.
+    ids: Vec<u32>,
     /// Batches currently classified hot: flips, adoptions and releases
     /// keep it exact, so an iteration never recounts the slice.
     hot: u64,
     last_epoch: SimTime,
     /// Classification flips observed by the most recent iteration —
     /// the migration decisions the agent stages back to the host.
-    flips: Vec<(usize, bool)>,
+    flips: Vec<(u32, bool)>,
 }
 
 /// The uninformative prior every batch starts from (and re-pulls after
 /// a restart or a rebalance handoff).
 fn fresh_batch() -> BatchState {
     BatchState {
-        alpha: 1.0,
-        beta: 1.0,
-        rung: 0,
         next_scan: SimTime::ZERO,
-        scans: 0,
+        alpha: 1,
+        beta: 1,
+        rung: 0,
         classified_hot: true, // optimistic: everything starts resident
     }
+}
+
+/// A global batch id as the policy stores it.
+fn batch_id(global: usize) -> u32 {
+    u32::try_from(global).unwrap_or_else(|_| panic!("batch {global} exceeds the u32 id space"))
 }
 
 impl SolPolicy {
@@ -121,7 +154,7 @@ impl SolPolicy {
     /// `[base, base + n)` — one shard's share of a statically
     /// partitioned address space.
     pub fn with_base(cfg: SolConfig, n: usize, base: usize) -> Self {
-        Self::with_batches(cfg, (base..base + n).collect())
+        Self::with_batches(cfg, (batch_id(base)..batch_id(base + n)).collect())
     }
 
     /// Creates the policy over an explicit set of global batch ids —
@@ -131,7 +164,7 @@ impl SolPolicy {
     /// # Panics
     ///
     /// Panics if `ids` is empty or not strictly ascending.
-    pub fn with_batches(cfg: SolConfig, ids: Vec<usize>) -> Self {
+    pub fn with_batches(cfg: SolConfig, ids: Vec<u32>) -> Self {
         assert!(!ids.is_empty(), "need at least one batch");
         assert!(
             ids.windows(2).all(|w| w[0] < w[1]),
@@ -154,7 +187,7 @@ impl SolPolicy {
 
     /// Global index of the first (lowest) managed batch.
     pub fn base(&self) -> usize {
-        self.ids[0]
+        self.ids[0] as usize
     }
 
     /// Whether the policy manages no batches (never true).
@@ -162,14 +195,13 @@ impl SolPolicy {
         self.batches.is_empty()
     }
 
-    /// The local state index of a (global) batch id: its row in this
-    /// policy's state vector. Decision slots do not use it — they are
-    /// indexed by the global id.
+    /// The local row of a (global) batch id. Decision slots do not use
+    /// it — they are indexed by the global id.
     ///
     /// # Panics
     ///
     /// Panics if the batch is not managed by this policy.
-    pub fn local_index(&self, global: usize) -> usize {
+    pub fn local_index(&self, global: u32) -> usize {
         self.ids
             .binary_search(&global)
             .unwrap_or_else(|_| panic!("batch {global} is not managed by this policy"))
@@ -180,7 +212,7 @@ impl SolPolicy {
     /// searches the bracketed run, and leaves `*cursor` on the result.
     /// A batch below the cursor (a list that is not ascending) falls
     /// back to the full binary search.
-    fn seek(&self, cursor: &mut usize, global: usize) -> usize {
+    fn seek(&self, cursor: &mut usize, global: u32) -> usize {
         let ids = &self.ids;
         let row = if ids[*cursor] <= global {
             let (mut lo, mut step) = (*cursor, 1);
@@ -199,20 +231,25 @@ impl SolPolicy {
         row
     }
 
-    /// Posterior mean for a (global) batch index (test/telemetry).
-    pub fn posterior_mean(&self, i: usize) -> f64 {
-        let b = &self.batches[self.local_index(i)];
-        b.alpha / (b.alpha + b.beta)
+    /// Posterior mean for a (global) batch id (test/telemetry).
+    pub fn posterior_mean(&self, global: u32) -> f64 {
+        self.batches[self.local_index(global)].mean()
     }
 
-    /// Which (global) batches are due for a scan at `now`.
-    pub fn due_batches(&self, now: SimTime) -> Vec<usize> {
+    /// The (global) batches due for a scan at `now`, ascending — the
+    /// policy's one due filter. The agent's host leg streams it straight
+    /// into its sends.
+    pub fn due(&self, now: SimTime) -> impl Iterator<Item = u32> + '_ {
         self.batches
             .iter()
             .zip(&self.ids)
-            .filter(|(b, _)| b.next_scan <= now)
+            .filter(move |(b, _)| b.next_scan <= now)
             .map(|(_, &id)| id)
-            .collect()
+    }
+
+    /// [`SolPolicy::due`], collected.
+    pub fn due_batches(&self, now: SimTime) -> Vec<u32> {
+        self.due(now).collect()
     }
 
     /// Host-replayed handoff, recipient side: adopts the given global
@@ -230,7 +267,7 @@ impl SolPolicy {
         if adopted.is_empty() {
             return;
         }
-        let mut add = adopted.to_vec();
+        let mut add: Vec<u32> = adopted.iter().map(|&g| batch_id(g)).collect();
         add.sort_unstable();
         assert!(
             add.windows(2).all(|w| w[0] < w[1]),
@@ -238,34 +275,28 @@ impl SolPolicy {
         );
         // Every adopted batch starts optimistic (hot).
         self.hot += add.len() as u64;
-        // One sorted-merge pass (O(n + k), not k O(n) inserts).
-        let old_ids = std::mem::take(&mut self.ids);
-        let old_batches = std::mem::take(&mut self.batches);
-        self.ids = Vec::with_capacity(old_ids.len() + add.len());
-        self.batches = Vec::with_capacity(old_ids.len() + add.len());
-        let mut old = old_ids.into_iter().zip(old_batches).peekable();
-        let mut new = add.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&(o, _)), Some(&n)) if o == n => {
-                    panic!("adopting batch {n} this policy already manages")
-                }
-                (Some(&(o, _)), Some(&n)) if o < n => {
-                    let (id, b) = old.next().expect("peeked");
-                    self.ids.push(id);
-                    self.batches.push(b);
-                }
-                (_, Some(_)) => {
-                    self.ids.push(new.next().expect("peeked"));
-                    self.batches.push(fresh_batch());
-                }
-                (Some(_), None) => {
-                    let (id, b) = old.next().expect("peeked");
-                    self.ids.push(id);
-                    self.batches.push(b);
-                }
-                (None, None) => break,
+        // Reserve exactly (a bare `resize` may double the capacity), then
+        // merge in place from the back: each old row moves at most once
+        // and no second copy of either vector is built.
+        let (mut r, mut w) = (self.ids.len(), self.ids.len() + add.len());
+        self.ids.reserve_exact(add.len());
+        self.batches.reserve_exact(add.len());
+        self.ids.resize(w, 0);
+        self.batches.resize(w, fresh_batch());
+        for &g in add.iter().rev() {
+            while r > 0 && self.ids[r - 1] > g {
+                r -= 1;
+                w -= 1;
+                self.ids[w] = self.ids[r];
+                self.batches[w] = self.batches[r];
             }
+            assert!(
+                r == 0 || self.ids[r - 1] != g,
+                "adopting batch {g} this policy already manages"
+            );
+            w -= 1;
+            self.ids[w] = g;
+            self.batches[w] = fresh_batch();
         }
     }
 
@@ -282,7 +313,7 @@ impl SolPolicy {
         if released.is_empty() {
             return;
         }
-        let mut drop = released.to_vec();
+        let mut drop: Vec<u32> = released.iter().map(|&g| batch_id(g)).collect();
         drop.sort_unstable();
         for &g in &drop {
             let _ = self.local_index(g); // membership check (panics if absent)
@@ -313,38 +344,36 @@ impl SolPolicy {
         rng: &mut SmallRng,
     ) -> SolStats {
         let due = self.due_batches(now);
-        self.iterate_batches(now, &due, workload, rng)
+        self.iterate_batches(now, due, workload, rng)
     }
 
-    /// Like [`SolPolicy::iterate`], but scans an explicit (global) batch
-    /// list — the agent-side entry point, fed by the PTE deltas polled
-    /// off the runtime's DMA ingest leg rather than recomputed locally.
-    /// The list may repeat a batch or come in any order; an ascending
-    /// one (what the host ships) is walked with a forward cursor.
+    /// Like [`SolPolicy::iterate`], but scans an explicit sequence of
+    /// (global) batch ids — the agent-side entry point, fed by the PTE
+    /// deltas polled off the runtime's DMA ingest leg rather than
+    /// recomputed locally. The sequence may repeat a batch or come in
+    /// any order; an ascending one (what the host ships) is walked with
+    /// a forward cursor.
     pub fn iterate_batches(
         &mut self,
         now: SimTime,
-        due: &[usize],
+        due: impl IntoIterator<Item = u32>,
         workload: &DbFootprint,
         rng: &mut SmallRng,
     ) -> SolStats {
         self.flips.clear();
-        let mut stats = SolStats {
-            scanned: due.len() as u64,
-            ..SolStats::default()
-        };
+        let mut scanned = 0;
         let mut cursor = 0;
-        for &i in due {
-            let touched = workload.sample_access(i, rng);
+        for i in due {
+            scanned += 1;
+            let touched = workload.sample_access(i as usize, rng);
             let local = self.seek(&mut cursor, i);
             let b = &mut self.batches[local];
             if touched {
-                b.alpha += 1.0;
+                b.alpha += 1;
             } else {
-                b.beta += 1.0;
+                b.beta += 1;
             }
-            b.scans += 1;
-            let theta = Beta::new(b.alpha, b.beta).sample(rng);
+            let theta = Beta::new(f64::from(b.alpha), f64::from(b.beta)).sample(rng);
             let was_hot = b.classified_hot;
             b.classified_hot = theta > self.cfg.hot_threshold;
             if b.classified_hot != was_hot {
@@ -358,8 +387,7 @@ impl SolPolicy {
             // Frequency adaptation: confident batches scan slower;
             // uncertain ones stay fast (the overhead-reduction loop the
             // paper describes).
-            let mean = b.alpha / (b.alpha + b.beta);
-            let confident = b.scans >= self.cfg.confidence_scans && (mean - 0.5).abs() > 0.25;
+            let confident = b.scans() >= self.cfg.confidence_scans && (b.mean() - 0.5).abs() > 0.25;
             if confident {
                 b.rung = (b.rung + 1).min(self.cfg.period_rungs - 1);
             } else {
@@ -368,15 +396,18 @@ impl SolPolicy {
             let period = self.cfg.base_period * (1u64 << b.rung);
             b.next_scan = now + period;
         }
-        stats.hot = self.hot;
-        stats.cold = self.batches.len() as u64 - self.hot;
-        stats
+        SolStats {
+            scanned,
+            hot: self.hot,
+            cold: self.batches.len() as u64 - self.hot,
+            ..SolStats::default()
+        }
     }
 
     /// Classification flips from the most recent iteration, in scan
     /// order: `(global_batch, now_hot)`. These are what the agent stages
     /// into its decision slots and ships back to the host (§4.2).
-    pub fn flips(&self) -> &[(usize, bool)] {
+    pub fn flips(&self) -> &[(u32, bool)] {
         &self.flips
     }
 
@@ -392,6 +423,7 @@ impl SolPolicy {
         let mut demoted = 0;
         let mut promoted = 0;
         for (b, &g) in self.batches.iter().zip(&self.ids) {
+            let g = g as usize;
             if b.classified_hot && !footprint.is_resident(g) {
                 footprint.promote(g);
                 promoted += 1;
@@ -414,7 +446,7 @@ impl SolPolicy {
             .batches
             .iter()
             .zip(&self.ids)
-            .filter(|(b, &g)| b.classified_hot == workload.is_hot(g))
+            .filter(|(b, &g)| b.classified_hot == workload.is_hot(g as usize))
             .count();
         correct as f64 / self.batches.len() as f64
     }
@@ -511,8 +543,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
             let sa = a.iterate(now, &fp, &mut rng_a);
-            let due = b.due_batches(now);
-            let sb = b.iterate_batches(now, &due, &fp, &mut rng_b);
+            let sb = b.iterate_batches(now, b.due_batches(now), &fp, &mut rng_b);
             assert_eq!(sa, sb);
             assert_eq!(a.flips(), b.flips());
             now += SimTime::from_ms(600);
@@ -537,15 +568,18 @@ mod tests {
 
         // Everything is due at t=0, reported in global coordinates.
         let due = shard.due_batches(SimTime::ZERO);
-        assert_eq!(due.first(), Some(&base));
-        assert_eq!(due.last(), Some(&(n - 1)));
+        assert_eq!(due.first(), Some(&(base as u32)));
+        assert_eq!(due.last(), Some(&(n as u32 - 1)));
 
         // The shard scans its global slice and flips global indices.
         let mut rng = wave_sim::rng(11);
-        let stats = shard.iterate_batches(SimTime::ZERO, &due, &fp, &mut rng);
+        let stats = shard.iterate_batches(SimTime::ZERO, due.iter().copied(), &fp, &mut rng);
         assert_eq!(stats.scanned as usize, len);
         assert!(!shard.flips().is_empty());
-        assert!(shard.flips().iter().all(|&(b, _)| (base..n).contains(&b)));
+        assert!(shard
+            .flips()
+            .iter()
+            .all(|&(b, _)| (base..n).contains(&(b as usize))));
 
         // Epoch migration only ever touches the shard's own slice.
         shard.epoch_migrate(SolConfig::paper().epoch, &mut fp);
@@ -559,7 +593,7 @@ mod tests {
         let cfg = FootprintConfig::paper(0.002);
         let fp = DbFootprint::new(cfg, AccessPattern::Scattered, 7);
         // Every third batch, starting at 1: non-contiguous by design.
-        let ids: Vec<usize> = (0..fp.batches()).filter(|i| i % 3 == 1).collect();
+        let ids: Vec<u32> = (0..fp.batches() as u32).filter(|i| i % 3 == 1).collect();
         let mut shard = SolPolicy::with_batches(SolConfig::paper(), ids.clone());
         assert_eq!(shard.len(), ids.len());
         assert_eq!(shard.base(), 1);
@@ -568,7 +602,7 @@ mod tests {
         let due = shard.due_batches(SimTime::ZERO);
         assert_eq!(due, ids, "everything due at t=0, global ids");
         let mut rng = wave_sim::rng(11);
-        let stats = shard.iterate_batches(SimTime::ZERO, &due, &fp, &mut rng);
+        let stats = shard.iterate_batches(SimTime::ZERO, due, &fp, &mut rng);
         assert_eq!(stats.scanned as usize, ids.len());
         assert!(shard.flips().iter().all(|&(b, _)| b % 3 == 1));
     }
@@ -601,20 +635,101 @@ mod tests {
         // prior, so it is due immediately and its posterior is flat.
         let due = recipient.due_batches(now);
         for &g in &moved {
+            let g = g as u32;
             assert!(due.contains(&g), "adopted batch {g} not due");
             assert!((recipient.posterior_mean(g) - 0.5).abs() < 1e-12);
         }
         // Donor no longer reports them due (or at all).
-        assert!(donor.due_batches(now).iter().all(|&g| g < n / 2 - 10));
+        assert!(donor.due(now).all(|g| (g as usize) < n / 2 - 10));
     }
 
-    /// The pre-cursor policy, distilled: a binary search per due batch,
-    /// a full hot/cold recount per iteration, and per-id inserts and
-    /// removes for adoption and release.
+    #[test]
+    fn adoption_merges_below_between_and_above_with_fresh_priors() {
+        let fp = DbFootprint::new(FootprintConfig::paper(0.002), AccessPattern::Scattered, 7);
+        let managed = [10u32, 20, 30];
+        let mut policy = SolPolicy::with_batches(SolConfig::paper(), managed.to_vec());
+        let mut rng = wave_sim::rng(5);
+        // Move the managed rows off the prior so a misplaced row shows.
+        for step in 0..4 {
+            policy.iterate_batches(SimTime::from_ms(600 * step), managed, &fp, &mut rng);
+        }
+        let before = policy.batches.clone();
+        assert!(before
+            .iter()
+            .all(|b| b.scans() == 4 && b.next_scan > SimTime::from_ms(1_800)));
+
+        // One call: below the lowest, between each pair, above the top,
+        // in no particular order.
+        policy.adopt_batches(&[35, 5, 25, 15, 0]);
+        assert_eq!(policy.ids, [0, 5, 10, 15, 20, 25, 30, 35]);
+        for (&g, b) in policy.ids.iter().zip(&policy.batches) {
+            match managed.iter().position(|&m| m == g) {
+                Some(k) => assert_eq!(*b, before[k], "batch {g} kept its row"),
+                None => assert_eq!(*b, fresh_batch(), "batch {g} adopted fresh"),
+            }
+        }
+        let hot = policy.batches.iter().filter(|b| b.classified_hot).count();
+        assert_eq!(policy.hot, hot as u64);
+        // Only the adopted batches are due before the managed rows' next
+        // scans.
+        assert_eq!(
+            policy.due_batches(SimTime::from_ms(1_800)),
+            [0, 5, 15, 25, 35]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "adopting batch 20 this policy already manages")]
+    fn adopting_a_managed_batch_panics() {
+        let mut policy = SolPolicy::with_batches(SolConfig::paper(), vec![10, 20, 30]);
+        policy.adopt_batches(&[25, 20]);
+    }
+
+    /// A row in the representation the policy used before its rows were
+    /// compacted: `f64` posterior sums and an explicit scan counter.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct RefBatch {
+        alpha: f64,
+        beta: f64,
+        rung: u32,
+        next_scan: SimTime,
+        scans: u32,
+        classified_hot: bool,
+    }
+
+    impl RefBatch {
+        fn fresh() -> Self {
+            RefBatch {
+                alpha: 1.0,
+                beta: 1.0,
+                rung: 0,
+                next_scan: SimTime::ZERO,
+                scans: 0,
+                classified_hot: true,
+            }
+        }
+
+        /// A compact row widened to the reference representation.
+        fn of(b: &BatchState) -> Self {
+            RefBatch {
+                alpha: f64::from(b.alpha),
+                beta: f64::from(b.beta),
+                rung: b.rung,
+                next_scan: b.next_scan,
+                scans: b.scans(),
+                classified_hot: b.classified_hot,
+            }
+        }
+    }
+
+    /// The pre-cursor policy, distilled, in the old representation:
+    /// `usize` ids, `f64` posteriors, a counted scan total, a binary
+    /// search per due batch, a full hot/cold recount per iteration, and
+    /// per-id inserts and removes for adoption and release.
     struct RefSol {
         cfg: SolConfig,
         ids: Vec<usize>,
-        batches: Vec<BatchState>,
+        batches: Vec<RefBatch>,
         flips: Vec<(usize, bool)>,
     }
 
@@ -622,12 +737,13 @@ mod tests {
         fn iterate_batches(
             &mut self,
             now: SimTime,
-            due: &[usize],
+            due: &[u32],
             workload: &DbFootprint,
             rng: &mut SmallRng,
         ) -> SolStats {
             self.flips.clear();
             for &i in due {
+                let i = i as usize;
                 let touched = workload.sample_access(i, rng);
                 let b = &mut self.batches[self.ids.binary_search(&i).expect("managed")];
                 if touched {
@@ -663,7 +779,7 @@ mod tests {
             for &g in adopted {
                 let at = self.ids.binary_search(&g).expect_err("not yet managed");
                 self.ids.insert(at, g);
-                self.batches.insert(at, fresh_batch());
+                self.batches.insert(at, RefBatch::fresh());
             }
         }
 
@@ -691,17 +807,17 @@ mod tests {
                 (x % below as u64) as usize
             };
             let ids: Vec<usize> = (0..n).filter(|_| draw(3) != 0).collect();
-            let mut real = SolPolicy::with_batches(cfg, ids.clone());
+            let mut real = SolPolicy::with_batches(cfg, ids.iter().map(|&g| g as u32).collect());
             let mut refp = RefSol {
                 cfg,
-                batches: vec![fresh_batch(); ids.len()],
+                batches: vec![RefBatch::fresh(); ids.len()],
                 ids,
                 flips: Vec::new(),
             };
             let (mut rng_real, mut rng_ref) = (wave_sim::rng(seed), wave_sim::rng(seed));
             let mut now = SimTime::ZERO;
             for step in 0..250 {
-                let managed = real.ids.clone();
+                let managed = refp.ids.clone();
                 match draw(10) {
                     0 => {
                         let mut add: Vec<usize> = (0..n)
@@ -729,28 +845,31 @@ mod tests {
                             0 => real.due_batches(now),
                             // Ascending with repeats.
                             1 => real
-                                .due_batches(now)
-                                .into_iter()
+                                .due(now)
                                 .flat_map(|g| vec![g; 1 + (draw(4) == 0) as usize])
                                 .collect(),
                             // Any order, repeats anywhere.
                             2 => (0..draw(200))
-                                .map(|_| managed[draw(managed.len())])
+                                .map(|_| managed[draw(managed.len())] as u32)
                                 .collect(),
                             _ => Vec::new(),
                         };
                         if draw(3) == 0 {
                             due.reverse();
                         }
-                        let a = real.iterate_batches(now, &due, &fp, &mut rng_real);
+                        let a = real.iterate_batches(now, due.iter().copied(), &fp, &mut rng_real);
                         let b = refp.iterate_batches(now, &due, &fp, &mut rng_ref);
                         assert_eq!(a, b, "seed {seed} step {step}: stats");
                         now += cfg.base_period * (1 + draw(3) as u64);
                     }
                 }
-                assert_eq!(real.flips(), &refp.flips[..], "seed {seed} step {step}");
-                assert_eq!(real.ids, refp.ids, "seed {seed} step {step}: ids");
-                assert_eq!(real.batches, refp.batches, "seed {seed} step {step}");
+                let flips: Vec<(usize, bool)> =
+                    real.flips().iter().map(|&(g, h)| (g as usize, h)).collect();
+                assert_eq!(flips, refp.flips, "seed {seed} step {step}");
+                let ids: Vec<usize> = real.ids.iter().map(|&g| g as usize).collect();
+                assert_eq!(ids, refp.ids, "seed {seed} step {step}: ids");
+                let rows: Vec<RefBatch> = real.batches.iter().map(RefBatch::of).collect();
+                assert_eq!(rows, refp.batches, "seed {seed} step {step}");
                 let hot = real.batches.iter().filter(|b| b.classified_hot).count();
                 assert_eq!(real.hot, hot as u64, "seed {seed} step {step}: hot");
                 assert_eq!(
@@ -769,7 +888,7 @@ mod tests {
         let mut policy = SolPolicy::new(SolConfig::paper(), fp.batches());
         let mut rng = wave_sim::rng(5);
         // Clustered: batch 0 is hot, the last is cold.
-        let last = fp.batches() - 1;
+        let last = fp.batches() as u32 - 1;
         for step in 0..40u64 {
             let now = SimTime::from_ms(600 * (step + 1) * 16); // all due
             policy.iterate(now, &fp, &mut rng);

@@ -195,11 +195,6 @@ impl MsixVectorTable {
         }
         freed
     }
-
-    /// Who owns a vector, if anyone.
-    pub fn owner_of(&self, v: MsixVector) -> Option<u32> {
-        self.owner.get(v.0 as usize).copied().flatten()
-    }
 }
 
 #[cfg(test)]
@@ -263,7 +258,6 @@ mod tests {
         let a = tbl.alloc(0).unwrap();
         let b = tbl.alloc(1).unwrap();
         assert_eq!((a, b), (MsixVector(0), MsixVector(1)));
-        assert_eq!(tbl.owner_of(a), Some(0));
         assert!(tbl.release(a), "allocated vector releases");
         assert!(!tbl.release(a), "double release is a no-op");
         // First-free policy reuses the hole.

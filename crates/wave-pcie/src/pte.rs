@@ -34,12 +34,6 @@ impl PteType {
         matches!(self, PteType::WriteThrough | PteType::WriteBack)
     }
 
-    /// Whether stores through this PTE type buffer before reaching the
-    /// device.
-    pub fn buffers_stores(self) -> bool {
-        matches!(self, PteType::WriteCombining)
-    }
-
     /// Whether this PTE type requires a hardware-coherent interconnect.
     pub fn requires_coherence(self) -> bool {
         matches!(self, PteType::WriteBack)
@@ -56,9 +50,6 @@ mod tests {
         assert!(!PteType::WriteCombining.caches_loads());
         assert!(PteType::WriteThrough.caches_loads());
         assert!(PteType::WriteBack.caches_loads());
-
-        assert!(PteType::WriteCombining.buffers_stores());
-        assert!(!PteType::WriteThrough.buffers_stores());
 
         assert!(PteType::WriteBack.requires_coherence());
         assert!(!PteType::WriteThrough.requires_coherence());

@@ -1,11 +1,13 @@
 //! Allocation audit under a counting global allocator: steady-state
 //! event scheduling must not hit the global allocator (the engine reuses
-//! its closure pool, slab and event heap), and the scheduler model's
-//! agent pump must stay allocation-lean (reused `kicked`/prestage scratch
-//! buffers, arena thread table, intrusive run queues).
+//! its closure pool, slab and event heap), the scheduler model's agent
+//! pump must stay allocation-lean (reused `kicked`/prestage scratch
+//! buffers, arena thread table, intrusive run queues), and a warmed-up
+//! memory-agent iteration allocates only its return values (reused
+//! poll and shipment buffers, in-place due filter and scan).
 //!
 //! The counting allocator sees every thread in this test binary, so the
-//! three audits run in sequence inside ONE `#[test]`; a second test
+//! four audits run in sequence inside ONE `#[test]`; a second test
 //! running concurrently would leak its allocations into the counts.
 //! Run with `cargo test --release --test alloc_audit -- --nocapture` to
 //! see the measured counts.
@@ -15,6 +17,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use wave::core::OptLevel;
 use wave::ghost::policies::FifoPolicy;
 use wave::ghost::sim::{Placement, SchedConfig, SchedSim};
+use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
+use wave::memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
+use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::{Sim, SimTime};
 
 /// Counts every global-allocator hit (alloc + realloc; frees are not
@@ -145,9 +150,57 @@ fn audit_sched_sim_steady_state() {
     println!("alloc-audit sched_sim_steady_state: {d_allocs} allocs / {d_events} marginal events");
 }
 
+/// A warmed-up memory-agent iteration allocates only what it returns:
+/// the host leg streams the due filter into the PTE queue, the agent
+/// scans straight off its reused poll buffer, and the ship leg drains
+/// the slots into the reused shipment buffer. One shard (K=1) runs on
+/// this thread, so no thread spawn lands in the count. What remains is
+/// the result vector and the `per_shard` cost vector that
+/// `run_iteration` returns: 2 per iteration, against a budget of 3. A
+/// per-iteration copy of the due list would cost several more.
+fn audit_mem_agent_iteration() {
+    let fp = DbFootprint::new(
+        FootprintConfig::skewed(0.01, 0.5),
+        AccessPattern::Scattered,
+        42,
+    );
+    let mut runner = ShardedSolRunner::new(
+        RunnerConfig::paper(CoreClass::NicArm, 16),
+        CpuModel::mount_evans(),
+        1,
+        SolConfig::paper(),
+        fp.batches(),
+        42,
+    );
+    let at = |it: u64| SimTime::from_ms(600 * it);
+    // Warm-up: every batch is due at t=0, so the buffers reach their
+    // high-water marks here.
+    for it in 0..4 {
+        runner.run_iteration(&fp, at(it));
+    }
+    const ITERATIONS: u64 = 36;
+    let before = allocs();
+    let mut scanned = 0;
+    for it in 4..4 + ITERATIONS {
+        scanned += runner.run_iteration(&fp, at(it)).0.scanned;
+    }
+    let during = allocs() - before;
+    assert!(
+        scanned > ITERATIONS * 1_000,
+        "audit underpowered: {scanned} scans"
+    );
+    assert!(
+        during <= 3 * ITERATIONS,
+        "memory agent allocating per iteration: {during} allocations \
+         over {ITERATIONS} iterations (budget: 3 per iteration)"
+    );
+    println!("alloc-audit mem_agent_iteration: {during} allocs / {ITERATIONS} iterations, {scanned} scans");
+}
+
 #[test]
 fn hot_loops_stay_within_allocation_budgets() {
     audit_engine_steady_state();
     audit_sched_sim_pump();
     audit_sched_sim_steady_state();
+    audit_mem_agent_iteration();
 }

@@ -166,7 +166,6 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     let slice1 = sharded.shard_batches(1);
     let lost_flips: BTreeSet<u32> = sharded
         .last_shipment(1)
-        .iter()
         .filter(|d| !d.hot)
         .map(|d| d.batch)
         .collect();
@@ -212,7 +211,6 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     );
     let replayed: BTreeSet<u32> = sharded
         .last_shipment(1)
-        .iter()
         .filter(|d| !d.hot)
         .map(|d| d.batch)
         .collect();
