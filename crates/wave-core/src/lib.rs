@@ -2,7 +2,8 @@
 //!
 //! This crate implements the host↔SmartNIC API of the paper's Table 1.
 //! Each agent has one channel, a [`runtime::AgentRuntime`]: a host→NIC
-//! message queue plus one decision slot per resource.
+//! message queue plus its staged decisions — one slot per resource over
+//! MMIO, or an outbox shipped in one DMA per iteration.
 //!
 //! | Table 1 | Here |
 //! |---|---|
@@ -12,7 +13,7 @@
 //! | `POLL_MESSAGES` (NIC) | [`AgentRuntime::poll`] / [`AgentRuntime::poll_into`] |
 //! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | the agent builds the decision and calls [`AgentRuntime::stage`], then an MSI-X kick (`ic.msix.send`) |
 //! | `PREFETCH_TXNS` (host) | [`SlotTable::host_prefetch`] |
-//! | `POLL_TXNS` (host) | [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`], or [`AgentRuntime::dma_ship_staged`] |
+//! | `POLL_TXNS` (host) | MMIO: [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`] per slot; DMA: [`AgentRuntime::dma_ship_staged`], one batched transfer of the outbox (no slot table is mapped) |
 //! | `SET_TXNS_OUTCOMES` / `POLL_TXNS_OUTCOMES` | [`GenerationTable::validate`] on the host; failures are host-side counts, not queue traffic |
 //!
 //! The key semantic — inherited from ghOSt and made *more* important by
@@ -30,7 +31,8 @@
 //!   [`txn::GenerationTable`] used for atomic validation.
 //! * [`agent`] — SmartNIC agent lifecycle and its serial compute clock.
 //! * [`runtime`] — the reusable agent-runtime layer: one agent's
-//!   message queue + decision-slot table + pump gating; the caller runs
+//!   message queue + staged decisions (slot table or outbox) + pump
+//!   gating; the caller runs
 //!   its own policy and stages the decisions it builds
 //!   ([`runtime::AgentRuntime::stage`]). It is generic over the
 //!   ingest transport (MMIO message queues for the scheduler, batched

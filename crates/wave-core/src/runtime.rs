@@ -11,8 +11,9 @@
 //! * [`SlotTable`] — generic per-resource decision slots in SmartNIC
 //!   DRAM with the full software-coherence semantics (staleness,
 //!   prefetch, `clflush`) of §5.3.2/§5.4.
-//! * [`AgentRuntime`] — one agent's bundle of message queue, slot
-//!   table, and serial compute clock ([`Agent`]), plus the pump-gating
+//! * [`AgentRuntime`] — one agent's bundle of message queue, staged
+//!   decisions (a slot table over MMIO, an outbox over DMA), and serial
+//!   compute clock ([`Agent`]), plus the pump-gating
 //!   state machine (`at most one pump event in flight`) that the
 //!   simulation's event loop drives.
 //!
@@ -32,13 +33,16 @@
 //! * the **memory manager** (§4.2) uses [`Transport::Dma`]: PTE deltas
 //!   are staged locally and shipped in one batched, delta-compressed
 //!   DMA per iteration ([`RuntimeConfig::wire_bytes_per_msg`] models
-//!   the compression), and the staged migration decisions return to the
-//!   host in bulk via [`AgentRuntime::dma_ship_staged`] rather than
-//!   per-slot MMIO reads.
+//!   the compression). Its host never reads a slot line: the migration
+//!   decisions wait in an outbox bounded by one iteration's stages and
+//!   return to the host in bulk via [`AgentRuntime::dma_ship_staged`],
+//!   so a DMA runtime maps no slot table.
 //!
-//! The duty cycle — pump, stage, commit — is the same either way; only
-//! the queue legs differ, which is what makes runtime features (pump
-//! gating, watchdog restart, N-shard slicing) apply to both agents.
+//! The duty cycle — pump, stage, commit — is the same either way, and
+//! [`AgentRuntime::stage`] charges the agent the same slot write on
+//! both; only the queue legs differ, which is what makes runtime
+//! features (pump gating, watchdog restart, N-shard slicing) apply to
+//! both agents.
 //!
 //! # Worked example
 //!
@@ -111,13 +115,13 @@ use wave_sim::SimTime;
 
 use crate::agent::{Agent, AgentId};
 
-/// Index of a decision slot within one runtime's [`SlotTable`].
+/// Index of a decision slot: the global id of the resource it decides
+/// for (a worker core, a page batch).
 ///
-/// A slot is addressed by the global id of the resource it decides for
-/// (a worker core, a page batch): every runtime of a sharded deployment
-/// maps a table over the whole resource space, and which shard owns a
-/// resource is a [`crate::shard_map::ShardMap`] fact, not a table
-/// layout.
+/// Every MMIO runtime of a sharded deployment maps a [`SlotTable`] over
+/// the whole resource space, and a DMA runtime accepts any id of that
+/// space into its outbox, so which shard owns a resource is a
+/// [`crate::shard_map::ShardMap`] fact, not a table layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SlotId(pub u32);
 
@@ -177,12 +181,6 @@ pub struct SlotTable<D: Copy> {
     words: u64,
     nic_pte: SocPteMode,
     slots: Vec<Option<Staged<D>>>,
-    /// The slots staged since the last drain, so a drain costs what is
-    /// staged rather than the table size. Consumes, revokes and takes
-    /// leave their id behind and a restage may repeat it; the list is
-    /// compacted once it outgrows twice the staged count, which keeps it
-    /// bounded on the per-slot consume path.
-    staged_ids: Vec<u32>,
     /// Slots currently holding a decision.
     staged: usize,
     /// Count of host reads that found a fresh, visible decision.
@@ -209,7 +207,6 @@ impl<D: Copy> SlotTable<D> {
             words,
             nic_pte,
             slots: vec![None; slots as usize],
-            staged_ids: Vec::new(),
             staged: 0,
             hits: 0,
             misses: 0,
@@ -247,26 +244,6 @@ impl<D: Copy> SlotTable<D> {
         (self.hits, self.misses)
     }
 
-    /// Drains every staged decision in slot order — the bulk consume
-    /// used by DMA-transport runtimes, where the host receives the
-    /// whole batch at a transfer's completion instead of reading slots
-    /// one MMIO line at a time. Appends the drained decisions to `out`,
-    /// a caller-owned buffer, so a drain allocates nothing once `out`
-    /// has grown. Each drained decision counts as a hit.
-    pub fn drain_staged(&mut self, out: &mut Vec<(SlotId, D)>) {
-        self.staged_ids.sort_unstable();
-        self.staged_ids.dedup();
-        let start = out.len();
-        let slots = &mut self.slots;
-        out.extend(
-            self.staged_ids
-                .drain(..)
-                .filter_map(|i| Some((SlotId(i), slots[i as usize].take()?.decision))),
-        );
-        self.hits += (out.len() - start) as u64;
-        self.staged = 0;
-    }
-
     /// Empties `slot`, keeping the staged count; returns what it held.
     fn clear(&mut self, slot: SlotId) -> Option<Staged<D>> {
         let staged = self.slots[slot.0 as usize].take();
@@ -295,16 +272,7 @@ impl<D: Copy> SlotTable<D> {
             decision,
             visible_at,
         });
-        if previous.is_none() {
-            self.staged += 1;
-            self.staged_ids.push(slot.0);
-            if self.staged_ids.len() > 2 * self.staged + 8 {
-                let slots = &self.slots;
-                self.staged_ids.retain(|&i| slots[i as usize].is_some());
-                self.staged_ids.sort_unstable();
-                self.staged_ids.dedup();
-            }
-        }
+        self.staged += previous.is_none() as usize;
         cost
     }
 
@@ -402,6 +370,58 @@ impl<D: Copy> SlotTable<D> {
     }
 }
 
+/// The decisions a DMA-transport agent staged since its last ship, in
+/// stage order. The host never reads a slot line of such an agent, so
+/// there is no per-resource table: the outbox holds what one iteration
+/// staged and [`AgentRuntime::dma_ship_staged`] empties it.
+#[derive(Debug)]
+struct Outbox<D> {
+    words: u64,
+    nic_pte: SocPteMode,
+    /// Slot ids must stay below this, as in a [`SlotTable`].
+    slots: u32,
+    /// `(slot, stage sequence, decision)`; the sequence orders restages
+    /// of one slot so the ship keeps the latest.
+    staged: Vec<(SlotId, u32, D)>,
+}
+
+impl<D: Copy> Outbox<D> {
+    /// Appends a decision at the same agent cost as a slot-table stage
+    /// (payload words plus valid flag and txn seal).
+    fn stage(&mut self, ic: &mut Interconnect, slot: SlotId, decision: D) -> SimTime {
+        assert!(slot.0 < self.slots, "slot {} out of range", slot.0);
+        let seq = u32::try_from(self.staged.len()).expect("under 2^32 stages per ship");
+        self.staged.push((slot, seq, decision));
+        ic.soc.access(self.nic_pte, self.words + 2)
+    }
+
+    /// Moves the latest decision per slot into `out`, in slot order.
+    fn drain(&mut self, out: &mut Vec<(SlotId, D)>) {
+        self.staged
+            .sort_unstable_by_key(|&(slot, seq, _)| (slot, seq));
+        self.staged.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                *kept = *later;
+            }
+            same
+        });
+        out.extend(self.staged.drain(..).map(|(slot, _, d)| (slot, d)));
+    }
+}
+
+/// Where an agent's staged decisions wait for the host.
+#[derive(Debug)]
+enum Decisions<D: Copy> {
+    /// MMIO transport: one slot line per resource, consumed one line at
+    /// a time.
+    Slots(SlotTable<D>),
+    /// DMA transport: one batched ship per iteration.
+    Outbox(Outbox<D>),
+}
+
+const NO_SLOTS: &str = "a DMA runtime ships decisions from its outbox and maps no slot table";
+
 /// Construction parameters for one [`AgentRuntime`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RuntimeConfig {
@@ -411,9 +431,10 @@ pub struct RuntimeConfig {
     pub msg_words: u64,
     /// 64-bit words per staged decision.
     pub decision_words: u64,
-    /// Decision slots in the table: one per resource of the whole
-    /// space (every worker core, every page batch), since slots are
-    /// indexed by global resource id.
+    /// Size of the slot id space: one per resource of the whole space
+    /// (every worker core, every page batch), since slots are indexed by
+    /// global resource id. An MMIO runtime maps one slot line each; a
+    /// DMA runtime only bounds-checks staged ids against it.
     pub slots: u32,
     /// Transport for the host→agent message queue: [`Transport::Mmio`]
     /// for µs-scale traffic (the scheduler), [`Transport::Dma`] for
@@ -425,7 +446,7 @@ pub struct RuntimeConfig {
     pub wire_bytes_per_msg: Option<u64>,
     /// Host PTE type for the message queue.
     pub msg_pte: PteType,
-    /// Host PTE type for the decision slots.
+    /// Host PTE type for the decision slots (MMIO runtimes only).
     pub decision_pte: PteType,
     /// SmartNIC-side mapping mode for both.
     pub soc_pte: SocPteMode,
@@ -444,8 +465,8 @@ pub struct DmaShipment {
     pub complete_at: SimTime,
 }
 
-/// One agent's runtime: message queue + slot table + serial compute
-/// clock + pump gating.
+/// One agent's runtime: message queue + staged decisions (slot table or
+/// outbox, by transport) + serial compute clock + pump gating.
 ///
 /// `M` is the host→agent message type, `D` the staged decision payload.
 /// The runtime owns no host state and no event loop; the embedding
@@ -455,7 +476,7 @@ pub struct DmaShipment {
 pub struct AgentRuntime<M, D: Copy> {
     agent: Agent,
     msg_q: WaveQueue<M>,
-    slots: SlotTable<D>,
+    decisions: Decisions<D>,
     pump_armed: bool,
     pickup: SimTime,
     /// Load events since the last [`AgentRuntime::take_load`] — the
@@ -464,8 +485,9 @@ pub struct AgentRuntime<M, D: Copy> {
 }
 
 impl<M, D: Copy> AgentRuntime<M, D> {
-    /// Builds the runtime: maps the message queue and the slot table,
-    /// then starts the agent (Table 1 `CREATE_QUEUE` +
+    /// Builds the runtime: maps the message queue and, for an MMIO
+    /// transport, the slot table (a DMA transport stages into an outbox
+    /// instead), then starts the agent (Table 1 `CREATE_QUEUE` +
     /// `START_WAVE_AGENT`).
     pub fn new(
         ic: &mut Interconnect,
@@ -483,18 +505,29 @@ impl<M, D: Copy> AgentRuntime<M, D> {
             cfg.soc_pte,
         );
         msg_q.set_wire_bytes_per_entry(cfg.wire_bytes_per_msg);
-        let slots = SlotTable::new(
-            ic,
-            cfg.slots,
-            cfg.decision_words,
-            cfg.decision_pte,
-            cfg.soc_pte,
-        );
+        let decisions = match cfg.msg_transport {
+            Transport::Mmio => Decisions::Slots(SlotTable::new(
+                ic,
+                cfg.slots,
+                cfg.decision_words,
+                cfg.decision_pte,
+                cfg.soc_pte,
+            )),
+            Transport::Dma => {
+                assert!(cfg.slots > 0, "need at least one slot");
+                Decisions::Outbox(Outbox {
+                    words: cfg.decision_words,
+                    nic_pte: cfg.soc_pte,
+                    slots: cfg.slots,
+                    staged: Vec::new(),
+                })
+            }
+        };
         let agent = Agent::start(id, core, cpu);
         AgentRuntime {
             agent,
             msg_q,
-            slots,
+            decisions,
             pump_armed: false,
             pickup: cfg.pickup,
             load_events: 0,
@@ -598,23 +631,43 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     /// Stages a caller-built decision into `slot` (Table 1
     /// `TXN_CREATE`): the caller runs its policy, builds the decision
     /// and charges the policy's compute on its own clock. Returns the
-    /// agent CPU cost of the slot write.
+    /// agent CPU cost of the slot write, the same on either transport:
+    /// an MMIO runtime writes the slot line ([`SlotTable::stage`]), a
+    /// DMA runtime appends to its outbox for the next
+    /// [`AgentRuntime::dma_ship_staged`].
     pub fn stage(&mut self, now: SimTime, ic: &mut Interconnect, slot: SlotId, d: D) -> SimTime {
-        self.slots.stage(now, ic, slot, d)
+        match &mut self.decisions {
+            Decisions::Slots(t) => t.stage(now, ic, slot, d),
+            Decisions::Outbox(o) => o.stage(ic, slot, d),
+        }
+    }
+
+    /// Decisions staged and not yet taken by the host: slots holding a
+    /// decision on an MMIO runtime, outbox entries on a DMA runtime
+    /// (where a slot restaged before the ship counts once per stage).
+    pub fn staged_count(&self) -> usize {
+        match &self.decisions {
+            Decisions::Slots(t) => t.staged_count(),
+            Decisions::Outbox(o) => o.staged.len(),
+        }
     }
 
     /// Ships every staged decision to the host in one batched DMA — the
     /// memory manager's migration-decision leg (§4.2), and the DMA
     /// counterpart of the per-slot [`SlotTable::host_consume`] path.
-    /// The shipped decisions are appended to `out` in slot order
-    /// ([`SlotTable::drain_staged`]).
+    /// The latest decision staged per slot is appended to `out`, in
+    /// slot order.
     ///
     /// `wire_bytes` is the compressed on-wire size of the batch; the
     /// decision stream ships a header even when nothing is staged, so
     /// the transfer is floored at a 64-byte minimum payload (matching
-    /// the ingest leg's compressed-batch floor). The slots empty
+    /// the ingest leg's compressed-batch floor). The outbox empties
     /// immediately on the agent side; the host owns the decisions once
     /// the transfer completes at [`DmaShipment::complete_at`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on an MMIO runtime, whose host consumes slot by slot.
     pub fn dma_ship_staged(
         &mut self,
         now: SimTime,
@@ -622,7 +675,10 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         wire_bytes: u64,
         out: &mut Vec<(SlotId, D)>,
     ) -> DmaShipment {
-        self.slots.drain_staged(out);
+        let Decisions::Outbox(o) = &mut self.decisions else {
+            panic!("an MMIO runtime's host consumes its decisions slot by slot");
+        };
+        o.drain(out);
         let t = ic
             .dma
             .transfer(now, wire_bytes.max(64), DmaDirection::NicToHost, Side::Nic);
@@ -635,13 +691,27 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     // --- Accessors ------------------------------------------------------
 
     /// The slot table (host consume/prefetch/invalidate paths).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a DMA runtime, which maps no slot table.
     pub fn slots(&mut self) -> &mut SlotTable<D> {
-        &mut self.slots
+        match &mut self.decisions {
+            Decisions::Slots(t) => t,
+            Decisions::Outbox(_) => panic!("{NO_SLOTS}"),
+        }
     }
 
     /// Read-only slot-table view.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a DMA runtime, which maps no slot table.
     pub fn slots_ref(&self) -> &SlotTable<D> {
-        &self.slots
+        match &self.decisions {
+            Decisions::Slots(t) => t,
+            Decisions::Outbox(_) => panic!("{NO_SLOTS}"),
+        }
     }
 
     /// The underlying agent (lifecycle, compute clock, telemetry).
@@ -824,73 +894,80 @@ mod tests {
     fn dma_ship_staged_drains_slots_in_bulk() {
         let mut ic = Interconnect::pcie();
         let mut rt = dma_runtime(&mut ic);
-        rt.stage(SimTime::ZERO, &mut ic, SlotId(1), 11u64);
-        rt.stage(SimTime::ZERO, &mut ic, SlotId(5), 55u64);
+        // Out of slot order, and slot 5 restaged: the last decision wins.
+        for (slot, d) in [(5, 50u64), (1, 11), (7, 70), (5, 55)] {
+            let cost = rt.stage(SimTime::ZERO, &mut ic, SlotId(slot), d);
+            // The payload words plus valid flag and seal, as a slot write.
+            assert_eq!(cost, SimTime::from_ns(11 * (6 + 2)));
+        }
+        assert_eq!(rt.staged_count(), 4, "one outbox entry per stage");
         let before = ic.dma.transfers();
         let mut shipped = Vec::new();
         let ship = rt.dma_ship_staged(SimTime::from_us(1), &mut ic, 64, &mut shipped);
         assert_eq!(ic.dma.transfers(), before + 1);
-        assert_eq!(shipped, vec![(SlotId(1), 11), (SlotId(5), 55)]);
+        assert_eq!(
+            shipped,
+            vec![(SlotId(1), 11), (SlotId(5), 55), (SlotId(7), 70)]
+        );
         assert!(ship.complete_at > SimTime::from_us(1));
-        assert_eq!(rt.slots_ref().staged_count(), 0, "slots emptied");
-        let (hits, _) = rt.slots_ref().hit_miss();
-        assert_eq!(hits, 2, "bulk consume counts as host hits");
+        assert_eq!(rt.staged_count(), 0, "outbox emptied");
         // An empty shipment still moves its header, and a drain appends
         // to what the buffer already holds.
         rt.dma_ship_staged(SimTime::from_us(2), &mut ic, 64, &mut shipped);
-        assert_eq!(shipped.len(), 2);
+        assert_eq!(shipped.len(), 3);
         assert_eq!(ic.dma.transfers(), before + 2);
     }
 
-    fn slot_table(ic: &mut Interconnect, slots: u32) -> SlotTable<u64> {
-        SlotTable::new(ic, slots, 2, PteType::WriteThrough, SocPteMode::WriteBack)
+    #[test]
+    fn dma_runtime_maps_no_slot_region() {
+        let mut ic = Interconnect::pcie();
+        let mut rt = dma_runtime(&mut ic);
+        rt.stage(SimTime::ZERO, &mut ic, SlotId(3), 1);
+        // The message queue is region 0 and nothing follows it.
+        let next = ic.mmio.map_region(PteType::WriteThrough, 1);
+        assert_eq!(next, RegionId(1), "a DMA runtime mapped a slot region");
     }
 
-    fn drained(t: &mut SlotTable<u64>) -> Vec<(SlotId, u64)> {
+    fn shipped(rt: &mut AgentRuntime<u64, u64>, ic: &mut Interconnect) -> Vec<(SlotId, u64)> {
         let mut out = Vec::new();
-        t.drain_staged(&mut out);
+        rt.dma_ship_staged(SimTime::ZERO, ic, 64, &mut out);
         out
-    }
-
-    /// The old full sweep, as the reference for the staged-id list.
-    fn swept(t: &SlotTable<u64>) -> Vec<(SlotId, u64)> {
-        (0..t.slots.len())
-            .filter_map(|i| Some((SlotId(i as u32), t.slots[i]?.decision)))
-            .collect()
     }
 
     #[test]
     fn out_of_order_stages_drain_in_slot_order() {
         let mut ic = Interconnect::pcie();
-        let mut t = slot_table(&mut ic, 1_000);
-        for s in [900u32, 3, 517, 42, 0, 999] {
-            t.stage(SimTime::ZERO, &mut ic, SlotId(s), s as u64 * 10);
+        let mut rt = dma_runtime(&mut ic);
+        for s in [7u32, 3, 5, 0, 6] {
+            rt.stage(SimTime::ZERO, &mut ic, SlotId(s), s as u64 * 10);
         }
-        let expected = swept(&t);
-        assert_eq!(drained(&mut t), expected);
-        assert_eq!(expected.first(), Some(&(SlotId(0), 0)));
-        assert_eq!(t.staged_count(), 0);
-        assert!(drained(&mut t).is_empty());
+        let got = shipped(&mut rt, &mut ic);
+        let slots: Vec<u32> = got.iter().map(|(s, _)| s.0).collect();
+        assert_eq!(slots, vec![0, 3, 5, 6, 7]);
+        assert_eq!(got.first(), Some(&(SlotId(0), 0)));
+        assert!(shipped(&mut rt, &mut ic).is_empty());
     }
 
     #[test]
     fn restaged_slot_drains_once_with_its_latest_decision() {
         let mut ic = Interconnect::pcie();
-        let mut t = slot_table(&mut ic, 16);
-        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 1);
-        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 2);
-        // Emptied by the agent, then staged again: the id is listed twice.
-        t.revoke(SimTime::ZERO, &mut ic, SlotId(7));
-        t.stage(SimTime::ZERO, &mut ic, SlotId(7), 3);
-        assert_eq!(t.staged_count(), 1);
-        assert_eq!(drained(&mut t), vec![(SlotId(7), 3)]);
-        assert_eq!(t.hit_miss().0, 1, "one drained decision, one hit");
+        let mut rt = dma_runtime(&mut ic);
+        for d in 1..=3 {
+            rt.stage(SimTime::ZERO, &mut ic, SlotId(7), d);
+        }
+        assert_eq!(shipped(&mut rt, &mut ic), vec![(SlotId(7), 3)]);
+        assert_eq!(rt.staged_count(), 0);
     }
 
+    /// Slot-table staging against a full sweep of its slots, and outbox
+    /// ships against a last-write-wins map, under random traffic.
     #[test]
     fn staged_count_and_drain_match_a_sweep() {
         let mut ic = Interconnect::pcie();
-        let mut t = slot_table(&mut ic, 8);
+        let mut t: SlotTable<u64> =
+            SlotTable::new(&mut ic, 8, 2, PteType::WriteThrough, SocPteMode::WriteBack);
+        let mut rt = dma_runtime(&mut ic);
+        let mut reference = std::collections::BTreeMap::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut now = SimTime::ZERO;
         for step in 0..5_000u64 {
@@ -899,11 +976,11 @@ mod tests {
             x ^= x << 17;
             now += SimTime::from_ns(x % 2_000);
             let slot = SlotId((x >> 8) as u32 % 8);
-            // Few slots and rare drains: the list churns and compacts
-            // between drains.
             match (x >> 20) % 64 {
                 0..=31 => {
                     t.stage(now, &mut ic, slot, step);
+                    rt.stage(now, &mut ic, slot, step);
+                    reference.insert(slot, step);
                 }
                 32..=41 => {
                     t.revoke(now, &mut ic, slot);
@@ -915,44 +992,13 @@ mod tests {
                     t.host_consume(now, &mut ic, slot);
                 }
                 _ => {
-                    let expected = swept(&t);
-                    assert_eq!(drained(&mut t), expected, "step {step}");
+                    let expected: Vec<_> = std::mem::take(&mut reference).into_iter().collect();
+                    assert_eq!(shipped(&mut rt, &mut ic), expected, "step {step}");
                 }
             }
-            assert_eq!(t.staged_count(), swept(&t).len(), "step {step}");
-            // Compaction runs on a push, bounded by what is staged then.
-            assert!(t.staged_ids.len() <= 2 * t.len() + 8, "step {step}");
+            let swept = t.slots.iter().filter(|s| s.is_some()).count();
+            assert_eq!(t.staged_count(), swept, "step {step}");
         }
-    }
-
-    #[test]
-    fn staged_id_list_stays_bounded_under_per_slot_consumes() {
-        let mut ic = Interconnect::pcie();
-        let mut t = slot_table(&mut ic, 24);
-        let mut now = SimTime::ZERO;
-        // Runs of 100 cycles on one slot, then the next slot.
-        for i in 0..10_000u64 {
-            let slot = SlotId((i / 100 % 24) as u32);
-            t.stage(now, &mut ic, slot, i);
-            now += SimTime::from_us(1);
-            let (_, got) = t.host_consume(now, &mut ic, slot);
-            assert_eq!(got, Some(i));
-            now += SimTime::from_us(1);
-        }
-        assert_eq!(t.staged_count(), 0);
-        // One slot staged at a time: at most 2 × 1 + 8 listed ids.
-        assert!(
-            t.staged_ids.len() <= 10,
-            "{} listed ids",
-            t.staged_ids.len()
-        );
-        for s in [5, 0, 23] {
-            t.stage(now, &mut ic, SlotId(s), s as u64);
-        }
-        assert_eq!(
-            drained(&mut t),
-            vec![(SlotId(0), 0), (SlotId(5), 5), (SlotId(23), 23)]
-        );
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!   agent (created/wakeup/blocked/yield/dead), as in ghOSt.
 //! * [`policy`] — the policy trait an agent runs, plus thread metadata
 //!   (service estimates, SLO classes).
-//! * [`policies`] — the paper's four ported policies: FIFO
-//!   run-to-completion, Shinjuku (30 µs preemption), multi-queue
-//!   Shinjuku (per-SLO queues, §7.3.2) and the GCE VM policy
-//!   (Tableau-style quanta, §7.2.4).
+//! * [`policies`] — the paper's ported µs-scale policies: FIFO
+//!   run-to-completion, Shinjuku (30 µs preemption) and multi-queue
+//!   Shinjuku (per-SLO queues, §7.3.2).
 //! * [`slots`] — per-core decision slots in SmartNIC DRAM (the paper's
 //!   Fig. 2 "Core 0 Queue / Core 1 Queue"), supporting prestaging,
 //!   prefetching and the software coherence protocol.

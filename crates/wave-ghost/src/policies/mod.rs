@@ -1,4 +1,4 @@
-//! The paper's four ported scheduling policies.
+//! The paper's ported µs-scale scheduling policies.
 //!
 //! * [`FifoPolicy`] — run-to-completion FIFO (§7.2.2): minimal compute,
 //!   maximal interaction rate; the policy used to stress Wave's queues.
@@ -7,15 +7,14 @@
 //!   10 ms RANGE queries.
 //! * [`MultiQueueShinjuku`] — per-SLO-class queues (§7.3.2), used when
 //!   the RPC stack shares its SLO annotations with the scheduler.
-//! * [`VmPolicy`] — the GCE/Tableau-style virtual-machine policy
-//!   (§7.2.4): FIFO round-robin with 7.5 ms slices.
+//!
+//! The §7.2.4 VM-scheduling result (Fig. 5) is a turbo-frequency effect
+//! and comes from the closed-form `wave_sim::turbo` model, not a policy.
 
 mod fifo;
 mod multiqueue;
 mod shinjuku;
-mod vm;
 
 pub use fifo::FifoPolicy;
 pub use multiqueue::MultiQueueShinjuku;
 pub use shinjuku::ShinjukuPolicy;
-pub use vm::VmPolicy;

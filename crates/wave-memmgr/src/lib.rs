@@ -19,8 +19,8 @@
 //! * [`shard`] — the agent itself, run on the shared
 //!   [`wave_core::runtime::AgentRuntime`] (DMA transport):
 //!   [`ShardedSolRunner`] partitions the batch space across K agent
-//!   runtimes, each with its own PTE-delta stream, batch-indexed
-//!   decision slots, policy, and DMA channel. K=1 is the single agent;
+//!   runtimes, each with its own PTE-delta stream, decision outbox,
+//!   policy, and DMA channel. K=1 is the single agent;
 //!   K>1 fans out on real OS threads, and per-shard iteration costs
 //!   merge with explicit serial/parallel phase attribution.
 

@@ -29,9 +29,9 @@
 //!    instant;
 //! 2. **stage** — the scan/classify pass runs the real
 //!    [`SolPolicy`](crate::SolPolicy), and each classification flip is
-//!    staged as a [`MigrationDecision`] into its batch's slot of the
-//!    runtime's generic slot table;
-//! 3. **ship** — one batched transfer drains the slots back to host
+//!    staged as a [`MigrationDecision`] under its batch's slot id into
+//!    the runtime's decision outbox;
+//! 3. **ship** — one batched transfer drains the outbox back to host
 //!    DRAM: the `dma_out` leg.
 //!
 //! The modelled [`IterationCost`] is derived from those same runtime
@@ -155,7 +155,7 @@ impl RunnerConfig {
 
     /// The runtime configuration for a batch space of `n` batches:
     /// DMA-Async ingest carrying the delta-compressed PTE stream, one
-    /// decision slot per batch. Capacity leaves headroom for the lazy head
+    /// decision slot id per batch. Capacity leaves headroom for the lazy head
     /// publication (`capacity / 4`), so a full rescan always fits after
     /// one credit refresh.
     pub(crate) fn runtime_config(&self, n: usize) -> RuntimeConfig {
@@ -333,13 +333,11 @@ mod tests {
         let mut one = single_agent(&fp, CoreClass::NicArm);
         one.run_iteration(&fp, SimTime::ZERO);
         // The first scan flips a bunch of optimistic hot batches cold;
-        // each flip must have been staged and shipped through the slots.
+        // each flip must have been staged and shipped through the outbox.
         let shipped = one.shipped_decisions();
         assert!(shipped > 0);
         let rt = one.shard_runtime(0).expect("built on first iteration");
-        assert_eq!(rt.slots_ref().staged_count(), 0, "slots drained by ship");
-        let (hits, _) = rt.slots_ref().hit_miss();
-        assert_eq!(hits, shipped);
+        assert_eq!(rt.staged_count(), 0, "outbox drained by ship");
         assert_eq!(rt.decisions(), shipped);
         assert_eq!(rt.msg_transport(), Transport::Dma);
     }

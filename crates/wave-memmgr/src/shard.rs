@@ -10,8 +10,8 @@
 //!   over the address space, the same partition the scheduler uses for
 //!   cores),
 //! * its own [`AgentRuntime`], built on the shard's first iteration — a
-//!   private PTE-delta stream (DMA ingest) and a decision-slot table
-//!   indexed by global batch id,
+//!   private PTE-delta stream (DMA ingest) and a decision outbox keyed
+//!   by global batch id,
 //! * its own [`SolPolicy`] over the slice (global batch ids, local
 //!   state — [`SolPolicy::with_base`]), and
 //! * its own [`Interconnect`] and RNG stream, modelling one DMA channel
@@ -158,7 +158,7 @@ impl ShardedCost {
 /// An iteration allocates nothing once the shard has warmed up: the
 /// host leg streams the policy's due filter straight into the PTE
 /// queue, the agent polls into the reused `polled` buffer and scans
-/// straight off it, and the ship leg drains the slots into the reused
+/// straight off it, and the ship leg drains the outbox into the reused
 /// `last_shipment` buffer. Each buffer keeps the capacity of the
 /// largest iteration so far.
 #[derive(Debug)]
@@ -166,9 +166,9 @@ struct MemShard {
     policy: SolPolicy,
     ic: Interconnect,
     rng: SmallRng,
-    /// Built once, lazily on the shard's first iteration, with one
-    /// decision slot per batch of the workload: the slot index is the
-    /// global batch id.
+    /// Built once, lazily on the shard's first iteration, over the
+    /// workload's whole batch space: a decision's slot id is its global
+    /// batch id.
     rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
     /// The PTE deltas the agent polled this iteration.
     polled: Vec<PteDelta>,
@@ -201,7 +201,7 @@ impl MemShard {
     /// The runtime spans the whole batch space of `workload`, whatever
     /// slice the policy manages, so a slice that grows or shrinks
     /// (rebalancing, batches lent by a dead sibling) stages into the
-    /// same table. Each iteration also notes the due-batch count on the
+    /// same outbox. Each iteration also notes the due-batch count on the
     /// runtime's load counter ([`AgentRuntime::note_load`]), the
     /// scan-rate signal the [`Rebalancer`] samples.
     fn run(
@@ -252,10 +252,10 @@ impl MemShard {
             .iterate_batches(now, shipped_batches, workload, &mut self.rng);
         rt.note_load(stats.scanned);
 
-        // Stage each classification flip as a migration decision at its
-        // batch's slot (slot id == global batch id). Decision-forming
-        // compute is the classify phase above, so only the slot writes
-        // accrue, onto the agent's serial clock.
+        // Stage each classification flip as a migration decision under
+        // its batch's slot id (slot id == global batch id). Decision-
+        // forming compute is the classify phase above, so only the
+        // stage writes accrue, onto the agent's serial clock.
         let stage_at = arrive + scan;
         let mut stage_cpu = SimTime::ZERO;
         for &(batch, hot) in self.policy.flips() {
@@ -265,7 +265,7 @@ impl MemShard {
         }
         rt.run_raw(stage_at, stage_cpu);
 
-        // Ship leg: one batched transfer consumes every staged slot —
+        // Ship leg: one batched transfer empties the outbox —
         // only a subset migrates, so the decision stream is ~4:1
         // smaller than the ingest (<1 ms per the paper).
         let ship_at = arrive + scan + classify;
@@ -515,8 +515,8 @@ impl ShardedSolRunner {
     /// applies the batch moves by host-replayed handoff —
     /// [`SolPolicy::release_batches`] on the donor,
     /// [`SolPolicy::adopt_batches`] (fresh prior, due immediately) on
-    /// the recipient. Runtimes are untouched: every shard's slot table
-    /// already spans the whole batch space. Returns the epoch's
+    /// the recipient. Runtimes are untouched: every shard's outbox
+    /// already accepts any batch id of the space. Returns the epoch's
     /// event, or `None` when rebalancing is off or the epoch has not
     /// elapsed. Dead shards do not pause the epoch clock: they are
     /// masked out of the skew gate and the plan (the `alive` mask of
@@ -601,7 +601,7 @@ impl ShardedSolRunner {
     /// [`restart_shard`] reclaims the lent batches from whoever holds
     /// them then. With no live sibling (K=1) the slice stays with the
     /// corpse and is unmanaged until restart. Decisions the shard had
-    /// already shipped remain with the host; slots were drained
+    /// already shipped remain with the host; the outbox was drained
     /// atomically by the last `dma_out`, so nothing is stranded in
     /// SmartNIC DRAM.
     ///
@@ -981,8 +981,8 @@ mod tests {
         assert!(!k2.is_shard_running(1));
         let rt = k2.shard_runtime(1).unwrap();
         assert!(!rt.is_running());
-        // Slots drained atomically by the last dma_out: nothing stuck.
-        assert_eq!(rt.slots_ref().staged_count(), 0);
+        // Outbox drained atomically by the last dma_out: nothing stuck.
+        assert_eq!(rt.staged_count(), 0);
 
         // Mid-epoch iteration with a dead shard: only shard 0 works.
         let (stats, cost) = k2.run_iteration(&fp, SimTime::from_ms(600));

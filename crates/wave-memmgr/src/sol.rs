@@ -195,8 +195,8 @@ impl SolPolicy {
         self.batches.is_empty()
     }
 
-    /// The local row of a (global) batch id. Decision slots do not use
-    /// it — they are indexed by the global id.
+    /// The local row of a (global) batch id. Staged decisions do not
+    /// use it — their slot id is the global id.
     ///
     /// # Panics
     ///
@@ -406,7 +406,7 @@ impl SolPolicy {
 
     /// Classification flips from the most recent iteration, in scan
     /// order: `(global_batch, now_hot)`. These are what the agent stages
-    /// into its decision slots and ships back to the host (§4.2).
+    /// into its decision outbox and ships back to the host (§4.2).
     pub fn flips(&self) -> &[(u32, bool)] {
         &self.flips
     }

@@ -27,10 +27,10 @@
 //!   same API provides hardware coherence — device writes invalidate host
 //!   snapshots automatically and `clflush` becomes a no-op.
 //!
-//! Mapping a region costs nothing per line. A region may span a whole
-//! resource space (the memory agent maps one decision slot per page
-//! batch, and a DMA queue's ring whose entry lines the host never
-//! touches), so per-line state holds only what has been touched: it
+//! Mapping a region costs nothing per line. A region may span far more
+//! lines than are ever touched (a DMA queue's ring, whose entry lines
+//! the host never writes: the memory agent's PTE stream maps twice its
+//! batch space), so per-line state holds only what has been touched: it
 //! grows up to the highest line a fill or device write has reached, and
 //! a line past that is uncached and never written.
 
@@ -96,8 +96,8 @@ struct CacheLine {
 /// empty and grow to `line + 1` on the first store that creates state
 /// (a fill, a prefetch, a device write); an index past the end reads as
 /// "uncached, never written". They grow separately, so a region the
-/// device writes but the host never caches (the memory agent's decision
-/// slots) holds one timestamp per line and no cache entries.
+/// device writes but the host never caches holds one timestamp per line
+/// and no cache entries.
 /// Pending write-combining words are not region state: they live in the
 /// CPU's buffer ([`HostMmio`]'s pending-line list).
 #[derive(Debug)]

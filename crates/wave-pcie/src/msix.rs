@@ -116,8 +116,7 @@ impl MsixController {
 /// exhaustible resource: allocation is first-free, a tenant's bundle
 /// allocates all-or-nothing, and a tenant that cannot get vectors falls
 /// back to *degraded polling* (the host discovers decisions on a poll
-/// grid instead of being kicked — see the tenant registry). Teardown
-/// releases the whole slice so a later tenant can claim it.
+/// grid instead of being kicked — see the tenant registry).
 #[derive(Debug, Clone)]
 pub struct MsixVectorTable {
     owner: Vec<Option<u32>>,
@@ -170,30 +169,6 @@ impl MsixVectorTable {
                 .map(|_| self.alloc(owner).expect("counted"))
                 .collect(),
         )
-    }
-
-    /// Frees one vector. Returns whether it was allocated.
-    pub fn release(&mut self, v: MsixVector) -> bool {
-        match self.owner.get_mut(v.0 as usize) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Frees every vector held by `owner` (tenant teardown). Returns how
-    /// many were released.
-    pub fn release_owner(&mut self, owner: u32) -> usize {
-        let mut freed = 0;
-        for slot in &mut self.owner {
-            if *slot == Some(owner) {
-                *slot = None;
-                freed += 1;
-            }
-        }
-        freed
     }
 }
 
@@ -252,20 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn vector_table_allocates_first_free_and_releases() {
-        let mut tbl = MsixVectorTable::new(4);
-        assert_eq!(tbl.available(), 4);
-        let a = tbl.alloc(0).unwrap();
-        let b = tbl.alloc(1).unwrap();
-        assert_eq!((a, b), (MsixVector(0), MsixVector(1)));
-        assert!(tbl.release(a), "allocated vector releases");
-        assert!(!tbl.release(a), "double release is a no-op");
-        // First-free policy reuses the hole.
-        assert_eq!(tbl.alloc(2), Some(MsixVector(0)));
-        assert_eq!(tbl.in_use(), 2);
-    }
-
-    #[test]
     fn block_allocation_is_all_or_nothing() {
         let mut tbl = MsixVectorTable::new(8);
         let t0 = tbl.alloc_block(0, 6).unwrap();
@@ -275,17 +236,5 @@ mod tests {
         assert_eq!(tbl.available(), 2, "failed block left the table intact");
         assert!(tbl.alloc_block(1, 2).is_some());
         assert!(tbl.exhausted());
-    }
-
-    #[test]
-    fn teardown_releases_a_tenants_whole_slice() {
-        let mut tbl = MsixVectorTable::new(8);
-        tbl.alloc_block(0, 3).unwrap();
-        tbl.alloc_block(1, 3).unwrap();
-        assert_eq!(tbl.release_owner(0), 3);
-        assert_eq!(tbl.in_use(), 3, "tenant 1 untouched");
-        assert_eq!(tbl.release_owner(0), 0, "second teardown frees nothing");
-        // The freed slice is claimable by a new tenant.
-        assert_eq!(tbl.alloc_block(2, 5).map(|v| v.len()), Some(5));
     }
 }

@@ -11,8 +11,10 @@
 //!
 //! * **Per-entry valid flags**: the producer marks an entry valid only
 //!   after fully writing it, so the consumer never reads a torn entry.
-//!   In the model, an entry carries the absolute time it becomes visible
-//!   on the consumer's side of the link.
+//!   In the model, each entry becomes visible on the consumer's side of
+//!   the link at an absolute time; the queue stores those times once per
+//!   run of consecutive entries that share one (one flush releases every
+//!   buffered entry at the same instant), not once per entry.
 //! * **MMIO or DMA backing** (`SET_QUEUE_TYPE`): MMIO queues live in
 //!   SmartNIC DRAM and are written by the host through
 //!   [`wave_pcie::HostMmio`], so write-combining buffers hide entries

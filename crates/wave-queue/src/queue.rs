@@ -82,13 +82,11 @@ pub struct QueueStats {
     pub flushes: u64,
 }
 
-#[derive(Debug)]
-struct Slot<T> {
-    payload: T,
-    /// When the entry data is present in SmartNIC memory. `SimTime::MAX`
-    /// while still buffered host-side.
-    visible_at: SimTime,
-}
+/// A run of consecutive entries that become visible at the same
+/// instant: `(entries, visible_at)`, where `visible_at` is when the
+/// entry data is present in SmartNIC memory, or [`SimTime::MAX`] while
+/// still buffered host-side.
+type Run = (u64, SimTime);
 
 /// An order-preserving, loss-less queue from the host (producer) to the
 /// SmartNIC (consumer).
@@ -106,7 +104,12 @@ pub struct WaveQueue<T> {
     region: RegionId,
     /// SoC-side mapping used by NIC accesses to this queue's memory.
     nic_pte: SocPteMode,
-    entries: VecDeque<Slot<T>>,
+    /// In-flight payloads, oldest first.
+    entries: VecDeque<T>,
+    /// Their visibility, run-length encoded: the counts sum to
+    /// `entries.len()`. One flush makes every buffered entry visible at
+    /// one instant, so a DMA batch is one run however long it is.
+    runs: VecDeque<Run>,
     /// Next absolute index to produce.
     tail: u64,
     /// Next absolute index to consume.
@@ -159,6 +162,7 @@ impl<T> WaveQueue<T> {
             region,
             nic_pte,
             entries: VecDeque::new(),
+            runs: VecDeque::new(),
             tail: 0,
             head: 0,
             credits: capacity,
@@ -203,7 +207,7 @@ impl<T> WaveQueue<T> {
     /// [`SimTime::MAX`] semantics for entries still buffered
     /// producer-side (they need a [`WaveQueue::flush`]).
     pub fn next_visible_at(&self) -> Option<SimTime> {
-        self.entries.front().map(|s| s.visible_at)
+        self.runs.front().map(|&(_, at)| at)
     }
 
     /// Line address of the slot for absolute index `i`.
@@ -262,11 +266,22 @@ impl<T> WaveQueue<T> {
             }
         };
 
-        self.entries.push_back(Slot {
-            payload,
-            visible_at: outcome.visible_at.unwrap_or(SimTime::MAX),
-        });
+        self.entries.push_back(payload);
+        let visible_at = outcome.visible_at.unwrap_or(SimTime::MAX);
+        match self.runs.back_mut() {
+            Some((n, at)) if *at == visible_at => *n += 1,
+            _ => self.runs.push_back((1, visible_at)),
+        }
         Ok(outcome)
+    }
+
+    /// Gives every buffered entry the visibility instant `at`.
+    fn release_buffered(&mut self, at: SimTime) {
+        for run in &mut self.runs {
+            if run.1 == SimTime::MAX {
+                run.1 = at;
+            }
+        }
     }
 
     /// Makes all buffered entries visible: `sfence` for MMIO/WC queues,
@@ -276,20 +291,16 @@ impl<T> WaveQueue<T> {
         match self.transport {
             Transport::Mmio => {
                 let f = ic.mmio.sfence(now);
-                let visible = f.visible_at.expect("sfence always drains");
-                for slot in &mut self.entries {
-                    if slot.visible_at == SimTime::MAX {
-                        slot.visible_at = visible;
-                    }
-                }
+                self.release_buffered(f.visible_at.expect("sfence always drains"));
                 f.cpu
             }
             Transport::Dma => {
-                let pending = self
-                    .entries
+                let pending: u64 = self
+                    .runs
                     .iter()
-                    .filter(|s| s.visible_at == SimTime::MAX)
-                    .count() as u64;
+                    .filter(|&&(_, at)| at == SimTime::MAX)
+                    .map(|&(n, _)| n)
+                    .sum();
                 if pending == 0 {
                     return SimTime::ZERO;
                 }
@@ -300,11 +311,7 @@ impl<T> WaveQueue<T> {
                 let t = ic
                     .dma
                     .transfer(now, bytes, DmaDirection::HostToNic, Side::Host);
-                for slot in &mut self.entries {
-                    if slot.visible_at == SimTime::MAX {
-                        slot.visible_at = t.complete_at;
-                    }
-                }
+                self.release_buffered(t.complete_at);
                 t.initiator_cpu
             }
         }
@@ -360,20 +367,24 @@ impl<T> WaveQueue<T> {
         let start = out.len();
         // Probe the head flag.
         cpu += ic.soc.access(self.nic_pte, 1);
-        while out.len() - start < max {
-            // Visibility is evaluated at the poll's start: a poll
-            // observes a consistent snapshot of the ring.
-            let visible = match self.entries.front() {
-                Some(slot) => slot.visible_at <= now,
-                None => false,
-            };
-            if !visible {
+        // Visibility is evaluated at the poll's start: a poll observes a
+        // consistent snapshot of the ring, one run at a time.
+        while let Some(&(n, at)) = self.runs.front() {
+            let room = (max - (out.len() - start)) as u64;
+            if at > now || room == 0 {
                 break;
             }
-            let slot = self.entries.pop_front().expect("checked nonempty");
-            cpu += ic.soc.access(self.nic_pte, self.entry_words);
-            cpu += self.record_pop(ic);
-            out.push(slot.payload);
+            let take = n.min(room);
+            out.extend(self.entries.drain(..take as usize));
+            for _ in 0..take {
+                cpu += ic.soc.access(self.nic_pte, self.entry_words);
+                cpu += self.record_pop(ic);
+            }
+            if take == n {
+                self.runs.pop_front();
+            } else {
+                self.runs[0].0 -= take;
+            }
         }
         cpu
     }

@@ -13,10 +13,10 @@
 //! * [`queue`] — the Floem-style host→SmartNIC message queue over MMIO or
 //!   DMA.
 //! * [`core`] — the Wave API of the paper's Table 1 on one agent runtime
-//!   (message queue + decision slots), generation-validated transactions,
+//!   (message queue + staged decisions), generation-validated transactions,
 //!   agents, and the watchdog.
 //! * [`ghost`] — the ghOSt-style scheduling substrate plus the FIFO,
-//!   Shinjuku, multi-queue Shinjuku, and VM (Tableau-style) policies.
+//!   Shinjuku and multi-queue Shinjuku policies.
 //! * [`memmgr`] — the memory-management substrate plus the SOL
 //!   Thompson-sampling tiering policy.
 //! * [`rpc`] — the Stubby-style RPC stack substrate with packet steering.

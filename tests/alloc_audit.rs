@@ -2,12 +2,13 @@
 //! event scheduling must not hit the global allocator (the engine reuses
 //! its closure pool, slab and event heap), the scheduler model's agent
 //! pump must stay allocation-lean (reused `kicked`/prestage scratch
-//! buffers, arena thread table, intrusive run queues), and a warmed-up
+//! buffers, arena thread table, intrusive run queues), a warmed-up
 //! memory-agent iteration allocates only its return values (reused
-//! poll and shipment buffers, in-place due filter and scan).
+//! poll and shipment buffers, in-place due filter and scan), and the
+//! memory agent's peak live heap stays within a per-batch byte budget.
 //!
 //! The counting allocator sees every thread in this test binary, so the
-//! four audits run in sequence inside ONE `#[test]`; a second test
+//! five audits run in sequence inside ONE `#[test]`; a second test
 //! running concurrently would leak its allocations into the counts.
 //! Run with `cargo test --release --test alloc_audit -- --nocapture` to
 //! see the measured counts.
@@ -22,23 +23,39 @@ use wave::memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::{Sim, SimTime};
 
-/// Counts every global-allocator hit (alloc + realloc; frees are not
-/// interesting for the steady-state property).
+/// Counts every global-allocator hit (alloc + realloc) and tracks the
+/// live heap bytes and their peak.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grow(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrink(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with the caller's arguments
 // unchanged, so `System`'s implementation upholds the `GlobalAlloc`
-// contract; the counter is a statistic and touches no allocated memory.
+// contract; the counters are statistics and touch no allocated memory.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: the caller's `alloc` preconditions pass through as is.
-        unsafe { System.alloc(layout) }
+        let ptr = unsafe { System.alloc(layout) };
+        if !ptr.is_null() {
+            grow(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` via this allocator with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -47,7 +64,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
         // SAFETY: `ptr`/`layout` came from `System` via this allocator, and
         // the caller guarantees `new_size` is valid for `layout.align()`.
-        unsafe { System.realloc(ptr, layout, new_size) }
+        let moved = unsafe { System.realloc(ptr, layout, new_size) };
+        if !moved.is_null() {
+            match new_size.checked_sub(layout.size()) {
+                Some(more) => grow(more),
+                None => shrink(layout.size() - new_size),
+            }
+        }
+        moved
     }
 }
 
@@ -197,10 +221,54 @@ fn audit_mem_agent_iteration() {
     println!("alloc-audit mem_agent_iteration: {during} allocs / {ITERATIONS} iterations, {scanned} scans");
 }
 
+/// The memory agent's heap grows with the batches it manages, not with
+/// the transport: a policy row per batch plus buffers bounded by one
+/// iteration's due batches and flips. One shard (K=1) runs on this
+/// thread, from just before it is built through 8 iterations, 600 ms
+/// apart (all batches are due at t=0). The budget is 96 bytes per
+/// batch; a table or timestamp vector sized to the batch space (16 or
+/// 8 bytes a batch) on top of the buffers breaks it.
+fn audit_mem_agent_heap() {
+    let fp = DbFootprint::new(
+        FootprintConfig::skewed(0.01, 0.5),
+        AccessPattern::Scattered,
+        42,
+    );
+    let batches = fp.batches() as u64;
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    let mut runner = ShardedSolRunner::new(
+        RunnerConfig::paper(CoreClass::NicArm, 16),
+        CpuModel::mount_evans(),
+        1,
+        SolConfig::paper(),
+        fp.batches(),
+        42,
+    );
+    for it in 0..8 {
+        runner.run_iteration(&fp, SimTime::from_ms(600 * it));
+    }
+    let peak = PEAK.load(Ordering::Relaxed) - base;
+    let live = LIVE.load(Ordering::Relaxed) - base;
+    drop(runner);
+    assert!(
+        peak <= 96 * batches,
+        "memory agent heap peaked at {peak} bytes for {batches} batches \
+         ({:.1} per batch, budget: 96)",
+        peak as f64 / batches as f64
+    );
+    println!(
+        "alloc-audit mem_agent_heap: peak {:.1} B/batch, live {:.1} B/batch over {batches} batches",
+        peak as f64 / batches as f64,
+        live as f64 / batches as f64
+    );
+}
+
 #[test]
 fn hot_loops_stay_within_allocation_budgets() {
     audit_engine_steady_state();
     audit_sched_sim_pump();
     audit_sched_sim_steady_state();
     audit_mem_agent_iteration();
+    audit_mem_agent_heap();
 }

@@ -182,10 +182,10 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     sharded.kill_shard(1);
     assert!(!sharded.is_shard_running(1));
     assert!(!sharded.shard_runtime(1).unwrap().is_running());
-    // dma_ship_staged drains the slot table atomically at the end of
-    // every iteration, so the crash strands nothing in SmartNIC DRAM.
-    let slots = sharded.shard_runtime(1).unwrap().slots_ref();
-    assert_eq!(slots.staged_count(), 0, "no half-shipped decisions");
+    // dma_ship_staged drains the outbox atomically at the end of every
+    // iteration, so the crash strands nothing in SmartNIC DRAM.
+    let rt = sharded.shard_runtime(1).unwrap();
+    assert_eq!(rt.staged_count(), 0, "no half-shipped decisions");
 
     // Mid-epoch iteration with the dead shard: shard 0 keeps managing
     // its slice, shard 1's slice goes unscanned — containment.

@@ -148,11 +148,12 @@ fn memory_agent_rebalance_history_is_deterministic() {
 
 #[test]
 fn memory_agent_runtimes_span_the_batch_space_across_resizes() {
-    // A decision slot is addressed by global batch id and a shard's
-    // runtime lives as long as the shard: neither a rebalance epoch nor
-    // a kill/restart lending cycle may resize or rebuild it. Checked at
-    // both moments: every shard's slot table spans the whole batch
-    // space, and its decision count never resets.
+    // A decision's slot id is its global batch id and a shard's runtime
+    // lives as long as the shard: neither a rebalance epoch nor a
+    // kill/restart lending cycle may resize or rebuild it. Checked at
+    // both moments: every live shard ships decisions for exactly the
+    // batches it owns (including the ones it just adopted), and its
+    // decision count never resets.
     let fp = DbFootprint::new(
         FootprintConfig::skewed(0.002, 0.5),
         AccessPattern::Scattered,
@@ -167,45 +168,73 @@ fn memory_agent_runtimes_span_the_batch_space_across_resizes() {
         4,
     )
     .with_rebalance(RebalanceConfig::every(SimTime::from_ms(1_800)));
-    let total = runner.total_batches();
     let mut seen = [0u64; 2];
-    let mut check = |runner: &ShardedSolRunner, moment: &str| {
+    // Runs one iteration; checks every live shard's shipment against
+    // the map and returns, per shard, how many of `adopted`'s batches
+    // it shipped.
+    let mut iterate = |runner: &mut ShardedSolRunner, now, adopted: &[usize], moment: &str| {
+        runner.run_iteration(&fp, now);
+        let mut shipped_adopted = [0usize; 2];
         for (i, last) in seen.iter_mut().enumerate() {
-            let rt = runner.shard_runtime(i as u32).expect("built");
-            assert_eq!(rt.slots_ref().len(), total, "{moment}: shard {i} slots");
+            let shard = i as u32;
+            let rt = runner.shard_runtime(shard).expect("built");
             assert!(rt.decisions() >= *last, "{moment}: shard {i} count reset");
             *last = rt.decisions();
+            if !runner.is_shard_running(shard) {
+                continue;
+            }
+            for d in runner.last_shipment(shard) {
+                let b = d.batch as usize;
+                assert_eq!(
+                    runner.shard_map().owner(b),
+                    shard,
+                    "{moment}: shard {i} shipped batch {b} it does not own"
+                );
+                shipped_adopted[i] += adopted.contains(&b) as usize;
+            }
         }
-        seen.iter().sum::<u64>()
+        (seen.iter().sum::<u64>(), shipped_adopted)
     };
 
     // Moment 1: an epoch moves batches; the next iteration scans the
-    // adopted batches into the same tables.
+    // adopted batches and their recipient ships decisions for them.
     let mut now = SimTime::ZERO;
-    loop {
-        runner.run_iteration(&fp, now);
-        let moved = runner
-            .maybe_rebalance(now)
-            .is_some_and(|e| !e.moves.is_empty());
+    let (before, moves) = loop {
+        let (before, _) = iterate(&mut runner, now, &[], "before the move");
+        let moves = runner.maybe_rebalance(now).map(|e| e.moves);
         now += SimTime::from_ms(600);
-        if moved {
-            break;
+        if let Some(moves) = moves.filter(|m| !m.is_empty()) {
+            break (before, moves);
         }
         assert!(now < SimTime::from_secs(12), "skewed load moved no batches");
-    }
-    let before = check(&runner, "before the move");
-    runner.run_iteration(&fp, now);
-    assert!(check(&runner, "after the move") > before);
+    };
+    let adopted: Vec<usize> = moves.iter().map(|m| m.resource).collect();
+    let to = moves[0].to as usize;
+    assert!(moves.iter().all(|m| m.to as usize == to), "one recipient");
+    let (after, shipped) = iterate(&mut runner, now, &adopted, "after the move");
+    assert!(after > before);
+    assert!(
+        shipped[to] > 0,
+        "the recipient shipped none of its adopted batches"
+    );
 
     // Moment 2: a dead shard lends its batches to the survivor, and a
     // restart takes them back.
+    let lent_ids = runner.shard_batches(1);
     runner.kill_shard(1);
     now += SimTime::from_ms(600);
-    runner.run_iteration(&fp, now);
-    let lent = check(&runner, "while lent");
-    assert!(lent > before);
+    let (lent, shipped) = iterate(&mut runner, now, &lent_ids, "while lent");
+    assert!(lent > after);
+    assert!(
+        shipped[0] > 0,
+        "the survivor shipped none of the lent batches"
+    );
     runner.restart_shard(1, now);
     now += SimTime::from_ms(600);
-    runner.run_iteration(&fp, now);
-    assert!(check(&runner, "after restart") > lent);
+    let (restarted, shipped) = iterate(&mut runner, now, &lent_ids, "after restart");
+    assert!(restarted > lent);
+    assert!(
+        shipped[1] > 0,
+        "the restarted shard shipped none of its batches"
+    );
 }
