@@ -478,11 +478,6 @@ impl Rebalancer {
     pub fn history(&self) -> &[RebalanceEvent] {
         &self.history
     }
-
-    /// Total committed moves across the run.
-    pub fn total_moves(&self) -> u64 {
-        self.history.iter().map(|e| e.moves.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]
@@ -628,7 +623,6 @@ mod tests {
         let e3 = rb.run_epoch(SimTime::from_ms(30), &mut map, &[]).clone();
         assert!(e3.moves.is_empty());
         assert_eq!(rb.history().len(), 3);
-        assert_eq!(rb.total_moves(), e2.moves.len() as u64);
     }
 
     #[test]

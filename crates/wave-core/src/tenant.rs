@@ -25,8 +25,7 @@ use wave_sim::SimTime;
 
 use crate::workload::SloClass;
 
-/// A tenant handle: tenants are numbered in registration order, and the
-/// id tags MSI-X vector ownership.
+/// A tenant handle: tenants are numbered in registration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TenantId(pub u32);
 
@@ -223,7 +222,7 @@ impl TenantRegistry {
         let id = TenantId(self.tenants.len() as u32);
         let vectors = self
             .vectors
-            .alloc_block(id.0, spec.workers as usize)
+            .alloc_block(spec.workers as usize)
             .unwrap_or_default();
         let degraded = vectors.is_empty() && spec.workers > 0;
         self.tenants.push(TenantBinding {

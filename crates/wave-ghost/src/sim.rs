@@ -206,6 +206,16 @@ impl SchedConfig {
             poll_pickup: None,
         }
     }
+
+    /// The worker cores' service capacity (req/s): `workers` over the
+    /// workload's mean service time plus the per-request application
+    /// overhead every task pays. Every sizing decision (offered-load
+    /// fractions, saturation brackets) starts from this one figure.
+    pub fn worker_capacity(&self) -> f64 {
+        let mean =
+            self.workload.mean_service().as_secs_f64() + self.cost.app_overhead_ns as f64 / 1e9;
+        self.workers as f64 / mean
+    }
 }
 
 /// Results of one load point.

@@ -16,7 +16,7 @@ use wave_core::workload::WorkloadSpec;
 use wave_core::OptLevel;
 use wave_ghost::policies::{FifoPolicy, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
-use wave_ghost::sim::{Placement, SchedConfig, SchedReport, SchedSim, ServiceMix};
+use wave_ghost::sim::{Placement, SchedConfig, ServiceMix};
 use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
@@ -144,49 +144,14 @@ impl Fig4Config {
     }
 }
 
-/// Runs one load point of a scenario.
-pub fn run_point(cfg: &Fig4Config, scenario: Scenario, offered: f64) -> SchedReport {
+/// The scenario's host under `cfg`; callers set the offered rate.
+pub fn sched_config(cfg: &Fig4Config, scenario: Scenario) -> SchedConfig {
     let mut sc = SchedConfig::new(scenario.workers(), scenario.placement(), cfg.opts);
-    sc.workload = WorkloadSpec::poisson(cfg.mix(), offered);
+    sc.workload = WorkloadSpec::poisson(cfg.mix(), 100_000.0);
     sc.duration = cfg.duration;
     sc.warmup = cfg.warmup;
     sc.seed = cfg.seed;
-    SchedSim::new(sc, cfg.make_policy()).run()
-}
-
-/// Finds the saturation throughput (req/s) of a scenario: the highest
-/// achieved throughput whose p99 stays at or under the cap. Geometric
-/// sweep followed by bisection.
-pub fn saturation(cfg: &Fig4Config, scenario: Scenario) -> f64 {
-    let cap = cfg.p99_cap_us;
-    // Capacity upper bound from the mix: workers / mean service.
-    let mean = cfg.mix().mean_service().as_secs_f64()
-        + wave_ghost::cost::CostModel::calibrated().app_overhead_ns as f64 / 1e9;
-    let upper = scenario.workers() as f64 / mean * 1.2;
-    let mut lo = upper * 0.3;
-    let mut hi = upper;
-    let mut best = 0.0f64;
-    // Ensure lo is feasible; if not, walk down.
-    for _ in 0..6 {
-        let rep = run_point(cfg, scenario, lo);
-        if rep.latency.p99.as_us_f64() <= cap {
-            best = rep.achieved;
-            break;
-        }
-        hi = lo;
-        lo *= 0.7;
-    }
-    for _ in 0..9 {
-        let mid = (lo + hi) / 2.0;
-        let rep = run_point(cfg, scenario, mid);
-        if rep.latency.p99.as_us_f64() <= cap && rep.achieved >= mid * 0.9 {
-            best = best.max(rep.achieved);
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    best
+    sc
 }
 
 /// Full figure result.
@@ -219,7 +184,7 @@ impl Fig4Result {
 pub fn run(cfg: &Fig4Config) -> Fig4Result {
     let sats = par_map(
         &[Scenario::OnHost16, Scenario::Wave15, Scenario::Wave16],
-        |&sc| saturation(cfg, sc),
+        |&sc| crate::saturation(&sched_config(cfg, sc), || cfg.make_policy(), cfg.p99_cap_us),
     );
     Fig4Result {
         sat_onhost: sats[0],
@@ -234,11 +199,9 @@ pub fn run(cfg: &Fig4Config) -> Fig4Result {
 pub fn ablation(cfg: &Fig4Config) -> Vec<(&'static str, f64)> {
     let ladder = OptLevel::ablation_ladder();
     let sats = par_map(&ladder, |(_, opts)| {
-        let c = Fig4Config {
-            opts: *opts,
-            ..cfg.clone()
-        };
-        saturation(&c, Scenario::Wave16)
+        let mut sc = sched_config(cfg, Scenario::Wave16);
+        sc.opts = *opts;
+        crate::saturation(&sc, || cfg.make_policy(), cfg.p99_cap_us)
     });
     ladder
         .into_iter()
@@ -290,11 +253,14 @@ pub fn ablation_report(cfg: &Fig4Config) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wave_ghost::sim::SchedSim;
 
     #[test]
     fn quick_point_runs() {
         let cfg = Fig4Config::fifo_quick();
-        let rep = run_point(&cfg, Scenario::Wave16, 200_000.0);
+        let mut sc = sched_config(&cfg, Scenario::Wave16);
+        sc.workload.set_offered(200_000.0);
+        let rep = SchedSim::new(sc, cfg.make_policy()).run();
         assert!(rep.completed > 10_000);
         assert!(rep.latency.p99 < SimTime::from_us(200));
     }

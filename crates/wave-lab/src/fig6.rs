@@ -2,7 +2,7 @@
 
 use wave_ghost::policies::{MultiQueueShinjuku, ShinjukuPolicy};
 use wave_ghost::policy::SchedPolicy;
-use wave_ghost::sim::{SchedReport, SchedSim};
+use wave_ghost::sim::SchedConfig;
 use wave_rpc::{Fig6Scenario, SchedulerKind};
 use wave_sim::par::par_map;
 use wave_sim::SimTime;
@@ -62,45 +62,13 @@ impl Fig6Config {
     }
 }
 
-/// Runs one load point of a scenario.
-pub fn run_point(cfg: &Fig6Config, scenario: Fig6Scenario, offered: f64) -> SchedReport {
+/// The scenario's host under `cfg`; callers set the offered rate.
+pub fn sched_config(cfg: &Fig6Config, scenario: Fig6Scenario) -> SchedConfig {
     let mut sc = scenario.sched_config(cfg.kind);
-    sc.workload.set_offered(offered);
     sc.duration = cfg.duration;
     sc.warmup = cfg.warmup;
     sc.seed = cfg.seed;
-    SchedSim::new(sc, cfg.make_policy()).run()
-}
-
-/// Saturation throughput of a scenario under the p99 cap.
-pub fn saturation(cfg: &Fig6Config, scenario: Fig6Scenario) -> f64 {
-    let cap = cfg.p99_cap_us;
-    // Upper bound: workers over mean service (incl. overheads).
-    let mean_ns = 0.995 * 21_000.0 + 0.005 * 10_030_000.0;
-    let upper = scenario.workers() as f64 / (mean_ns / 1e9) * 1.3;
-    let mut lo = upper * 0.2;
-    let mut hi = upper;
-    let mut best = 0.0f64;
-    for _ in 0..7 {
-        let rep = run_point(cfg, scenario, lo);
-        if rep.latency.p99.as_us_f64() <= cap && rep.achieved >= lo * 0.9 {
-            best = rep.achieved;
-            break;
-        }
-        hi = lo;
-        lo *= 0.65;
-    }
-    for _ in 0..9 {
-        let mid = (lo + hi) / 2.0;
-        let rep = run_point(cfg, scenario, mid);
-        if rep.latency.p99.as_us_f64() <= cap && rep.achieved >= mid * 0.9 {
-            best = best.max(rep.achieved);
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    best
+    sc
 }
 
 /// Figure-level result.
@@ -145,7 +113,7 @@ pub fn run(cfg: &Fig6Config) -> Fig6Result {
             Fig6Scenario::OffloadAll,
             Fig6Scenario::OffloadAll15,
         ],
-        |&sc| saturation(cfg, sc),
+        |&sc| crate::saturation(&sched_config(cfg, sc), || cfg.make_policy(), cfg.p99_cap_us),
     );
     Fig6Result {
         onhost_all: sats[0],
@@ -193,11 +161,14 @@ pub fn report(cfg: &Fig6Config) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wave_ghost::sim::SchedSim;
 
     #[test]
     fn quick_point_runs() {
         let cfg = Fig6Config::single_queue_quick();
-        let rep = run_point(&cfg, Fig6Scenario::OffloadAll, 50_000.0);
+        let mut sc = sched_config(&cfg, Fig6Scenario::OffloadAll);
+        sc.workload.set_offered(50_000.0);
+        let rep = SchedSim::new(sc, cfg.make_policy()).run();
         assert!(rep.completed > 5_000);
     }
 }

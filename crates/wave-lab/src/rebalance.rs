@@ -160,9 +160,8 @@ pub fn run_sched(cfg: &RebalanceSweepConfig, dynamic: bool) -> SchedRebalancePoi
     sc.warmup = cfg.sched_warmup;
     sc.seed = cfg.seed;
     sc.wakeup_weights = Some(cfg.sched_weights.clone());
-    let mean = sc.workload.mean_service().as_secs_f64() + sc.cost.app_overhead_ns as f64 / 1e9;
     sc.workload
-        .set_offered(cfg.sched_workers as f64 / mean * cfg.sched_load);
+        .set_offered(sc.worker_capacity() * cfg.sched_load);
     if dynamic {
         sc.rebalance = Some(RebalanceConfig::every(cfg.sched_epoch));
     }

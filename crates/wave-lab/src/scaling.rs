@@ -120,9 +120,7 @@ pub fn run_point(cfg: &ScalingConfig, agents: u32, workers: u32) -> ScalingPoint
     // Saturate: offer `headroom` × worker capacity. A shallow outstanding
     // cap keeps run queues short (policy ops stay cheap) while the drop
     // guard preserves the open-loop pressure.
-    let mean = sc.workload.mean_service().as_secs_f64() + sc.cost.app_overhead_ns as f64 / 1e9;
-    sc.workload
-        .set_offered(workers as f64 / mean * cfg.headroom);
+    sc.workload.set_offered(sc.worker_capacity() * cfg.headroom);
     sc.max_outstanding = 8 * workers as usize;
     let rep = SchedSim::with_policy_factory(sc, |_| Box::new(FifoPolicy::new())).run();
     ScalingPoint {

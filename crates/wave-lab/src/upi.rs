@@ -12,9 +12,10 @@
 use wave_core::workload::WorkloadSpec;
 use wave_core::OptLevel;
 use wave_ghost::policies::ShinjukuPolicy;
-use wave_ghost::sim::{Placement, SchedConfig, SchedSim, ServiceMix};
+use wave_ghost::sim::{Placement, SchedConfig, ServiceMix};
 use wave_pcie::PcieConfig;
 use wave_sim::cpu::CpuModel;
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
 
 use crate::report::{PaperRow, Report};
@@ -71,7 +72,8 @@ pub enum UpiScenario {
     PcieNic,
 }
 
-fn sched_config(cfg: &UpiConfig, scenario: UpiScenario) -> SchedConfig {
+/// The scenario's host under `cfg`; callers set the offered rate.
+pub fn sched_config(cfg: &UpiConfig, scenario: UpiScenario) -> SchedConfig {
     let mut sc = SchedConfig::new(
         cfg.workers,
         match scenario {
@@ -97,46 +99,6 @@ fn sched_config(cfg: &UpiConfig, scenario: UpiScenario) -> SchedConfig {
     sc
 }
 
-/// Saturation throughput of a scenario.
-pub fn saturation(cfg: &UpiConfig, scenario: UpiScenario) -> f64 {
-    let cap = cfg.p99_cap_us;
-    let mean_ns = 0.995 * 14_800.0 + 0.005 * 10_004_800.0;
-    let upper = cfg.workers as f64 / (mean_ns / 1e9) * 1.3;
-    let mut lo = upper * 0.3;
-    let mut hi = upper;
-    let mut best = 0.0f64;
-    for _ in 0..6 {
-        let sc = {
-            let mut c = sched_config(cfg, scenario);
-            c.workload.set_offered(lo);
-            c
-        };
-        let rep = SchedSim::new(sc, Box::new(ShinjukuPolicy::paper_default())).run();
-        if rep.latency.p99.as_us_f64() <= cap && rep.achieved >= lo * 0.9 {
-            best = rep.achieved;
-            break;
-        }
-        hi = lo;
-        lo *= 0.7;
-    }
-    for _ in 0..8 {
-        let mid = (lo + hi) / 2.0;
-        let sc = {
-            let mut c = sched_config(cfg, scenario);
-            c.workload.set_offered(mid);
-            c
-        };
-        let rep = SchedSim::new(sc, Box::new(ShinjukuPolicy::paper_default())).run();
-        if rep.latency.p99.as_us_f64() <= cap && rep.achieved >= mid * 0.9 {
-            best = best.max(rep.achieved);
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    best
-}
-
 /// Full experiment result.
 #[derive(Debug, Clone)]
 pub struct UpiResult {
@@ -152,15 +114,34 @@ pub struct UpiResult {
     pub pcie_3ghz: f64,
 }
 
-/// Runs all five measurements.
+/// Runs all five measurements, the independent saturation searches in
+/// parallel.
 pub fn run(cfg: &UpiConfig) -> UpiResult {
+    let sats = par_map(
+        &[
+            UpiScenario::OnHost,
+            UpiScenario::CoherentNic { ghz: 3.0 },
+            UpiScenario::CoherentNic { ghz: 2.5 },
+            UpiScenario::CoherentNic { ghz: 2.0 },
+            UpiScenario::PcieNic,
+        ],
+        |&sc| saturation(cfg, sc),
+    );
     UpiResult {
-        onhost: saturation(cfg, UpiScenario::OnHost),
-        upi_3ghz: saturation(cfg, UpiScenario::CoherentNic { ghz: 3.0 }),
-        upi_2_5ghz: saturation(cfg, UpiScenario::CoherentNic { ghz: 2.5 }),
-        upi_2ghz: saturation(cfg, UpiScenario::CoherentNic { ghz: 2.0 }),
-        pcie_3ghz: saturation(cfg, UpiScenario::PcieNic),
+        onhost: sats[0],
+        upi_3ghz: sats[1],
+        upi_2_5ghz: sats[2],
+        upi_2ghz: sats[3],
+        pcie_3ghz: sats[4],
     }
+}
+
+fn saturation(cfg: &UpiConfig, scenario: UpiScenario) -> f64 {
+    crate::saturation(
+        &sched_config(cfg, scenario),
+        || Box::new(ShinjukuPolicy::paper_default()),
+        cfg.p99_cap_us,
+    )
 }
 
 /// Builds the paper-vs-measured report.

@@ -113,36 +113,29 @@ impl MsixController {
 /// Real NICs expose a fixed vector table (Mount Evans: low thousands,
 /// but carved up per PF/VF — a tenant's slice is small). With T tenants
 /// each wanting one vector per worker core, the table is a genuinely
-/// exhaustible resource: allocation is first-free, a tenant's bundle
-/// allocates all-or-nothing, and a tenant that cannot get vectors falls
-/// back to *degraded polling* (the host discovers decisions on a poll
-/// grid instead of being kicked — see the tenant registry).
+/// exhaustible resource: a tenant's bundle allocates all-or-nothing,
+/// and a tenant that cannot get vectors falls back to *degraded
+/// polling* (the host discovers decisions on a poll grid instead of
+/// being kicked — see the tenant registry). Vectors are never freed, so
+/// the table is a count: blocks are handed out in ascending order.
 #[derive(Debug, Clone)]
 pub struct MsixVectorTable {
-    owner: Vec<Option<u32>>,
+    capacity: usize,
+    in_use: usize,
 }
 
 impl MsixVectorTable {
     /// Creates a table with `capacity` vectors, all free.
     pub fn new(capacity: usize) -> Self {
         MsixVectorTable {
-            owner: vec![None; capacity],
+            capacity,
+            in_use: 0,
         }
-    }
-
-    /// Total vector count.
-    pub fn capacity(&self) -> usize {
-        self.owner.len()
-    }
-
-    /// Vectors currently allocated.
-    pub fn in_use(&self) -> usize {
-        self.owner.iter().filter(|o| o.is_some()).count()
     }
 
     /// Vectors currently free.
     pub fn available(&self) -> usize {
-        self.capacity() - self.in_use()
+        self.capacity - self.in_use
     }
 
     /// Whether the table has no free vector left.
@@ -150,25 +143,16 @@ impl MsixVectorTable {
         self.available() == 0
     }
 
-    /// Allocates the lowest free vector to `owner`.
-    pub fn alloc(&mut self, owner: u32) -> Option<MsixVector> {
-        let i = self.owner.iter().position(|o| o.is_none())?;
-        self.owner[i] = Some(owner);
-        Some(MsixVector(i as u32))
-    }
-
-    /// Allocates `n` vectors to `owner`, all-or-nothing: a tenant bundle
+    /// Allocates the next `n` vectors, all-or-nothing: a tenant bundle
     /// needs one vector per worker core, and a partial set is useless —
     /// it would still have to poll for the uncovered cores.
-    pub fn alloc_block(&mut self, owner: u32, n: usize) -> Option<Vec<MsixVector>> {
+    pub fn alloc_block(&mut self, n: usize) -> Option<Vec<MsixVector>> {
         if self.available() < n {
             return None;
         }
-        Some(
-            (0..n)
-                .map(|_| self.alloc(owner).expect("counted"))
-                .collect(),
-        )
+        let first = self.in_use;
+        self.in_use += n;
+        Some((first..self.in_use).map(|i| MsixVector(i as u32)).collect())
     }
 }
 
@@ -229,12 +213,12 @@ mod tests {
     #[test]
     fn block_allocation_is_all_or_nothing() {
         let mut tbl = MsixVectorTable::new(8);
-        let t0 = tbl.alloc_block(0, 6).unwrap();
-        assert_eq!(t0.len(), 6);
+        let t0 = tbl.alloc_block(6).unwrap();
+        assert_eq!(t0, (0..6).map(MsixVector).collect::<Vec<_>>());
         // Tenant 1 wants 4; only 2 remain — nothing is consumed.
-        assert!(tbl.alloc_block(1, 4).is_none());
+        assert!(tbl.alloc_block(4).is_none());
         assert_eq!(tbl.available(), 2, "failed block left the table intact");
-        assert!(tbl.alloc_block(1, 2).is_some());
+        assert_eq!(tbl.alloc_block(2), Some(vec![MsixVector(6), MsixVector(7)]));
         assert!(tbl.exhausted());
     }
 }

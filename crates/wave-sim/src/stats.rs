@@ -1,10 +1,9 @@
-//! Statistics: latency histograms and counters.
+//! Statistics: latency histograms.
 //!
 //! The paper reports 99th-percentile latency/throughput curves (Figs. 4
 //! and 6), per-vCPU work (Fig. 5), and latency medians/tails (§7.4). This
 //! module provides the recording machinery: an HDR-style log-bucketed
-//! histogram with bounded relative error, plus the counters and
-//! time-weighted gauges the simulators keep beside it.
+//! histogram with bounded relative error, and its percentile summary.
 
 use crate::time::SimTime;
 
@@ -220,73 +219,6 @@ pub struct Summary {
     pub max: SimTime,
 }
 
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A time-weighted gauge, e.g. for core utilization: integrates
-/// `value × dt` so the mean is exact regardless of update cadence.
-#[derive(Debug, Clone, Copy)]
-pub struct TimeWeighted {
-    last_at: SimTime,
-    last_value: f64,
-    integral: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Creates a gauge with initial `value` at time `at`.
-    pub fn new(at: SimTime, value: f64) -> Self {
-        TimeWeighted {
-            last_at: at,
-            last_value: value,
-            integral: 0.0,
-            start: at,
-        }
-    }
-
-    /// Updates the gauge to `value` at time `at` (must not be before the
-    /// previous update; same-instant updates are allowed).
-    pub fn set(&mut self, at: SimTime, value: f64) {
-        let dt = at.saturating_sub(self.last_at).as_ns() as f64;
-        self.integral += self.last_value * dt;
-        self.last_at = at;
-        self.last_value = value;
-    }
-
-    /// Time-weighted mean over `[start, at]`.
-    pub fn mean(&self, at: SimTime) -> f64 {
-        let dt = at.saturating_sub(self.last_at).as_ns() as f64;
-        let total = at.saturating_sub(self.start).as_ns() as f64;
-        if total == 0.0 {
-            return self.last_value;
-        }
-        (self.integral + self.last_value * dt) / total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -361,22 +293,5 @@ mod tests {
         assert_eq!(s.count, 100);
         assert!(s.p50.as_ns() < 1_100);
         assert!(s.p999.as_ns() > 90_000);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut g = TimeWeighted::new(SimTime::ZERO, 0.0);
-        g.set(SimTime::from_ns(10), 1.0); // 0 for 10ns
-        g.set(SimTime::from_ns(30), 0.0); // 1 for 20ns
-        let m = g.mean(SimTime::from_ns(40)); // 0 for 10ns more
-        assert!((m - 0.5).abs() < 1e-9, "mean {m}");
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
     }
 }

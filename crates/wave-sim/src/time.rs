@@ -51,16 +51,6 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Creates a time from fractional seconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `secs` is negative or not finite.
-    pub fn from_secs_f64(secs: f64) -> Self {
-        assert!(secs.is_finite() && secs >= 0.0, "invalid duration: {secs}");
-        SimTime((secs * 1e9).round() as u64)
-    }
-
     /// Creates a time from fractional microseconds, rounding to nanoseconds.
     ///
     /// # Panics
@@ -213,7 +203,6 @@ mod tests {
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
         assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
-        assert_eq!(SimTime::from_secs_f64(0.5), SimTime::from_ms(500));
         assert_eq!(SimTime::from_us_f64(1.5), SimTime::from_ns(1_500));
     }
 

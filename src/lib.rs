@@ -29,11 +29,13 @@
 //! ## Quickstart
 //!
 //! ```
-//! use wave::lab::fig4::{Fig4Config, Scenario};
+//! use wave::ghost::{policies::FifoPolicy, SchedSim};
+//! use wave::lab::fig4::{sched_config, Fig4Config, Scenario};
 //!
 //! // Run one load point of the paper's Figure 4a FIFO experiment.
-//! let cfg = Fig4Config::fifo_quick();
-//! let report = wave::lab::fig4::run_point(&cfg, Scenario::Wave16, 200_000.0);
+//! let mut sc = sched_config(&Fig4Config::fifo_quick(), Scenario::Wave16);
+//! sc.workload.set_offered(200_000.0);
+//! let report = SchedSim::new(sc, Box::new(FifoPolicy::new())).run();
 //! assert!(report.completed > 0);
 //! ```
 

@@ -51,7 +51,7 @@ fn golden_fleet_fingerprint_is_pinned() {
     assert!(rep.rejected <= rep.emitted);
 }
 
-const GOLDEN_FINGERPRINT: u64 = 12_279_605_857_600_426_226;
+const GOLDEN_FINGERPRINT: u64 = 7_451_181_916_672_182_575;
 
 #[test]
 fn hash_lb_is_deterministic_too() {
