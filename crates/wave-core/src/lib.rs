@@ -57,7 +57,7 @@
 //!   [`workload::WorkloadSource`] trait with Poisson, CSV-trace, and
 //!   deterministic synthetic-production-trace sources, the
 //!   [`workload::WorkloadSpec`] config value consumers embed, and the
-//!   [`workload::MemPhaseSource`] phase stream for the memory agent.
+//!   [`workload::PhaseSchedule`] phase stream for the memory agent.
 
 pub mod agent;
 pub mod opts;
@@ -79,7 +79,7 @@ pub use tenant::{Arbitration, TenantBinding, TenantId, TenantRegistry, TenantSpe
 pub use txn::{GenerationTable, ResourceRef, TxnId, TxnOutcome};
 pub use watchdog::Watchdog;
 pub use workload::{
-    MemPhase, MemPhaseSource, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix,
-    SloClass, SyntheticConfig, SyntheticTraceGenerator, Task, TraceError, TraceOptions,
-    TraceRecord, TraceSource, WorkloadEvent, WorkloadSource, WorkloadSpec,
+    MemPhase, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix, SloClass,
+    SyntheticConfig, SyntheticTraceGenerator, Task, TraceError, TraceOptions, TraceRecord,
+    TraceSource, WorkloadSource, WorkloadSpec,
 };

@@ -7,9 +7,9 @@
 //! first-class streaming abstraction:
 //!
 //! * [`WorkloadSource`] — the trait every generator implements. The
-//!   scheduler pulls one [`WorkloadEvent`] per arrival: absolute arrival
-//!   time, CPU service demand, SLO class, an optional placement-affinity
-//!   hint, and (for the memory agent) a memory-demand delta.
+//!   scheduler pulls each arrival's absolute time, then its [`Task`]: CPU
+//!   service demand, SLO class, an optional placement-affinity hint, and
+//!   (for the memory agent) a memory-demand delta.
 //! * [`PoissonSource`] — wraps the legacy `Exp` + [`ServiceMix`] path,
 //!   **bit-identical** to the old inline sampling (see the trait docs
 //!   for the draw-order contract that makes this hold even when the
@@ -24,8 +24,8 @@
 //!
 //! Consumers choose a source through [`WorkloadSpec`], which the
 //! scheduler's config embeds (`SchedConfig::workload`), and the memory
-//! agent drives hot/cold access-pattern changes from a parallel
-//! [`MemPhaseSource`] stream of [`MemPhase`]s.
+//! agent drives hot/cold access-pattern changes from a
+//! [`PhaseSchedule`] of [`MemPhase`]s.
 
 use std::sync::Arc;
 
@@ -211,15 +211,6 @@ impl Task {
     }
 }
 
-/// One arrival: when, plus what.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkloadEvent {
-    /// Absolute arrival time.
-    pub at: SimTime,
-    /// The work.
-    pub task: Task,
-}
-
 /// A streaming workload generator.
 ///
 /// The protocol is two-phase so an open-loop simulator can interleave
@@ -239,9 +230,6 @@ pub struct WorkloadEvent {
 /// service draw entirely when the arrival is shed. A source backed by
 /// one RNG stream reproduces that draw order exactly; a record-backed
 /// source keeps two cursors and stays aligned through `drop_task`.
-///
-/// Consumers that don't care about interleaving just call
-/// [`next_event`](WorkloadSource::next_event).
 pub trait WorkloadSource {
     /// Absolute time of the next arrival, or `None` when the source is
     /// exhausted (finite traces; open-loop generators never end).
@@ -259,15 +247,6 @@ pub trait WorkloadSource {
     /// simply never happens — the legacy semantics); record-backed
     /// sources advance their task cursor.
     fn drop_task(&mut self) {}
-
-    /// Pulls one complete `(arrival, task)` event.
-    fn next_event(&mut self) -> Option<WorkloadEvent> {
-        let at = self.next_arrival()?;
-        Some(WorkloadEvent {
-            at,
-            task: self.task(),
-        })
-    }
 }
 
 /// The first arrival every open-loop source emits: 1 ns, matching the
@@ -977,15 +956,8 @@ pub struct MemPhase {
     pub reseed: u64,
 }
 
-/// A stream of [`MemPhase`]s, pulled by the sharded memory agent's
-/// phased iteration driver.
-pub trait MemPhaseSource {
-    /// The next phase, ascending in time; `None` when the schedule is
-    /// exhausted.
-    fn next_phase(&mut self) -> Option<MemPhase>;
-}
-
-/// A pre-built phase schedule.
+/// A pre-built phase schedule, pulled phase by phase by the sharded
+/// memory agent's phased iteration driver.
 #[derive(Debug, Clone)]
 pub struct PhaseSchedule {
     phases: Vec<MemPhase>,
@@ -1024,24 +996,9 @@ impl PhaseSchedule {
         PhaseSchedule::new(phases)
     }
 
-    /// Number of phases.
-    pub fn len(&self) -> usize {
-        self.phases.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.phases.is_empty()
-    }
-
-    /// The phases, sorted by time.
-    pub fn phases(&self) -> &[MemPhase] {
-        &self.phases
-    }
-}
-
-impl MemPhaseSource for PhaseSchedule {
-    fn next_phase(&mut self) -> Option<MemPhase> {
+    /// The next phase, ascending in time; `None` when the schedule is
+    /// exhausted.
+    pub fn next_phase(&mut self) -> Option<MemPhase> {
         let p = self.phases.get(self.idx).copied()?;
         self.idx += 1;
         Some(p)
@@ -1141,7 +1098,7 @@ mod tests {
         let pull = |seed: u64| {
             let mut g = SyntheticTraceGenerator::new(cfg, seed);
             (0..5_000)
-                .map(|_| g.next_event().expect("open loop"))
+                .map(|_| (g.next_arrival().expect("open loop"), g.task()))
                 .collect::<Vec<_>>()
         };
         assert_eq!(pull(1), pull(1));
@@ -1157,8 +1114,9 @@ mod tests {
         // Count arrivals in the peak vs trough quarter of one period.
         let period = cfg.diurnal_period.as_ns();
         let (mut peak, mut trough) = (0u64, 0u64);
-        while let Some(ev) = g.next_event() {
-            let t = ev.at.as_ns();
+        while let Some(at) = g.next_arrival() {
+            g.task();
+            let t = at.as_ns();
             if t >= 2 * period {
                 break;
             }
@@ -1181,7 +1139,8 @@ mod tests {
         let mut g = SyntheticTraceGenerator::new(cfg, 9);
         let n = 200_000;
         let sum: u64 = (0..n)
-            .map(|_| g.next_event().expect("open loop").task.service.as_ns())
+            .map(|_| g.next_arrival().map(|_| g.task().service.as_ns()))
+            .map(|ns| ns.expect("open loop"))
             .sum();
         let empirical = sum as f64 / n as f64;
         assert!(

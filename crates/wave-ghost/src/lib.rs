@@ -21,9 +21,9 @@
 //! * [`cost`] — the calibrated host-side cost model (kernel context
 //!   switch, event bookkeeping, commit path).
 //! * [`sim`] — the end-to-end scheduling simulation behind Figures 4a/4b
-//!   and the §7.2.2 ablation: an open-loop load generator, worker cores,
-//!   a serial agent (on host or NIC), and the full Wave communication
-//!   path.
+//!   and the §7.2.2 ablation: a host kernel (load generator, worker
+//!   cores, commit) and agent shards (on host or NIC) that meet in one
+//!   function per Table 1 crossing of the Wave communication path.
 //! * [`microbench`] — the single-decision-path measurements of Table 3.
 //!
 //! The same simulation code runs every scenario; only the

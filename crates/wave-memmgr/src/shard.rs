@@ -74,7 +74,7 @@ use wave_core::runtime::{shard_range, AgentRuntime, SlotId};
 use wave_core::shard_map::{
     RebalanceConfig, RebalanceEvent, Rebalancer, ResourceMove, ShardMap, ShedLoad,
 };
-use wave_core::workload::{MemPhase, MemPhaseSource};
+use wave_core::workload::{MemPhase, PhaseSchedule};
 use wave_core::AgentId;
 use wave_kvstore::DbFootprint;
 use wave_pcie::Interconnect;
@@ -309,7 +309,7 @@ pub struct ShardedSolRunner {
     /// reclaims them from whichever shard holds each one by then.
     lent: Vec<Vec<usize>>,
     /// A phase pulled from the source but not yet due — buffered so the
-    /// pull-based [`MemPhaseSource`] is only advanced once per phase.
+    /// pull-based [`PhaseSchedule`] is only advanced once per phase.
     pending_phase: Option<MemPhase>,
     /// Phases applied so far ([`ShardedSolRunner::phases_applied`]).
     phases_applied: u64,
@@ -464,7 +464,7 @@ impl ShardedSolRunner {
     /// buffered, so a sparse schedule costs one peek per call.
     pub fn run_phased_iteration(
         &mut self,
-        phases: &mut dyn MemPhaseSource,
+        phases: &mut PhaseSchedule,
         workload: &mut DbFootprint,
         now: SimTime,
     ) -> (SolStats, ShardedCost) {
@@ -841,7 +841,6 @@ mod tests {
 
     #[test]
     fn phased_iteration_applies_due_phases_and_buffers_the_rest() {
-        use wave_core::workload::PhaseSchedule;
         let mut fp = skewed_world();
         let mut k2 = ShardedSolRunner::new(
             RunnerConfig::paper(CoreClass::NicArm, 16),

@@ -117,11 +117,11 @@ fn audit_engine_steady_state() {
 }
 
 /// The scheduler model's hot loop (arrivals, agent pumps, IRQ kicks)
-/// stays allocation-lean per simulated event: the per-pump `kicked` and
-/// prestage buffers are reused scratch, not fresh `Vec`s. Histograms,
-/// queues and the event heap still grow while the run warms up (72
-/// allocations over 132,353 events), so the budget is 1 per 1,000
-/// events; a per-pump allocation would blow well past it.
+/// stays allocation-lean per simulated event: the pump drains into a
+/// reused buffer and schedules each kick directly, no `Vec` per pump.
+/// Histograms, queues, that buffer and the event heap still grow while
+/// the run warms up (77 allocations over 132,353 events), so the budget
+/// is 1 per 1,000 events; a per-pump allocation would blow well past it.
 fn audit_sched_sim_pump() {
     let mut sc = SchedConfig::new(16, Placement::Offloaded, OptLevel::full());
     sc.duration = SimTime::from_ms(40);
