@@ -97,7 +97,6 @@ fn decision() -> SlotDecision {
             resource: 1,
             generation: 0,
         },
-        preempt: false,
     }
 }
 

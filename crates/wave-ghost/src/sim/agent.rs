@@ -148,7 +148,7 @@ impl Agents {
 /// at `at`; at most one pump event is in flight per shard.
 pub(super) fn arm_pump(sim: &mut S, shards: &mut [Shard], si: usize, at: SimTime) {
     if let Some(t) = shards[si].rt.arm_pump(at) {
-        sim.schedule(t, move |m: &mut SchedSim, s| m.agent_pump(s, si));
+        sim.schedule(t, SchedEvent::Pump(si));
     }
 }
 
@@ -170,7 +170,7 @@ impl SchedSim {
     /// One agent duty cycle for shard `si`: drain visible messages,
     /// update the policy, serve waiting cores (stage + MSI-X), then
     /// prestage.
-    fn agent_pump(&mut self, sim: &mut S, si: usize) {
+    pub(super) fn agent_pump(&mut self, sim: &mut S, si: usize) {
         let agents = &mut self.agents;
         let rt = &mut agents.shards[si].rt;
         rt.pump_fired();
@@ -238,7 +238,7 @@ impl SchedSim {
             if have {
                 let irq_at = cyc.kick(cpu);
                 cyc.kernel.cores[c as usize] = CoreState::Idle { waiting: false };
-                sim.schedule(irq_at, move |m: &mut SchedSim, s| m.wakeup_irq(s, cpu));
+                sim.schedule(irq_at, SchedEvent::WakeupIrq(cpu));
             }
         }
 
@@ -311,7 +311,7 @@ impl SchedSim {
         }
         let irq_at = cyc.kick(seg.cpu);
         cyc.shards[si].rt.run_raw(cyc.now, cyc.cost);
-        sim.schedule(irq_at, move |m: &mut SchedSim, s| m.preempt_irq(s, seg));
+        sim.schedule(irq_at, SchedEvent::PreemptIrq(seg));
     }
 
     /// Host-side rebalance epoch: drain each shard's decision-rate
@@ -337,7 +337,7 @@ impl SchedSim {
             apply_core_move(&mut agents.shards, kernel, ic, &mut self.diag, sim, now, m);
         }
         let epoch = rb.config().epoch;
-        sim.schedule(now + epoch, |m: &mut SchedSim, s| m.rebalance_epoch(s));
+        sim.schedule(now + epoch, SchedEvent::RebalanceEpoch);
     }
 }
 
@@ -355,12 +355,7 @@ impl Cycle<'_> {
         let target = self.kernel.gen.snapshot(tid.0)?;
         let txn = TxnId(self.kernel.next_txn);
         self.kernel.next_txn += 1;
-        Some(SlotDecision {
-            txn,
-            tid,
-            target,
-            preempt: false,
-        })
+        Some(SlotDecision { txn, tid, target })
     }
 
     /// Agent→host decision (Table 1 `TXN_CREATE`): writes `d` into this

@@ -214,7 +214,7 @@ impl SchedSim {
         // overload guard, then the task draw, so a shed arrival draws no
         // task and the Poisson source keeps its legacy draw order.
         if let Some(at) = self.kernel.source.next_arrival() {
-            sim.schedule(at, |m: &mut SchedSim, s| m.arrival(s));
+            sim.schedule(at, SchedEvent::Arrival);
         }
         if self.kernel.outstanding >= self.cfg.max_outstanding {
             self.kernel.dropped += 1;
@@ -236,7 +236,7 @@ impl SchedSim {
             .expect("ingress has at least one stack core");
         let start = (now + ing.network_delay).max(busy[idx]);
         busy[idx] = start + ing.per_rpc.scale(ratio);
-        sim.schedule(busy[idx], move |m: &mut SchedSim, s| m.admit(s, now, task));
+        sim.schedule(busy[idx], SchedEvent::Admit { arrival: now, task });
     }
 
     /// The one admission path, for local arrivals (after the ingress
@@ -327,13 +327,9 @@ impl SchedSim {
         match self.agents.shards[self.agents.shard_of(seg.cpu)].time_slice {
             Some(slice) if remaining > slice => {
                 // The agent tracks the slice and will preempt via MSI-X.
-                sim.schedule(seg.start + slice, move |m: &mut SchedSim, s| {
-                    m.agent_preempt(s, seg)
-                });
+                sim.schedule(seg.start + slice, SchedEvent::AgentPreempt(seg));
             }
-            _ => sim.schedule(seg.start + remaining, move |m: &mut SchedSim, s| {
-                m.complete(s, seg)
-            }),
+            _ => sim.schedule(seg.start + remaining, SchedEvent::Complete(seg)),
         }
     }
 
@@ -385,7 +381,7 @@ impl SchedSim {
 
     /// A request finished: record stats and walk the idle transition
     /// (the paper's prestaged fast path).
-    fn complete(&mut self, sim: &mut S, seg: Segment) {
+    pub(super) fn complete(&mut self, sim: &mut S, seg: Segment) {
         let now = sim.now();
         if !self.kernel.runs(seg) {
             return;

@@ -45,9 +45,10 @@ use wave_sim::stats::Summary;
 use wave_sim::{Sim, SimTime};
 
 use crate::cost::CostModel;
+use crate::msg::CpuId;
 use crate::policy::{SchedPolicy, SloClass};
 use agent::Agents;
-use kernel::Kernel;
+use kernel::{Kernel, Segment};
 
 /// Where the agent runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -292,7 +293,30 @@ pub struct SchedSim {
     diag: Diag,
 }
 
-type S = Sim<SchedSim>;
+/// Every kind of event the model schedules; [`SchedSim::handle`] runs
+/// each one.
+enum SchedEvent {
+    /// The local load generator's next arrival.
+    Arrival,
+    /// A local request reaches admission after the ingress stack.
+    Admit { arrival: SimTime, task: Task },
+    /// A fabric-delivered request ([`SchedStepper::inject`]).
+    Inject { wire_arrival: SimTime, task: Task },
+    /// Shard `si`'s agent pump.
+    Pump(usize),
+    /// An MSI-X wakeup reaches an idle core.
+    WakeupIrq(CpuId),
+    /// A preemption IRQ reaches the segment's core.
+    PreemptIrq(Segment),
+    /// The agent's slice timer for a segment expires.
+    AgentPreempt(Segment),
+    /// A segment runs its thread to completion.
+    Complete(Segment),
+    /// The rebalancer's next epoch.
+    RebalanceEpoch,
+}
+
+type S = Sim<SchedEvent>;
 
 impl SchedSim {
     /// Builds a single-agent model for a configuration and policy.
@@ -349,6 +373,29 @@ impl SchedSim {
         &self.agents.map
     }
 
+    /// Runs one event by calling the crossing or timer function it names.
+    fn handle(&mut self, sim: &mut S, ev: SchedEvent) {
+        match ev {
+            SchedEvent::Arrival => self.arrival(sim),
+            SchedEvent::Admit { arrival, task } => self.admit(sim, arrival, task),
+            SchedEvent::Inject { wire_arrival, task } => {
+                // The same overload guard a local arrival passes, without
+                // the ingress stack: the fabric already carried the request.
+                if self.kernel.outstanding < self.cfg.max_outstanding {
+                    self.admit(sim, wire_arrival, task);
+                } else {
+                    self.kernel.reject(sim.now(), wire_arrival, task.slo);
+                }
+            }
+            SchedEvent::Pump(si) => self.agent_pump(sim, si),
+            SchedEvent::WakeupIrq(cpu) => self.wakeup_irq(sim, cpu),
+            SchedEvent::PreemptIrq(seg) => self.preempt_irq(sim, seg),
+            SchedEvent::AgentPreempt(seg) => self.agent_preempt(sim, seg),
+            SchedEvent::Complete(seg) => self.complete(sim, seg),
+            SchedEvent::RebalanceEpoch => self.rebalance_epoch(sim),
+        }
+    }
+
     /// Runs the experiment to completion and reports.
     pub fn run(self) -> SchedReport {
         let mut stepper = self.into_stepper();
@@ -367,11 +414,11 @@ impl SchedSim {
         // The source announces the first arrival (open-loop generators:
         // the fixed 1 ns first event; a trace: its first record).
         if let Some(first) = self.kernel.source.next_arrival() {
-            sim.schedule(first, |m: &mut SchedSim, s| m.arrival(s));
+            sim.schedule(first, SchedEvent::Arrival);
         }
         if let Some(rb) = &self.agents.rebalancer {
             let epoch = rb.config().epoch;
-            sim.schedule(epoch, |m: &mut SchedSim, s| m.rebalance_epoch(s));
+            sim.schedule(epoch, SchedEvent::RebalanceEpoch);
         }
         SchedStepper { sim, model: self }
     }
@@ -410,7 +457,7 @@ impl SchedStepper {
     /// returns how many events executed in this window.
     pub fn advance(&mut self, horizon: SimTime) -> u64 {
         self.sim.set_horizon(horizon);
-        self.sim.run(&mut self.model)
+        self.sim.run(|s, ev| self.model.handle(s, ev))
     }
 
     /// The time of the host's earliest pending event, if any: the next
@@ -431,15 +478,8 @@ impl SchedStepper {
     /// fleet drivers pass the client's emission time so the recorded
     /// latency includes the forward network hop.
     pub fn inject(&mut self, at: SimTime, wire_arrival: SimTime, task: Task) {
-        self.sim.schedule(at, move |m: &mut SchedSim, s| {
-            // The same overload guard a local arrival passes, without
-            // the ingress stack: the fabric already carried the request.
-            if m.kernel.outstanding < m.cfg.max_outstanding {
-                m.admit(s, wire_arrival, task);
-            } else {
-                m.kernel.reject(s.now(), wire_arrival, task.slo);
-            }
-        });
+        self.sim
+            .schedule(at, SchedEvent::Inject { wire_arrival, task });
     }
 
     /// Moves the completions logged since the last drain into `out`

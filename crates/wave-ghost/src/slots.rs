@@ -26,8 +26,6 @@ pub struct SlotDecision {
     pub tid: Tid,
     /// Generation-checked reference to that thread.
     pub target: ResourceRef,
-    /// Whether this decision preempts the currently running thread.
-    pub preempt: bool,
 }
 
 #[cfg(test)]
@@ -50,7 +48,6 @@ mod tests {
                 resource: tid,
                 generation: 0,
             },
-            preempt: false,
         }
     }
 

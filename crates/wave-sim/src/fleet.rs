@@ -531,9 +531,10 @@ mod tests {
     }
 
     /// A toy host running on the real event engine: deliveries are
-    /// scheduled into a local `Sim` and drained window by window.
+    /// scheduled into a local `Sim` as `(src, msg)` events and drained
+    /// window by window.
     struct ToyHost {
-        sim: Sim<ToyModel>,
+        sim: Sim<(u32, ToyMsg)>,
         model: ToyModel,
     }
 
@@ -561,14 +562,13 @@ mod tests {
             outbox: &mut Vec<Outbound<ToyMsg>>,
         ) -> u64 {
             for e in inbox.drain(..) {
-                let (src, msg) = (e.src, e.msg);
-                self.sim
-                    .schedule(e.at, move |m: &mut ToyModel, s: &mut Sim<ToyModel>| {
-                        m.deliver(s.now(), src, msg)
-                    });
+                self.sim.schedule(e.at, (e.src, e.msg));
             }
             self.sim.set_horizon(horizon);
-            let executed = self.sim.run(&mut self.model);
+            let model = &mut self.model;
+            let executed = self
+                .sim
+                .run(|s, (src, msg)| model.deliver(s.now(), src, msg));
             outbox.append(&mut self.model.out);
             executed
         }

@@ -8,10 +8,10 @@
 //! The engine is deliberately minimal and fully deterministic:
 //!
 //! * [`SimTime`] is virtual time in integer nanoseconds.
-//! * [`Sim`] is an event loop generic over a user-supplied model type
-//!   `M`; events are `FnOnce(&mut M, &mut Sim<M>)` closures, fired in
-//!   `(time, sequence-number)` order up to an optional horizon. They sit
-//!   in one binary heap and a recycled closure pool (see [`engine`]), so
+//! * [`Sim`] is an event loop over a plain event type `E` (typically a
+//!   model's own `enum`): events fire in `(time, sequence-number)` order
+//!   up to an optional horizon, each handed to the handler passed to
+//!   [`Sim::run`]. They sit inline in one binary heap (see [`engine`]), so
 //!   a steady-state simulation does not allocate per event. Events cannot
 //!   be cancelled; a model drops a stale timer with its own token.
 //! * [`dist`] provides the random distributions the experiments need
@@ -29,20 +29,24 @@
 //! ```
 //! use wave_sim::{Sim, SimTime};
 //!
-//! struct Model { fired: u32 }
+//! enum Event { Tick, Spawn }
 //!
 //! let mut sim = Sim::new();
-//! sim.schedule(SimTime::from_us(5), |m: &mut Model, _s| m.fired += 1);
-//! sim.schedule(SimTime::from_us(1), |m: &mut Model, s| {
-//!     m.fired += 1;
-//!     // Events may schedule further events.
-//!     s.schedule(s.now() + SimTime::from_us(1), |m: &mut Model, _s| m.fired += 1);
+//! sim.schedule(SimTime::from_us(5), Event::Tick);
+//! sim.schedule(SimTime::from_us(1), Event::Spawn);
+//! let mut fired = 0;
+//! sim.run(|s, ev| {
+//!     fired += 1;
+//!     if let Event::Spawn = ev {
+//!         // Events may schedule further events.
+//!         s.schedule(s.now() + SimTime::from_us(1), Event::Tick);
+//!     }
 //! });
-//! let mut model = Model { fired: 0 };
-//! sim.run(&mut model);
-//! assert_eq!(model.fired, 3);
+//! assert_eq!(fired, 3);
 //! assert_eq!(sim.now(), SimTime::from_us(5));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod cpu;
 pub mod dist;

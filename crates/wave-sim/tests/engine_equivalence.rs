@@ -3,7 +3,7 @@
 //! The engine's correctness contract is exact `(time, seq)` execution
 //! order up to and including the horizon — two events at the same
 //! instant fire in scheduling order. This suite drives the real
-//! [`wave_sim::Sim`] (slab, closure pool, 24-byte queue entries) and a
+//! [`wave_sim::Sim`] (one heap of `{at, seq, event}` entries) and a
 //! deliberately naive reference model (a heap of labelled tuples with
 //! the same clamp and horizon rules) through identical random
 //! interleavings of scheduling and run-to-horizon windows —
@@ -73,11 +73,16 @@ fn child(label: u64, now: u64) -> Option<(u64, u64)> {
 #[derive(Default)]
 struct Log(Vec<(u64, u64)>);
 
-fn fire(m: &mut Log, s: &mut Sim<Log>, label: u64) {
+/// The engine's events: each is a label, logged when it fires.
+enum Ev {
+    Label(u64),
+}
+
+fn fire(m: &mut Log, s: &mut Sim<Ev>, Ev::Label(label): Ev) {
     let now = s.now().as_ns();
     m.0.push((now, label));
     if let Some((at, label)) = child(label, now) {
-        s.schedule(SimTime::from_ns(at), move |m, s| fire(m, s, label));
+        s.schedule(SimTime::from_ns(at), Ev::Label(label));
     }
 }
 
@@ -122,7 +127,7 @@ impl RefModel {
 /// The engine under test and the reference, driven in lock-step.
 #[derive(Default)]
 struct Pair {
-    sim: Sim<Log>,
+    sim: Sim<Ev>,
     log: Log,
     reference: RefModel,
     labels: u64,
@@ -132,8 +137,7 @@ impl Pair {
     fn schedule(&mut self, at: u64) {
         let label = self.labels;
         self.labels += 1;
-        self.sim
-            .schedule(SimTime::from_ns(at), move |m, s| fire(m, s, label));
+        self.sim.schedule(SimTime::from_ns(at), Ev::Label(label));
         self.reference.schedule(at, label);
     }
 
@@ -141,7 +145,8 @@ impl Pair {
     /// everything observable.
     fn window(&mut self, horizon: u64) {
         self.sim.set_horizon(SimTime::from_ns(horizon));
-        let ran = self.sim.run(&mut self.log);
+        let log = &mut self.log;
+        let ran = self.sim.run(|s, ev| fire(log, s, ev));
         assert_eq!(
             ran,
             self.reference.run(horizon),

@@ -1,8 +1,8 @@
 //! Allocation audit under a counting global allocator: steady-state
 //! event scheduling must not hit the global allocator (the engine reuses
-//! its closure pool, slab and event heap), the scheduler model's agent
-//! pump must stay allocation-lean (reused `kicked`/prestage scratch
-//! buffers, arena thread table, intrusive run queues), a warmed-up
+//! its event heap's buffer), the scheduler model's agent
+//! pump must stay allocation-lean (a reused drain buffer, arena thread
+//! table, intrusive run queues), a warmed-up
 //! memory-agent iteration allocates only its return values (reused
 //! poll and shipment buffers, in-place due filter and scan), and the
 //! memory agent's peak live heap stays within a per-batch byte budget.
@@ -83,31 +83,33 @@ fn allocs() -> u64 {
 }
 
 /// Steady-state engine scheduling allocates (nearly) nothing: after a
-/// warm-up rotation fills the closure pool and sizes the slab and the
-/// event heap, a sustained rearm-and-fire load must run from recycled
-/// memory.
+/// warm-up rotation sizes the event heap, a sustained rearm-and-fire load
+/// must run from recycled memory.
 fn audit_engine_steady_state() {
-    fn tick(m: &mut u64, s: &mut Sim<u64>) {
+    /// One self-rearming timer.
+    struct Tick;
+    fn tick(m: &mut u64, s: &mut Sim<Tick>) {
         *m += 1;
         // Mixed horizons: most rearms land 640 ns ahead, every 16th
         // 400 µs ahead, so near and far events share the heap.
         let delta = if m.is_multiple_of(16) { 400_000 } else { 640 };
-        s.schedule(s.now() + SimTime::from_ns(delta), tick);
+        s.schedule(s.now() + SimTime::from_ns(delta), Tick);
     }
-    let mut sim: Sim<u64> = Sim::new();
+    let mut sim: Sim<Tick> = Sim::new();
     for i in 0..1024u64 {
-        sim.schedule(SimTime::from_ns(i * 10), tick);
+        sim.schedule(SimTime::from_ns(i * 10), Tick);
     }
     let mut m = 0u64;
     sim.set_horizon(SimTime::from_ms(4));
-    sim.run(&mut m); // Warm-up: the pool fills, slab and heap size themselves.
+    sim.run(|s, Tick| tick(&mut m, s)); // Warm-up: the heap sizes itself.
     let before = allocs();
     sim.set_horizon(SimTime::from_ms(10));
-    let executed = sim.run(&mut m);
+    let executed = sim.run(|s, Tick| tick(&mut m, s));
     let during = allocs() - before;
     assert!(executed > 100_000, "audit underpowered: {executed} events");
-    // A constant event population reuses every buffer, so this measures
-    // 0; boxing each closure would cost at least 1 allocation per event.
+    // A constant event population reuses the heap's buffer, so this
+    // measures 0; boxing each event would cost at least 1 allocation per
+    // event.
     assert!(
         during * 10_000 <= executed,
         "engine steady state hit the allocator: {during} allocations \
@@ -120,7 +122,7 @@ fn audit_engine_steady_state() {
 /// stays allocation-lean per simulated event: the pump drains into a
 /// reused buffer and schedules each kick directly, no `Vec` per pump.
 /// Histograms, queues, that buffer and the event heap still grow while
-/// the run warms up (77 allocations over 132,353 events), so the budget
+/// the run warms up (50 allocations over 132,353 events), so the budget
 /// is 1 per 1,000 events; a per-pump allocation would blow well past it.
 fn audit_sched_sim_pump() {
     let mut sc = SchedConfig::new(16, Placement::Offloaded, OptLevel::full());
