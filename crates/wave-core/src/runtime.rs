@@ -714,11 +714,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         }
     }
 
-    /// The underlying agent (lifecycle, compute clock, telemetry).
-    pub fn agent(&self) -> &Agent {
-        &self.agent
-    }
-
     /// Mutable agent access (kill/restart, fault injection).
     pub fn agent_mut(&mut self) -> &mut Agent {
         &mut self.agent

@@ -52,8 +52,6 @@ pub enum ThreadRun {
     Runnable,
     /// On a worker core.
     Running(CpuId),
-    /// Completed; the slot is about to be retired.
-    Finished,
 }
 
 /// One arena row: the thread's scheduling state plus the intrusive
@@ -441,7 +439,7 @@ mod tests {
     fn slot_reuse_mints_distinct_ids_and_resets_state() {
         let mut tab = ThreadTable::new();
         let a = t(&mut tab);
-        tab[a].run = ThreadRun::Finished;
+        tab[a].run = ThreadRun::Running(CpuId(0));
         tab.remove(a);
         let b = t(&mut tab);
         assert_eq!(a.slot(), b.slot(), "LIFO free list reuses the slot");

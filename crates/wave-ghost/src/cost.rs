@@ -1,9 +1,10 @@
 //! Calibrated host-side scheduling costs.
 //!
 //! The interconnect constants live in [`wave_pcie::PcieConfig`] (Table 2
-//! anchors); this model holds the *kernel-path* constants, fitted so the
-//! Table 3 context-switch rows land inside the paper's measured bands
-//! (see `microbench` and `EXPERIMENTS.md`).
+//! anchors); this model holds the *kernel-path* constants that
+//! [`SchedSim`](crate::sim::SchedSim) charges. `wave-lab`'s Table 3
+//! measures its context-switch rows on that model: every row lands
+//! within 15% of the paper's band, and three of the nine inside it.
 
 use wave_sim::SimTime;
 
@@ -27,11 +28,6 @@ pub struct CostModel {
     /// visible until the polling agent picks it up (half a poll
     /// iteration on average).
     pub agent_pickup_ns: u64,
-    /// Policy-state words the agent touches in queue memory per decision
-    /// (run-queue nodes, bitmaps, consumed flags). These words pay the
-    /// SoC mapping cost, which is what the "WB PTEs on SmartNIC" lever
-    /// accelerates.
-    pub agent_state_words: u64,
     /// Words in a kernel→agent message entry.
     pub msg_words: u64,
     /// Words in a decision entry (txn id, tid, generation, cpu, flags,
@@ -52,7 +48,6 @@ impl CostModel {
             outcome_report_ns: 150,
             remote_commit_extra_ns: 200,
             agent_pickup_ns: 100,
-            agent_state_words: 30,
             msg_words: 4,
             decision_words: 6,
             app_overhead_ns: 4_800,

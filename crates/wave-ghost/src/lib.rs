@@ -9,7 +9,7 @@
 //!   run queues the policies link through its rows (the hot-path data
 //!   layout; see `docs/ARCHITECTURE.md`).
 //! * [`msg`] — the thread-lifecycle message stream the kernel sends the
-//!   agent (created/wakeup/blocked/yield/dead), as in ghOSt.
+//!   agent (wakeup/preempted/dead), as in ghOSt.
 //! * [`policy`] — the policy trait an agent runs, plus thread metadata
 //!   (service estimates, SLO classes).
 //! * [`policies`] — the paper's ported µs-scale policies: FIFO
@@ -20,11 +20,11 @@
 //!   prefetching and the software coherence protocol.
 //! * [`cost`] — the calibrated host-side cost model (kernel context
 //!   switch, event bookkeeping, commit path).
-//! * [`sim`] — the end-to-end scheduling simulation behind Figures 4a/4b
-//!   and the §7.2.2 ablation: a host kernel (load generator, worker
-//!   cores, commit) and agent shards (on host or NIC) that meet in one
-//!   function per Table 1 crossing of the Wave communication path.
-//! * [`microbench`] — the single-decision-path measurements of Table 3.
+//! * [`sim`] — the end-to-end scheduling simulation behind Figures 4a/4b,
+//!   the §7.2.2 ablation and Table 3's context-switch rows: a host kernel
+//!   (load generator, worker cores, commit) and agent shards (on host or
+//!   NIC) that meet in one function per Table 1 crossing of the Wave
+//!   communication path.
 //!
 //! The same simulation code runs every scenario; only the
 //! [`Placement`] (host vs. NIC agent) and
@@ -33,7 +33,6 @@
 
 pub mod arena;
 pub mod cost;
-pub mod microbench;
 pub mod msg;
 pub mod policies;
 pub mod policy;

@@ -16,14 +16,8 @@ pub struct CpuId(pub u32);
 /// What happened to a thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedMsgKind {
-    /// The thread entered the scheduling class (e.g. a new request).
-    Created,
-    /// The thread became runnable.
+    /// The thread became runnable (a new request).
     Wakeup,
-    /// The thread blocked (e.g. on a futex / completed its request).
-    Blocked,
-    /// The thread voluntarily yielded.
-    Yield,
     /// The thread was preempted by the kernel and remains runnable.
     Preempted,
     /// The thread exited.
@@ -50,15 +44,12 @@ impl SchedMsg {
 
     /// Whether this message makes the thread schedulable.
     pub fn makes_runnable(&self) -> bool {
-        matches!(
-            self.kind,
-            SchedMsgKind::Created | SchedMsgKind::Wakeup | SchedMsgKind::Preempted
-        )
+        matches!(self.kind, SchedMsgKind::Wakeup | SchedMsgKind::Preempted)
     }
 
     /// Whether this message removes the thread from scheduling.
     pub fn removes_thread(&self) -> bool {
-        matches!(self.kind, SchedMsgKind::Blocked | SchedMsgKind::Dead)
+        self.kind == SchedMsgKind::Dead
     }
 }
 

@@ -13,7 +13,7 @@ use wave_sim::cpu::WorkloadClass;
 use super::kernel::{CoreState, Kernel, Segment};
 use super::*;
 use crate::arena::ThreadRun;
-use crate::msg::{CpuId, SchedMsg, SchedMsgKind, Tid};
+use crate::msg::{CpuId, SchedMsg, Tid};
 use crate::policy::steal_victim;
 use crate::slots::SlotDecision;
 
@@ -208,13 +208,11 @@ impl SchedSim {
                 }
             } else if msg.removes_thread() {
                 shard.policy.on_removed(threads, now, msg.tid);
-            }
-            let parked = msg.removes_thread() || msg.kind == SchedMsgKind::Yield;
-            if let (Some(cpu), true) = (msg.cpu, parked) {
                 // The core parked when it sent this message; seeing it
                 // (re-)arms the agent's wakeup obligation unless the core
                 // found work again in the meantime.
-                if let CoreState::Idle { waiting } = &mut cyc.kernel.cores[cpu.0 as usize] {
+                let core = msg.cpu.map(|cpu| &mut cyc.kernel.cores[cpu.0 as usize]);
+                if let Some(CoreState::Idle { waiting }) = core {
                     *waiting = true;
                 }
             }

@@ -19,9 +19,9 @@ use crate::slots::SlotDecision;
 /// Worker-core state machine, as the *host kernel* sees it.
 ///
 /// `waiting` is set on every idle transition that finds no prestaged
-/// decision (and re-armed when the agent sees the core's blocked, yield
-/// or dead message), and cleared when the agent kicks the core, so no
-/// interrupt is sent twice.
+/// decision (and re-armed when the agent sees the core's dead message),
+/// and cleared when the agent kicks the core, so no interrupt is sent
+/// twice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(super) enum CoreState {
     /// Idle; `waiting` means the agent owes this core an MSI-X wakeup.

@@ -467,8 +467,11 @@ impl SchedStepper {
         self.sim.next_at()
     }
 
-    /// Enables per-request completion logging (fleet mode). Off by
-    /// default: a standalone run has no driver to drain the log.
+    /// Enables per-request completion logging, for a driver that reads
+    /// each request's finish time through
+    /// [`drain_completions`](Self::drain_completions): the fleet
+    /// executor, or `wave-lab`'s Table 3 runs. Off by default: a
+    /// standalone run has no driver to drain the log.
     pub fn set_completion_log(&mut self, on: bool) {
         self.model.kernel.log_completions = on;
     }

@@ -1,6 +1,7 @@
 //! Regenerates every paper table and figure in one run (quick configs)
 //! and prints the paper-vs-measured reports, plus the §6 agent-scaling
-//! sweep the paper only gestures at.
+//! sweep the paper only gestures at. The reports go to stdout, which is
+//! the same on every run; the elapsed time goes to stderr.
 //!
 //! Run with: `cargo run --release -p wave-lab --example report_all`
 
@@ -29,5 +30,5 @@ fn main() {
     traces::report(&traces::TracesConfig::quick()).print();
     tenancy::report(&tenancy::TenancyConfig::quick()).print();
     fleet::report(&fleet::FleetSweepConfig::quick()).print();
-    println!("\nall experiments regenerated in {:.1?}", t0.elapsed());
+    eprintln!("\nall experiments regenerated in {:.1?}", t0.elapsed());
 }

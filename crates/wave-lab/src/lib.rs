@@ -11,7 +11,7 @@
 //! | Module | Paper artifact |
 //! |---|---|
 //! | [`table2`] | Table 2 — hardware microbenchmarks |
-//! | [`table3`] | Table 3 — scheduling microbenchmarks |
+//! | [`table3`] | Table 3 — scheduling microbenchmarks, measured on `SchedSim` |
 //! | [`fig4`] | Fig. 4a/4b + the §7.2.2 optimization ablation |
 //! | [`fig5`] | Fig. 5a/5b — VM scheduling vs. timer ticks |
 //! | [`fig6`] | Fig. 6a/6b — RPC stack placement scenarios |
@@ -22,7 +22,7 @@
 //! | [`rebalance`] | dynamic shard rebalancing under skewed load, both agents |
 //! | [`traces`] | trace-driven production workloads (diurnal/bursty/heavy-tailed), both agents |
 //! | [`tenancy`] | multi-tenant NIC — victim p99 isolation under a flooding neighbor |
-//! | [`fleet`] | fleet-scale parallel execution — a simulated datacenter of Wave hosts |
+//! | [`fleet`] | a simulated datacenter of Wave hosts, bit-identical down the executor's worker axis |
 //!
 //! Every saturation row (Figs. 4a/4b, the §7.2.2 ablation, Figs. 6a/6b
 //! and §7.3.3) comes from [`saturation`]: one p99-capped search over a

@@ -8,8 +8,8 @@
 #![allow(dead_code)]
 
 use wave::core::OptLevel;
-use wave::ghost::microbench;
 use wave::ghost::Placement;
+use wave::lab::table3;
 
 #[path = "../examples/memory_tiering.rs"]
 mod memory_tiering;
@@ -26,7 +26,7 @@ fn quickstart_runs() {
     // Table 3's "+host WC/WT PTEs" row, which adds the kernel event,
     // commit and switch legs on top; it must come in under that row.
     let total = quickstart::run();
-    let row = microbench::context_switch(Placement::Offloaded, OptLevel::host_pte());
+    let (row, _) = table3::context_switch(Placement::Offloaded, OptLevel::host_pte());
     assert!(total < row, "quickstart {total} vs Table 3 row {row}");
 }
 
