@@ -1,16 +1,17 @@
 //! # wave-core — the Wave offload API
 //!
 //! This crate implements the host↔SmartNIC API of the paper's Table 1.
-//! Each agent has one channel, a [`runtime::AgentRuntime`]: a host→NIC
-//! message queue plus its staged decisions — one slot per resource over
-//! MMIO, or an outbox shipped in one DMA per iteration.
+//! Each agent is one [`runtime::AgentRuntime`]: a host→NIC message
+//! queue plus its staged decisions — one slot per resource over MMIO, or
+//! an outbox shipped in one DMA per iteration — and the agent's liveness
+//! and serial compute clock.
 //!
 //! | Table 1 | Here |
 //! |---|---|
 //! | `START_WAVE_AGENT`, `CREATE_QUEUE`, `SET_QUEUE_TYPE` | [`AgentRuntime::new`] with a [`RuntimeConfig`] (transport, PTE types) |
-//! | `KILL_WAVE_AGENT` | `agent_mut().kill()` |
+//! | `KILL_WAVE_AGENT` | [`AgentRuntime::kill`] (the §6 restart is [`AgentRuntime::restart`]) |
 //! | `SEND_MESSAGES` (host) | [`AgentRuntime::host_send`] + [`AgentRuntime::host_flush`] |
-//! | `POLL_MESSAGES` (NIC) | [`AgentRuntime::poll`] / [`AgentRuntime::poll_into`] |
+//! | `POLL_MESSAGES` (NIC) | [`AgentRuntime::poll_into`] |
 //! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | the agent builds the decision and calls [`AgentRuntime::stage`], then an MSI-X kick (`ic.msix.send`) |
 //! | `PREFETCH_TXNS` (host) | [`SlotTable::host_prefetch`] |
 //! | `POLL_TXNS` (host) | MMIO: [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`] per slot; DMA: [`AgentRuntime::dma_ship_staged`], one batched transfer of the outbox (no slot table is mapped) |
@@ -29,10 +30,10 @@
 //!
 //! * [`txn`] — resource references, commit outcomes, and the host-side
 //!   [`txn::GenerationTable`] used for atomic validation.
-//! * [`agent`] — SmartNIC agent lifecycle and its serial compute clock.
 //! * [`runtime`] — the reusable agent-runtime layer: one agent's
 //!   message queue + staged decisions (slot table or outbox) + pump
-//!   gating; the caller runs
+//!   gating + lifecycle (kill, restart) and serial compute clock; the
+//!   caller runs
 //!   its own policy and stages the decisions it builds
 //!   ([`runtime::AgentRuntime::stage`]). It is generic over the
 //!   ingest transport (MMIO message queues for the scheduler, batched
@@ -59,7 +60,6 @@
 //!   [`workload::WorkloadSpec`] config value consumers embed, and the
 //!   [`workload::PhaseSchedule`] phase stream for the memory agent.
 
-pub mod agent;
 pub mod opts;
 pub mod runtime;
 pub mod shard_map;
@@ -68,7 +68,6 @@ pub mod txn;
 pub mod watchdog;
 pub mod workload;
 
-pub use agent::{Agent, AgentId, AgentState};
 pub use opts::OptLevel;
 pub use runtime::{AgentRuntime, DmaShipment, RuntimeConfig, SlotId, SlotTable};
 pub use shard_map::{
@@ -76,7 +75,7 @@ pub use shard_map::{
     ShardMap, ShedLoad,
 };
 pub use tenant::{Arbitration, TenantBinding, TenantId, TenantRegistry, TenantSpec};
-pub use txn::{GenerationTable, ResourceRef, TxnId, TxnOutcome};
+pub use txn::{GenerationTable, ResourceRef, TxnOutcome};
 pub use watchdog::Watchdog;
 pub use workload::{
     MemPhase, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix, SloClass,

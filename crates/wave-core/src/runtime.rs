@@ -11,11 +11,16 @@
 //! * [`SlotTable`] — generic per-resource decision slots in SmartNIC
 //!   DRAM with the full software-coherence semantics (staleness,
 //!   prefetch, `clflush`) of §5.3.2/§5.4.
-//! * [`AgentRuntime`] — one agent's bundle of message queue, staged
-//!   decisions (a slot table over MMIO, an outbox over DMA), and serial
-//!   compute clock ([`Agent`]), plus the pump-gating
-//!   state machine (`at most one pump event in flight`) that the
-//!   simulation's event loop drives.
+//! * [`AgentRuntime`] — one agent: its message queue, staged decisions
+//!   (a slot table over MMIO, an outbox over DMA), liveness flag and
+//!   serial compute clock, plus the pump-gating state machine (`at most
+//!   one pump event in flight`) that the simulation's event loop drives.
+//!   The agent is its runtime: Table 1 starts it together with its
+//!   queues and kills it as a whole, and a §6 restart re-pulls its state
+//!   from the host. All of its work advances one `busy_until` clock;
+//!   that serialization is what queues work on a loaded agent, the
+//!   paper's reason for partitioning hosts across agents (§6). Callers
+//!   charge costs already scaled to the agent's core.
 //!
 //! The runtime is deliberately *mechanism only*: host-side state (which
 //! cores are idle, thread tables, commit validation) stays with the
@@ -59,10 +64,8 @@
 //!
 //! ```
 //! use wave_core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
-//! use wave_core::AgentId;
 //! use wave_pcie::{Interconnect, PteType, SocPteMode};
 //! use wave_queue::Transport;
-//! use wave_sim::cpu::{CoreClass, CpuModel};
 //! use wave_sim::SimTime;
 //!
 //! let mut ic = Interconnect::pcie();
@@ -78,13 +81,7 @@
 //!     soc_pte: SocPteMode::WriteBack,
 //!     pickup: SimTime::from_ns(100),
 //! };
-//! let mut rt: AgentRuntime<u64, u64> = AgentRuntime::new(
-//!     &mut ic,
-//!     AgentId(0),
-//!     CoreClass::NicArm,
-//!     CpuModel::mount_evans(),
-//!     &cfg,
-//! );
+//! let mut rt: AgentRuntime<u64, u64> = AgentRuntime::new(&mut ic, &cfg);
 //!
 //! // Host: submit request 7 and fence it visible.
 //! let (send_cpu, delivered) = rt.host_send(SimTime::ZERO, &mut ic, 7);
@@ -95,10 +92,11 @@
 //! // (an echo, 100 ns on the agent's clock), and stage its decision
 //! // into the resource's slot.
 //! let arrive = flushed + ic.one_way();
-//! let polled = rt.poll(arrive, &mut ic, usize::MAX);
-//! assert_eq!(polled.items, vec![7]);
+//! let mut polled = Vec::new();
+//! rt.poll_into(arrive, &mut ic, usize::MAX, &mut polled);
+//! assert_eq!(polled, vec![7]);
 //! let mut agent_cpu = SimTime::from_ns(100);
-//! agent_cpu += rt.stage(arrive + agent_cpu, &mut ic, SlotId(0), polled.items[0]);
+//! agent_cpu += rt.stage(arrive + agent_cpu, &mut ic, SlotId(0), polled[0]);
 //! assert!(rt.slots_ref().is_staged(SlotId(0)));
 //!
 //! // Host: consume the staged decision on the next idle transition.
@@ -109,11 +107,8 @@
 
 use wave_pcie::config::Side;
 use wave_pcie::{DmaDirection, Interconnect, LineAddr, PteType, RegionId, SocPteMode};
-use wave_queue::{PollOutcome, Transport, WaveQueue};
-use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_queue::{Transport, WaveQueue};
 use wave_sim::SimTime;
-
-use crate::agent::{Agent, AgentId};
 
 /// Index of a decision slot: the global id of the resource it decides
 /// for (a worker core, a page batch).
@@ -280,8 +275,8 @@ impl<D: Copy> SlotTable<D> {
     /// without a host read — used when the slot's resource moves to a
     /// different shard (dynamic rebalancing) and the pending decision
     /// must be re-queued with the new owner instead of being consumed
-    /// here. Taking a staged decision costs one local word write (like
-    /// a revoke); an empty slot costs nothing — no word is written, so
+    /// here. Taking a staged decision costs one local word write (the
+    /// valid flag); an empty slot costs nothing — no word is written, so
     /// no line is dirtied. Counts as neither hit nor miss, since the
     /// host never observed the slot.
     pub fn take_staged(
@@ -296,16 +291,6 @@ impl<D: Copy> SlotTable<D> {
         let cost = ic.soc.access(self.nic_pte, 1);
         ic.mmio.note_device_write(self.line(slot), now + cost);
         (cost, Some(staged.decision))
-    }
-
-    /// Agent revokes a staged decision (e.g. the resource died before
-    /// the host consumed it). Returns the agent CPU cost.
-    pub fn revoke(&mut self, now: SimTime, ic: &mut Interconnect, slot: SlotId) -> SimTime {
-        let cost = ic.soc.access(self.nic_pte, 1);
-        let visible_at = now + cost;
-        ic.mmio.note_device_write(self.line(slot), visible_at);
-        self.clear(slot);
-        cost
     }
 
     /// Host prefetches `slot`'s line (§5.4). Tiny CPU cost; the fill
@@ -465,8 +450,8 @@ pub struct DmaShipment {
     pub complete_at: SimTime,
 }
 
-/// One agent's runtime: message queue + staged decisions (slot table or
-/// outbox, by transport) + serial compute clock + pump gating.
+/// One agent: message queue + staged decisions (slot table or outbox,
+/// by transport) + liveness + serial compute clock + pump gating.
 ///
 /// `M` is the host→agent message type, `D` the staged decision payload.
 /// The runtime owns no host state and no event loop; the embedding
@@ -474,11 +459,16 @@ pub struct DmaShipment {
 /// events at the instants [`AgentRuntime::arm_pump`] returns.
 #[derive(Debug)]
 pub struct AgentRuntime<M, D: Copy> {
-    agent: Agent,
     msg_q: WaveQueue<M>,
     decisions: Decisions<D>,
     pump_armed: bool,
     pickup: SimTime,
+    /// False between [`AgentRuntime::kill`] and [`AgentRuntime::restart`].
+    running: bool,
+    /// When the agent can next accept work.
+    busy_until: SimTime,
+    /// Decisions produced so far.
+    decided: u64,
     /// Load events since the last [`AgentRuntime::take_load`] — the
     /// counter a [`crate::shard_map::Rebalancer`] samples per epoch.
     load_events: u64,
@@ -487,15 +477,9 @@ pub struct AgentRuntime<M, D: Copy> {
 impl<M, D: Copy> AgentRuntime<M, D> {
     /// Builds the runtime: maps the message queue and, for an MMIO
     /// transport, the slot table (a DMA transport stages into an outbox
-    /// instead), then starts the agent (Table 1 `CREATE_QUEUE` +
-    /// `START_WAVE_AGENT`).
-    pub fn new(
-        ic: &mut Interconnect,
-        id: AgentId,
-        core: CoreClass,
-        cpu: CpuModel,
-        cfg: &RuntimeConfig,
-    ) -> Self {
+    /// instead), then starts the agent with an idle clock (Table 1
+    /// `CREATE_QUEUE` + `START_WAVE_AGENT`).
+    pub fn new(ic: &mut Interconnect, cfg: &RuntimeConfig) -> Self {
         let mut msg_q = WaveQueue::new(
             ic,
             cfg.msg_transport,
@@ -523,13 +507,14 @@ impl<M, D: Copy> AgentRuntime<M, D> {
                 })
             }
         };
-        let agent = Agent::start(id, core, cpu);
         AgentRuntime {
-            agent,
             msg_q,
             decisions,
             pump_armed: false,
             pickup: cfg.pickup,
+            running: true,
+            busy_until: SimTime::ZERO,
+            decided: 0,
             load_events: 0,
         }
     }
@@ -579,11 +564,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         self.msg_q.flush(now, ic)
     }
 
-    /// The message-queue transport this runtime was built with.
-    pub fn msg_transport(&self) -> Transport {
-        self.msg_q.transport()
-    }
-
     // --- Agent side: the duty cycle ------------------------------------
 
     /// Arms the pump gate: returns the time the pump event should fire
@@ -597,7 +577,7 @@ impl<M, D: Copy> AgentRuntime<M, D> {
             return None;
         }
         self.pump_armed = true;
-        Some(at.max(self.agent.busy_until()) + self.pickup)
+        Some(at.max(self.busy_until) + self.pickup)
     }
 
     /// Marks the armed pump event as fired, allowing the next arm.
@@ -605,13 +585,8 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         self.pump_armed = false;
     }
 
-    /// Agent drains up to `max` visible messages (`POLL_MESSAGES`).
-    pub fn poll(&mut self, now: SimTime, ic: &mut Interconnect, max: usize) -> PollOutcome<M> {
-        self.msg_q.poll_nic(now, ic, max)
-    }
-
-    /// [`AgentRuntime::poll`] into a caller-owned buffer — the
-    /// allocation-free variant the hot pump loop uses. Appends at most
+    /// Agent drains visible messages (`POLL_MESSAGES`) into a
+    /// caller-owned buffer, which the pump loop reuses: appends at most
     /// `max` messages to `out` and returns the agent CPU time.
     pub fn poll_into(
         &mut self,
@@ -714,36 +689,55 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         }
     }
 
-    /// Mutable agent access (kill/restart, fault injection).
-    pub fn agent_mut(&mut self) -> &mut Agent {
-        &mut self.agent
+    // --- Lifecycle and the serial compute clock ------------------------
+
+    /// Kills the agent (Table 1 `KILL_WAVE_AGENT`, also the watchdog's
+    /// path). Its queues and staged decisions stay mapped.
+    pub fn kill(&mut self) {
+        self.running = false;
+    }
+
+    /// Restarts a killed agent at `now`. Per §6 ("keep fault recovery
+    /// simple") it re-pulls all non-policy state from the host, so it
+    /// starts from a clean compute clock; the decision count carries on.
+    pub fn restart(&mut self, now: SimTime) {
+        self.running = true;
+        self.busy_until = now;
     }
 
     /// Whether the agent is alive and polling.
     pub fn is_running(&self) -> bool {
-        self.agent.is_running()
+        self.running
     }
 
     /// When the agent can next accept work.
     pub fn busy_until(&self) -> SimTime {
-        self.agent.busy_until()
+        self.busy_until
     }
 
-    /// Runs pre-scaled work on the agent's serial clock.
+    /// Runs `cost` of work, already scaled to the agent's core, starting
+    /// no earlier than `now` and serialized behind prior work. Returns
+    /// the completion time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the agent is not running.
     pub fn run_raw(&mut self, now: SimTime, cost: SimTime) -> SimTime {
-        self.agent.run_raw(now, cost)
+        assert!(self.running, "agent is not running");
+        self.busy_until = now.max(self.busy_until) + cost;
+        self.busy_until
     }
 
-    /// Records a produced decision (watchdog liveness + telemetry).
-    /// Also counts one load event toward the rebalance epoch.
-    pub fn record_decision(&mut self, at: SimTime) {
-        self.agent.record_decision(at);
+    /// Counts one produced decision (telemetry) and one load event
+    /// toward the rebalance epoch.
+    pub fn record_decision(&mut self) {
+        self.decided += 1;
         self.load_events += 1;
     }
 
     /// Decisions produced so far.
     pub fn decisions(&self) -> u64 {
-        self.agent.decisions()
+        self.decided
     }
 
     // --- Load accounting (rebalancing) ----------------------------------
@@ -759,11 +753,6 @@ impl<M, D: Copy> AgentRuntime<M, D> {
     /// [`crate::shard_map::Rebalancer::record`].
     pub fn take_load(&mut self) -> u64 {
         std::mem::take(&mut self.load_events)
-    }
-
-    /// Load events accumulated since the last drain (telemetry).
-    pub fn load_events(&self) -> u64 {
-        self.load_events
     }
 }
 
@@ -784,13 +773,7 @@ mod tests {
             soc_pte: SocPteMode::WriteBack,
             pickup: SimTime::from_ns(100),
         };
-        AgentRuntime::new(
-            ic,
-            AgentId(0),
-            CoreClass::NicArm,
-            CpuModel::mount_evans(),
-            &cfg,
-        )
+        AgentRuntime::new(ic, &cfg)
     }
 
     #[test]
@@ -821,8 +804,33 @@ mod tests {
         assert!(ok);
         let flushed = cost + rt.host_flush(cost, &mut ic);
         let visible = flushed + ic.one_way();
-        let polled = rt.poll(visible, &mut ic, 16);
-        assert_eq!(polled.items, vec![41]);
+        let mut polled = Vec::new();
+        rt.poll_into(visible, &mut ic, 16, &mut polled);
+        assert_eq!(polled, vec![41]);
+    }
+
+    /// `KILL_WAVE_AGENT` and the §6 restart: a restarted agent starts
+    /// on a clean clock at the restart time with its decision count
+    /// intact, and a killed one refuses work.
+    #[test]
+    #[should_panic(expected = "agent is not running")]
+    fn killed_agent_refuses_work_until_restart() {
+        let mut ic = Interconnect::pcie();
+        let mut rt = runtime(&mut ic);
+        rt.run_raw(SimTime::ZERO, SimTime::from_ms(9));
+        rt.record_decision();
+        rt.kill();
+        assert!(!rt.is_running());
+        let now = SimTime::from_ms(5);
+        rt.restart(now);
+        assert!(rt.is_running());
+        assert_eq!(rt.busy_until(), now, "restart resets the clock");
+        rt.record_decision();
+        assert_eq!(rt.decisions(), 2);
+        let done = rt.run_raw(now, SimTime::from_ns(100));
+        assert_eq!(done, now + SimTime::from_ns(100));
+        rt.kill();
+        rt.run_raw(done, SimTime::from_ns(1));
     }
 
     #[test]
@@ -851,20 +859,13 @@ mod tests {
             soc_pte: SocPteMode::WriteBack,
             pickup: SimTime::from_ns(100),
         };
-        AgentRuntime::new(
-            ic,
-            AgentId(1),
-            CoreClass::NicArm,
-            CpuModel::mount_evans(),
-            &cfg,
-        )
+        AgentRuntime::new(ic, &cfg)
     }
 
     #[test]
     fn dma_transport_batches_ingest() {
         let mut ic = Interconnect::pcie();
         let mut rt = dma_runtime(&mut ic);
-        assert_eq!(rt.msg_transport(), Transport::Dma);
         for v in 0..500u64 {
             let (_cost, ok) = rt.host_send(SimTime::ZERO, &mut ic, v);
             assert!(ok);
@@ -876,13 +877,12 @@ mod tests {
         // 500 compressed 8-byte entries on the wire.
         assert_eq!(ic.dma.bytes_moved(), 500 * 8);
         let arrive = rt.next_visible_at().expect("batch in flight");
-        assert!(rt
-            .poll(arrive - SimTime::from_ns(1), &mut ic, 1000)
-            .items
-            .is_empty());
-        let polled = rt.poll(arrive, &mut ic, 1000);
-        assert_eq!(polled.items.len(), 500);
-        assert_eq!(polled.items[499], 499);
+        let mut polled = Vec::new();
+        rt.poll_into(arrive - SimTime::from_ns(1), &mut ic, 1000, &mut polled);
+        assert!(polled.is_empty());
+        rt.poll_into(arrive, &mut ic, 1000, &mut polled);
+        assert_eq!(polled.len(), 500);
+        assert_eq!(polled[499], 499);
     }
 
     #[test]
@@ -977,10 +977,7 @@ mod tests {
                     rt.stage(now, &mut ic, slot, step);
                     reference.insert(slot, step);
                 }
-                32..=41 => {
-                    t.revoke(now, &mut ic, slot);
-                }
-                42..=51 => {
+                32..=51 => {
                     t.take_staged(now, &mut ic, slot);
                 }
                 52..=62 => {

@@ -11,10 +11,6 @@
 
 use rustc_hash::FxHashMap;
 
-/// Identifier of a transaction, unique per host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TxnId(pub u64);
-
 /// A reference to a host-kernel resource at an observed generation.
 ///
 /// Resources are identified by an opaque `u64` (a TID for the scheduler,

@@ -4,8 +4,6 @@
 
 use wave_core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
 use wave_core::shard_map::{FeedDemand, Rebalancer, ResourceMove};
-use wave_core::txn::TxnId;
-use wave_core::AgentId;
 use wave_pcie::config::Side;
 use wave_pcie::{MsixSendPath, MsixVector};
 use wave_sim::cpu::WorkloadClass;
@@ -66,7 +64,7 @@ impl Agents {
         // Core ownership starts as the static contiguous partition; only a
         // rebalance commit ever changes it.
         let map = ShardMap::contiguous(cfg.workers as usize, cfg.agents);
-        let shards = policies.into_iter().enumerate().map(|(i, policy)| {
+        let shards = policies.into_iter().map(|policy| {
             // Every shard's slot table spans all worker cores, indexed by
             // core id, so a core can change owners without re-mapping
             // SmartNIC DRAM.
@@ -85,7 +83,7 @@ impl Agents {
             };
             let compute = policy.compute_cost();
             Shard {
-                rt: AgentRuntime::new(ic, AgentId(i as u32), agent_core, cfg.cpu, &rcfg),
+                rt: AgentRuntime::new(ic, &rcfg),
                 pick_cost: compute.scale(ratio) + cfg.agent_decision_extra,
                 msg_cost: compute.scale(ratio * 0.5),
                 time_slice: policy.time_slice(),
@@ -254,8 +252,7 @@ impl SchedSim {
                 if !cyc.shards[si].rt.slots_ref().is_staged(SlotId(c))
                     && cyc.stage_pick(si, None, CpuId(c))
                 {
-                    let at = cyc.at();
-                    cyc.shards[si].rt.record_decision(at);
+                    cyc.shards[si].rt.record_decision();
                 }
             }
         }
@@ -344,16 +341,13 @@ impl Cycle<'_> {
         self.now + self.cost
     }
 
-    /// Builds a decision to run `tid`: snapshots its generation and
-    /// allocates a txn id. `None` if the thread vanished between message
-    /// and pick.
+    /// Builds a decision to run `tid`: snapshots its generation. `None`
+    /// if the thread vanished between message and pick.
     // shortcut: reads the kernel's generation table; stands in for the
     // thread sequence number a `SEND_MESSAGES` wakeup carries.
     fn decision(&mut self, tid: Tid) -> Option<SlotDecision> {
         let target = self.kernel.gen.snapshot(tid.0)?;
-        let txn = TxnId(self.kernel.next_txn);
-        self.kernel.next_txn += 1;
-        Some(SlotDecision { txn, tid, target })
+        Some(SlotDecision { tid, target })
     }
 
     /// Agent→host decision (Table 1 `TXN_CREATE`): writes `d` into this
@@ -434,8 +428,7 @@ impl Cycle<'_> {
             (d.sender_cpu, d.handler_at)
         };
         self.cost += sender_cpu;
-        let at = self.at();
-        self.shards[self.si].rt.record_decision(at);
+        self.shards[self.si].rt.record_decision();
         handler_at
     }
 }

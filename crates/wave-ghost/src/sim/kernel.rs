@@ -53,7 +53,6 @@ pub(super) struct Kernel {
     /// Sequential admission counter, which drives the wakeup routing
     /// (thread ids are generation-packed arena handles).
     next_seq: u64,
-    pub(super) next_txn: u64,
     run_token: u64,
     pub(super) outstanding: usize,
     /// Per RPC-stack core, when it next falls idle (Fig. 6 ingress).
@@ -78,7 +77,6 @@ impl Kernel {
             threads: ThreadTable::with_capacity(1024),
             source: cfg.workload.build(cfg.seed),
             next_seq: 0,
-            next_txn: 0,
             run_token: 0,
             outstanding: 0,
             stack_busy: vec![SimTime::ZERO; cfg.ingress.map_or(0, |i| i.stack_cores as usize)],
@@ -283,7 +281,8 @@ impl SchedSim {
                 self.try_commit(sim, cpu, d, now + cost)
             }
             (cost, None) => {
-                // Spurious kick (e.g. decision revoked). Stay waiting.
+                // Spurious kick (e.g. the decision moved to another shard
+                // with its core). Stay waiting.
                 self.diag.wakeup_miss += 1;
                 self.park(sim, cpu, now + cost);
             }

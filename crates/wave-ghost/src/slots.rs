@@ -13,15 +13,13 @@
 //! in every agent's table: sharded deployments (see [`crate::sim`]) give
 //! each agent its own table over all cores, indexed by core id.
 
-use wave_core::txn::{ResourceRef, TxnId};
+use wave_core::txn::ResourceRef;
 
 use crate::msg::Tid;
 
 /// A staged scheduling decision.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotDecision {
-    /// Transaction id (for outcome reporting).
-    pub txn: TxnId,
     /// The thread to run.
     pub tid: Tid,
     /// Generation-checked reference to that thread.
@@ -42,7 +40,6 @@ mod tests {
 
     fn decision(tid: u64) -> SlotDecision {
         SlotDecision {
-            txn: TxnId(tid),
             tid: Tid(tid),
             target: ResourceRef {
                 resource: tid,
@@ -108,17 +105,6 @@ mod tests {
             s.is_staged(SlotId(0)),
             "decision stays staged for the MSI-X path"
         );
-    }
-
-    #[test]
-    fn revoke_clears_slot() {
-        let mut ic = Interconnect::pcie();
-        let mut s = slots(&mut ic, PteType::Uncacheable);
-        s.stage(SimTime::ZERO, &mut ic, SlotId(3), decision(8));
-        assert!(s.is_staged(SlotId(3)));
-        s.revoke(SimTime::from_us(1), &mut ic, SlotId(3));
-        let (_c, got) = s.host_consume(SimTime::from_us(2), &mut ic, SlotId(3));
-        assert!(got.is_none());
     }
 
     #[test]

@@ -336,10 +336,11 @@ mod tests {
         // each flip must have been staged and shipped through the outbox.
         let shipped = one.shipped_decisions();
         assert!(shipped > 0);
-        let rt = one.shard_runtime(0).expect("built on first iteration");
+        let rt = one.shard_runtime(0);
         assert_eq!(rt.staged_count(), 0, "outbox drained by ship");
         assert_eq!(rt.decisions(), shipped);
-        assert_eq!(rt.msg_transport(), Transport::Dma);
+        let rcfg = one.config().runtime_config(fp.batches());
+        assert_eq!(rcfg.msg_transport, Transport::Dma);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * a contiguous **batch slice** ([`wave_core::runtime::shard_range`]
 //!   over the address space, the same partition the scheduler uses for
 //!   cores),
-//! * its own [`AgentRuntime`], built on the shard's first iteration — a
-//!   private PTE-delta stream (DMA ingest) and a decision outbox keyed
-//!   by global batch id,
+//! * its own [`AgentRuntime`], built with the runner — a private
+//!   PTE-delta stream (DMA ingest), a decision outbox keyed by global
+//!   batch id, and the agent's liveness flag,
 //! * its own [`SolPolicy`] over the slice (global batch ids, local
 //!   state — [`SolPolicy::with_base`]), and
 //! * its own [`Interconnect`] and RNG stream, modelling one DMA channel
@@ -75,7 +75,6 @@ use wave_core::shard_map::{
     RebalanceConfig, RebalanceEvent, Rebalancer, ResourceMove, ShardMap, ShedLoad,
 };
 use wave_core::workload::{MemPhase, PhaseSchedule};
-use wave_core::AgentId;
 use wave_kvstore::DbFootprint;
 use wave_pcie::Interconnect;
 use wave_sim::cpu::CpuModel;
@@ -166,10 +165,10 @@ struct MemShard {
     policy: SolPolicy,
     ic: Interconnect,
     rng: SmallRng,
-    /// Built once, lazily on the shard's first iteration, over the
-    /// workload's whole batch space: a decision's slot id is its global
-    /// batch id.
-    rt: Option<AgentRuntime<PteDelta, MigrationDecision>>,
+    /// Spans the whole batch space: a decision's slot id is its global
+    /// batch id. Not running between a watchdog kill and the operator
+    /// restart.
+    rt: AgentRuntime<PteDelta, MigrationDecision>,
     /// The PTE deltas the agent polled this iteration.
     polled: Vec<PteDelta>,
     /// Migration decisions shipped to the host so far.
@@ -177,8 +176,6 @@ struct MemShard {
     /// The most recent `dma_out` shipment, in slot order (what the host
     /// received last iteration), refilled in place each iteration.
     last_shipment: Vec<(SlotId, MigrationDecision)>,
-    /// False between a watchdog kill and the operator restart.
-    alive: bool,
 }
 
 impl MemShard {
@@ -198,8 +195,8 @@ impl MemShard {
     /// comparable across iterations and shards. The returned cost fields
     /// are durations relative to `now`.
     ///
-    /// The runtime spans the whole batch space of `workload`, whatever
-    /// slice the policy manages, so a slice that grows or shrinks
+    /// The runtime spans the whole batch space, whatever slice the
+    /// policy manages, so a slice that grows or shrinks
     /// (rebalancing, batches lent by a dead sibling) stages into the
     /// same outbox. Each iteration also notes the due-batch count on the
     /// runtime's load counter ([`AgentRuntime::note_load`]), the
@@ -211,14 +208,10 @@ impl MemShard {
         workload: &DbFootprint,
         now: SimTime,
     ) -> (SolStats, IterationCost) {
-        if !self.alive {
+        if !self.rt.is_running() {
             return (SolStats::default(), IterationCost::idle());
         }
-        let ic = &mut self.ic;
-        let rt = self.rt.get_or_insert_with(|| {
-            let rcfg = cfg.runtime_config(workload.batches());
-            AgentRuntime::new(ic, AgentId(0), cfg.placement, *cpu, &rcfg)
-        });
+        let (ic, rt) = (&mut self.ic, &mut self.rt);
 
         // Host leg: push the due batches' delta stream and flush — the
         // queue's batched, delta-compressed DMA is the dma_in transfer,
@@ -261,7 +254,7 @@ impl MemShard {
         for &(batch, hot) in self.policy.flips() {
             let d = MigrationDecision { batch, hot };
             stage_cpu += rt.stage(stage_at + stage_cpu, ic, SlotId(batch), d);
-            rt.record_decision(stage_at + stage_cpu);
+            rt.record_decision();
         }
         rt.run_raw(stage_at, stage_cpu);
 
@@ -319,7 +312,8 @@ impl ShardedSolRunner {
     /// Partitions `total_batches` across `shards` agents. Shard `i`
     /// owns the contiguous slice [`shard_range`]`(total_batches,
     /// shards, i)`, a fresh policy with an uninformative prior over it,
-    /// and the RNG stream `seed ^ (i << 32)`. With one shard this is the
+    /// the RNG stream `seed ^ (i << 32)`, and a running agent runtime
+    /// over the whole batch space. With one shard this is the
     /// single-agent deployment: the whole batch space on `rng(seed)`.
     ///
     /// # Panics
@@ -341,15 +335,16 @@ impl ShardedSolRunner {
         let shards: Vec<MemShard> = (0..shards as usize)
             .map(|i| {
                 let slice = shard_range(total_batches, shards as usize, i);
+                let mut ic = Interconnect::pcie();
+                let rt = AgentRuntime::new(&mut ic, &cfg.runtime_config(total_batches));
                 MemShard {
                     policy: SolPolicy::with_base(sol, slice.len(), slice.start),
-                    ic: Interconnect::pcie(),
+                    ic,
                     rng: wave_sim::rng(seed ^ (i as u64) << 32),
-                    rt: None,
+                    rt,
                     polled: Vec::new(),
                     shipped: 0,
                     last_shipment: Vec::new(),
-                    alive: true,
                 }
             })
             .collect();
@@ -502,7 +497,7 @@ impl ShardedSolRunner {
         self.last_epoch = now;
         let mut demoted = 0;
         let mut promoted = 0;
-        for sh in self.shards.iter_mut().filter(|sh| sh.alive) {
+        for sh in self.shards.iter_mut().filter(|sh| sh.rt.is_running()) {
             let (d, p) = sh.policy.epoch_migrate(now, footprint);
             demoted += d;
             promoted += p;
@@ -527,10 +522,9 @@ impl ShardedSolRunner {
         if !rb.epoch_due(now) {
             return None;
         }
-        let alive: Vec<bool> = self.shards.iter().map(|sh| sh.alive).collect();
+        let alive: Vec<bool> = self.shards.iter().map(|sh| sh.rt.is_running()).collect();
         for (i, sh) in self.shards.iter_mut().enumerate() {
-            let load = sh.rt.as_mut().map_or(0, |rt| rt.take_load());
-            rb.record(i as u32, load);
+            rb.record(i as u32, sh.rt.take_load());
         }
         let event = rb.run_epoch(now, &mut self.map, &alive).clone();
         // Group the epoch's moves per shard so the policy-side Vec
@@ -575,10 +569,9 @@ impl ShardedSolRunner {
             .map(|&(_, d)| d)
     }
 
-    /// Shard `i`'s agent runtime, once its first iteration has built it
-    /// (telemetry/tests).
-    pub fn shard_runtime(&self, i: u32) -> Option<&AgentRuntime<PteDelta, MigrationDecision>> {
-        self.shards[i as usize].rt.as_ref()
+    /// Shard `i`'s agent runtime (telemetry/tests).
+    pub fn shard_runtime(&self, i: u32) -> &AgentRuntime<PteDelta, MigrationDecision> {
+        &self.shards[i as usize].rt
     }
 
     /// Shard `i`'s classification accuracy against the workload oracle
@@ -589,7 +582,7 @@ impl ShardedSolRunner {
 
     /// Whether shard `i` is alive (not killed, or restarted since).
     pub fn is_shard_running(&self, i: u32) -> bool {
-        self.shards[i as usize].alive
+        self.shards[i as usize].rt.is_running()
     }
 
     /// Kills shard `i` — the watchdog path (§3.3): the agent stops
@@ -607,17 +600,9 @@ impl ShardedSolRunner {
     ///
     /// [`restart_shard`]: ShardedSolRunner::restart_shard
     pub fn kill_shard(&mut self, i: u32) {
-        {
-            let sh = &mut self.shards[i as usize];
-            sh.alive = false;
-            if let Some(rt) = sh.rt.as_mut() {
-                let agent = rt.agent_mut();
-                agent.crash();
-                agent.kill();
-            }
-        }
+        self.shards[i as usize].rt.kill();
         let live: Vec<u32> = (0..self.shards.len() as u32)
-            .filter(|&s| s != i && self.shards[s as usize].alive)
+            .filter(|&s| self.is_shard_running(s))
             .collect();
         let ids: Vec<usize> = self.map.resources_of(i).collect();
         if live.is_empty() || ids.is_empty() {
@@ -634,7 +619,7 @@ impl ShardedSolRunner {
             .collect();
         self.map.commit(&moves);
         // The corpse's policy is not asked to release anything — it is
-        // frozen (run() short-circuits on !alive) and rebuilt from
+        // frozen (run() short-circuits on a killed runtime) and rebuilt from
         // scratch at restart; the map commit is the ownership truth.
         let mut adopted: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
         for m in &moves {
@@ -691,11 +676,8 @@ impl ShardedSolRunner {
         }
         let ids = self.map.resources_of(i).map(|g| g as u32).collect();
         let sh = &mut self.shards[i as usize];
-        sh.alive = true;
+        sh.rt.restart(now);
         sh.policy = SolPolicy::with_batches(self.sol, ids);
-        if let Some(rt) = sh.rt.as_mut() {
-            rt.agent_mut().restart(now);
-        }
     }
 }
 
@@ -978,7 +960,7 @@ mod tests {
 
         k2.kill_shard(1);
         assert!(!k2.is_shard_running(1));
-        let rt = k2.shard_runtime(1).unwrap();
+        let rt = k2.shard_runtime(1);
         assert!(!rt.is_running());
         // Outbox drained atomically by the last dma_out: nothing stuck.
         assert_eq!(rt.staged_count(), 0);

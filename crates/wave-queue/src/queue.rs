@@ -182,11 +182,6 @@ impl<T> WaveQueue<T> {
         self.wire_bytes_per_entry = bytes;
     }
 
-    /// The queue's transport.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
     /// Entries currently in flight or waiting (producer view).
     pub fn len(&self) -> usize {
         self.entries.len()

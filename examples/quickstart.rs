@@ -9,12 +9,11 @@
 //! Run with: `cargo run --example quickstart`
 
 use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
-use wave::core::{AgentId, GenerationTable, OptLevel, ResourceRef};
+use wave::core::{GenerationTable, OptLevel, ResourceRef};
 use wave::ghost::CostModel;
 use wave::pcie::config::Side;
 use wave::pcie::{Interconnect, MsixSendPath, MsixVector};
 use wave::queue::Transport;
-use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
 /// Runs the example end to end and returns the message→decision-read
@@ -42,13 +41,7 @@ pub fn run() -> SimTime {
         pickup: SimTime::from_ns(cost.agent_pickup_ns),
     };
     // A decision names the thread to run and the generation the agent saw.
-    let mut rt: AgentRuntime<u64, ResourceRef> = AgentRuntime::new(
-        &mut ic,
-        AgentId(0),
-        CoreClass::NicArm,
-        CpuModel::mount_evans(),
-        &cfg,
-    );
+    let mut rt: AgentRuntime<u64, ResourceRef> = AgentRuntime::new(&mut ic, &cfg);
     let core = SlotId(0);
 
     // Host kernel state: thread 7 exists at generation 0.
@@ -68,16 +61,16 @@ pub fn run() -> SimTime {
     // thread 7" into core 0's slot and kicks the host (TXNS_COMMIT).
     let pump_at = rt.arm_pump(visible_at).expect("no pump in flight");
     rt.pump_fired();
-    let polled = rt.poll(pump_at, &mut ic, 8);
+    let mut polled = Vec::new();
+    let poll_cpu = rt.poll_into(pump_at, &mut ic, 8, &mut polled);
     println!(
-        "agent: polled {} message(s) at {pump_at} in {}",
-        polled.items.len(),
-        polled.cpu
+        "agent: polled {} message(s) at {pump_at} in {poll_cpu}",
+        polled.len()
     );
-    let target = kernel.snapshot(polled.items[0]).expect("thread exists");
-    let mut agent_t = pump_at + polled.cpu;
+    let target = kernel.snapshot(polled[0]).expect("thread exists");
+    let mut agent_t = pump_at + poll_cpu;
     agent_t += rt.stage(agent_t, &mut ic, core, target);
-    rt.record_decision(agent_t);
+    rt.record_decision();
     let kick = ic
         .msix
         .send(agent_t, MsixVector(0), MsixSendPath::Ioctl, Side::Nic);

@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
-use wave::core::{AgentId, GenerationTable, OptLevel, ResourceRef, TxnOutcome, Watchdog};
+use wave::core::{GenerationTable, OptLevel, ResourceRef, TxnOutcome, Watchdog};
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave::memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave::pcie::config::Side;
@@ -32,13 +32,7 @@ fn sched_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, ResourceRef> {
         soc_pte: opts.soc_pte(),
         pickup: SimTime::from_ns(100),
     };
-    AgentRuntime::new(
-        ic,
-        AgentId(0),
-        CoreClass::NicArm,
-        CpuModel::mount_evans(),
-        &cfg,
-    )
+    AgentRuntime::new(ic, &cfg)
 }
 
 /// Host side of a commit at `at`: flush the slot's cached line, read the
@@ -67,7 +61,7 @@ fn commit(
 ) -> SimTime {
     let target = kernel.snapshot(tid).expect("kernel has the thread");
     let staged = now + rt.stage(now, ic, slot, target);
-    rt.record_decision(staged);
+    rt.record_decision();
     ic.msix
         .send(staged, MsixVector(slot.0), MsixSendPath::Ioctl, Side::Nic)
         .handler_at
@@ -93,18 +87,17 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
     assert!(!wd.expired(SimTime::from_ms(5)));
 
     // ...stages a decision for thread 5 on core 1 that the host has not
-    // read yet, then crashes (fault injection). No more heartbeats.
+    // read yet, then goes silent (fault injection). No more heartbeats.
     let t2 = SimTime::from_ms(2);
     let observed = kernel.snapshot(5).expect("kernel has the thread");
     rt.stage(t2, &mut ic, SlotId(1), observed);
-    rt.agent_mut().crash();
     let t_detect = SimTime::from_ms(25);
     assert!(
         wd.expired(t_detect),
         "silence past 20 ms must trip the watchdog"
     );
     assert!(wd.fire(), "first firing kills the agent");
-    rt.agent_mut().kill();
+    rt.kill();
     assert!(!rt.is_running());
 
     // While the agent is dead, thread 5 changes on the host.
@@ -113,7 +106,7 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
     // Operator restarts the agent; it re-pulls state from the kernel
     // (generation snapshots) rather than from any checkpoint.
     let t_restart = SimTime::from_ms(30);
-    rt.agent_mut().restart(t_restart);
+    rt.restart(t_restart);
     wd.rearm(t_restart);
     assert!(rt.is_running());
     assert!(!wd.expired(SimTime::from_ms(45)));
@@ -181,10 +174,10 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     assert!(wd.fire(), "first firing kills the agent");
     sharded.kill_shard(1);
     assert!(!sharded.is_shard_running(1));
-    assert!(!sharded.shard_runtime(1).unwrap().is_running());
+    assert!(!sharded.shard_runtime(1).is_running());
     // dma_ship_staged drains the outbox atomically at the end of every
     // iteration, so the crash strands nothing in SmartNIC DRAM.
-    let rt = sharded.shard_runtime(1).unwrap();
+    let rt = sharded.shard_runtime(1);
     assert_eq!(rt.staged_count(), 0, "no half-shipped decisions");
 
     // Mid-epoch iteration with the dead shard: shard 0 keeps managing
@@ -201,7 +194,7 @@ fn watchdog_kills_one_memory_shard_and_host_replays_unshipped_flips() {
     sharded.restart_shard(1, t_restart);
     wd.rearm(t_restart);
     assert!(sharded.is_shard_running(1));
-    assert!(sharded.shard_runtime(1).unwrap().is_running());
+    assert!(sharded.shard_runtime(1).is_running());
     assert!(!wd.expired(SimTime::from_ms(1215)));
 
     let (stats, _) = sharded.run_iteration(&fp, t_restart);

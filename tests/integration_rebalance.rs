@@ -177,7 +177,7 @@ fn memory_agent_runtimes_span_the_batch_space_across_resizes() {
         let mut shipped_adopted = [0usize; 2];
         for (i, last) in seen.iter_mut().enumerate() {
             let shard = i as u32;
-            let rt = runner.shard_runtime(shard).expect("built");
+            let rt = runner.shard_runtime(shard);
             assert!(rt.decisions() >= *last, "{moment}: shard {i} count reset");
             *last = rt.decisions();
             if !runner.is_shard_running(shard) {
