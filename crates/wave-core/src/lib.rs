@@ -15,21 +15,22 @@
 //! | `TXN_CREATE`, `TXNS_COMMIT` (NIC) | the agent builds the decision and calls [`AgentRuntime::stage`], then an MSI-X kick (`ic.msix.send`) |
 //! | `PREFETCH_TXNS` (host) | [`SlotTable::host_prefetch`] |
 //! | `POLL_TXNS` (host) | MMIO: [`SlotTable::host_invalidate`] + [`SlotTable::host_consume`] per slot; DMA: [`AgentRuntime::dma_ship_staged`], one batched transfer of the outbox (no slot table is mapped) |
-//! | `SET_TXNS_OUTCOMES` / `POLL_TXNS_OUTCOMES` | [`GenerationTable::validate`] on the host; failures are host-side counts, not queue traffic |
+//! | `SET_TXNS_OUTCOMES` / `POLL_TXNS_OUTCOMES` | the consumer's own commit check on the host (the scheduler: `wave_ghost`'s thread arena); failures are host-side counts, not queue traffic |
 //!
 //! The key semantic — inherited from ghOSt and made *more* important by
 //! the PCIe latency — is that agent decisions are **committed atomically
-//! as transactions**: every transaction names its target resource and the
-//! generation of that resource the agent observed; the host kernel
-//! validates the generation at enforcement time and cleanly fails the
-//! transaction if the resource changed or died in the meantime (e.g. "an
-//! agent attempts to update page table entries for an application that
-//! simultaneously exits", §3.2).
+//! as transactions**: every decision names its target resource at the
+//! generation the agent observed; the host kernel validates the
+//! generation at enforcement time and cleanly fails the decision if the
+//! resource changed or died in the meantime (e.g. "an agent attempts to
+//! update page table entries for an application that simultaneously
+//! exits", §3.2). The runtime carries any decision type, so the
+//! generation travels in the decision itself: the scheduler stages a
+//! generation-stamped thread id, and its kernel commits it only while
+//! that id still resolves in the thread arena.
 //!
 //! Layout:
 //!
-//! * [`txn`] — resource references, commit outcomes, and the host-side
-//!   [`txn::GenerationTable`] used for atomic validation.
 //! * [`runtime`] — the reusable agent-runtime layer: one agent's
 //!   message queue + staged decisions (slot table or outbox) + pump
 //!   gating + lifecycle (kill, restart) and serial compute clock; the
@@ -64,7 +65,6 @@ pub mod opts;
 pub mod runtime;
 pub mod shard_map;
 pub mod tenant;
-pub mod txn;
 pub mod watchdog;
 pub mod workload;
 
@@ -75,7 +75,6 @@ pub use shard_map::{
     ShardMap, ShedLoad,
 };
 pub use tenant::{Arbitration, TenantBinding, TenantId, TenantRegistry, TenantSpec};
-pub use txn::{GenerationTable, ResourceRef, TxnOutcome};
 pub use watchdog::Watchdog;
 pub use workload::{
     MemPhase, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix, SloClass,

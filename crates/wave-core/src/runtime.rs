@@ -3,7 +3,8 @@
 //! Every Wave agent — the thread scheduler, the memory manager, the RPC
 //! steerer — runs the same duty cycle (Fig. 2): *pump* the host→NIC
 //! message queue, run a policy, *stage* decisions into per-resource
-//! slots, and let the host *commit* them against the generation table.
+//! slots, and let the host *commit* each one only if its target still
+//! has the generation the agent saw.
 //! This module extracts that machinery from the scheduling simulation so
 //! it can be instantiated once per agent and reused by other resource
 //! managers:

@@ -149,12 +149,6 @@ impl TenantSpec {
         }
     }
 
-    /// Sets the SLO class.
-    pub fn with_slo(mut self, slo: SloClass) -> Self {
-        self.slo = slo;
-        self
-    }
-
     /// The weight [`TenantRegistry::shares`] actually uses: the
     /// configured weight scaled by [`slo_weight_multiplier`] for the
     /// tenant's class.
@@ -316,8 +310,12 @@ mod tests {
             (Arbitration::Fifo, [0.5, 0.5]),
         ] {
             let mut reg = TenantRegistry::new(arb, 16);
-            reg.register(TenantSpec::new("latency", 1, 1).with_slo(SloClass(0)));
-            reg.register(TenantSpec::new("throughput", 1, 1).with_slo(SloClass(1)));
+            for (name, slo) in [("latency", SloClass(0)), ("throughput", SloClass(1))] {
+                reg.register(TenantSpec {
+                    slo,
+                    ..TenantSpec::new(name, 1, 1)
+                });
+            }
             let shares = reg.shares(&demands);
             for (got, want) in shares.iter().zip(want) {
                 assert!((got - want).abs() < 1e-12, "{arb:?}: {shares:?}");

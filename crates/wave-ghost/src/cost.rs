@@ -30,8 +30,10 @@ pub struct CostModel {
     pub agent_pickup_ns: u64,
     /// Words in a kernel→agent message entry.
     pub msg_words: u64,
-    /// Words in a decision entry (txn id, tid, generation, cpu, flags,
-    /// payload).
+    /// Words in a decision entry, as a ghOSt transaction lays one out
+    /// (txn id, tid, generation, cpu, flags, payload). The simulated
+    /// decision is just the generation-stamped `Tid`; every slot write
+    /// still pays for all of them.
     pub decision_words: u64,
     /// Per-request application-layer overhead outside the measured DB
     /// service time (RPC glue, RocksDB request setup/teardown).

@@ -17,7 +17,8 @@
 //!   Shinjuku (per-SLO queues, §7.3.2).
 //! * [`slots`] — per-core decision slots in SmartNIC DRAM (the paper's
 //!   Fig. 2 "Core 0 Queue / Core 1 Queue"), supporting prestaging,
-//!   prefetching and the software coherence protocol.
+//!   prefetching and the software coherence protocol; a staged decision
+//!   is the generation-stamped [`Tid`] the host's commit validates.
 //! * [`cost`] — the calibrated host-side cost model (kernel context
 //!   switch, event bookkeeping, commit path).
 //! * [`sim`] — the end-to-end scheduling simulation behind Figures 4a/4b,
@@ -46,4 +47,3 @@ pub use policy::{SchedPolicy, SloClass, ThreadMeta};
 pub use sim::{
     HostCompletion, Placement, SchedConfig, SchedReport, SchedSim, SchedStepper, ServiceMix,
 };
-pub use slots::SlotDecision;

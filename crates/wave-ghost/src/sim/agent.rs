@@ -13,12 +13,11 @@ use super::*;
 use crate::arena::ThreadRun;
 use crate::msg::{CpuId, SchedMsg, Tid};
 use crate::policy::steal_victim;
-use crate::slots::SlotDecision;
 
 /// One agent shard: its runtime bundle, its policy instance, and the
 /// policy's constants, read once when the sim is built.
 pub(super) struct Shard {
-    pub(super) rt: AgentRuntime<SchedMsg, SlotDecision>,
+    pub(super) rt: AgentRuntime<SchedMsg, Tid>,
     policy: Box<dyn SchedPolicy>,
     /// Agent cost of one pick: the policy's compute cost scaled to the
     /// agent core, plus [`SchedConfig::agent_decision_extra`].
@@ -199,8 +198,8 @@ impl SchedSim {
             let threads = &mut cyc.kernel.threads;
             if msg.makes_runnable() {
                 // A runnable message always names a live thread; the
-                // arena would reject a stale id anyway, as a queued-then-
-                // dead pick fails its generation snapshot.
+                // arena would reject a stale id anyway, as the host's
+                // commit rejects a staged one.
                 if let Some(meta) = threads.meta(msg.tid) {
                     shard.policy.on_runnable(threads, now, msg.tid, meta);
                 }
@@ -299,10 +298,7 @@ impl SchedSim {
         } else {
             // Queue empty: stage a self-requeue ("continue") decision.
             self.diag.preempt_extend += 1;
-            let Some(d) = cyc.decision(seg.tid) else {
-                return;
-            };
-            cyc.stage(seg.cpu, d);
+            cyc.stage(seg.cpu, seg.tid);
         }
         let irq_at = cyc.kick(seg.cpu);
         cyc.shards[si].rt.run_raw(cyc.now, cyc.cost);
@@ -341,20 +337,15 @@ impl Cycle<'_> {
         self.now + self.cost
     }
 
-    /// Builds a decision to run `tid`: snapshots its generation. `None`
-    /// if the thread vanished between message and pick.
-    // shortcut: reads the kernel's generation table; stands in for the
-    // thread sequence number a `SEND_MESSAGES` wakeup carries.
-    fn decision(&mut self, tid: Tid) -> Option<SlotDecision> {
-        let target = self.kernel.gen.snapshot(tid.0)?;
-        Some(SlotDecision { tid, target })
-    }
-
-    /// Agent→host decision (Table 1 `TXN_CREATE`): writes `d` into this
-    /// shard's slot for `cpu`, where the host reads it.
-    fn stage(&mut self, cpu: CpuId, d: SlotDecision) {
+    /// Agent→host decision (Table 1 `TXN_CREATE`): writes "run `tid`"
+    /// into this shard's slot for `cpu`, where the host reads it. The
+    /// `Tid` carries the generation the agent saw, which is what the
+    /// host's commit validates.
+    fn stage(&mut self, cpu: CpuId, tid: Tid) {
         let at = self.at();
-        self.cost += self.shards[self.si].rt.stage(at, self.ic, SlotId(cpu.0), d);
+        self.cost += self.shards[self.si]
+            .rt
+            .stage(at, self.ic, SlotId(cpu.0), tid);
     }
 
     /// Picks a thread from shard `victim`'s policy (restricted to
@@ -370,10 +361,10 @@ impl Cycle<'_> {
             Some(c) => shard.policy.pick_class(threads, self.now, c),
             None => shard.policy.pick_next(threads, self.now),
         };
-        let Some(d) = tid.and_then(|tid| self.decision(tid)) else {
+        let Some(tid) = tid else {
             return false;
         };
-        self.stage(cpu, d);
+        self.stage(cpu, tid);
         true
     }
 
@@ -454,16 +445,15 @@ fn apply_core_move(
     shards[from].rt.run_raw(now, cost);
     // shortcut: reads thread and core state from the kernel; stands in
     // for the agent's own view of both, kept from `SEND_MESSAGES`.
-    if let Some(d) = staged {
+    if let Some(tid) = staged {
         // The donor had picked a thread for this core. If it is still
-        // runnable it re-enters the recipient's run queue; the old txn
-        // snapshot is discarded (the recipient revalidates at its own
-        // stage time).
-        let runnable = (kernel.threads.get(d.tid)).is_some_and(|t| t.run == ThreadRun::Runnable);
-        if let Some(meta) = kernel.threads.meta(d.tid).filter(|_| runnable) {
+        // runnable it re-enters the recipient's run queue, and the
+        // recipient stages it afresh.
+        let runnable = (kernel.threads.get(tid)).is_some_and(|t| t.run == ThreadRun::Runnable);
+        if let Some(meta) = kernel.threads.meta(tid).filter(|_| runnable) {
             diag.rebalance_handoffs += 1;
             let policy = &mut shards[to].policy;
-            policy.on_runnable(&mut kernel.threads, now, d.tid, meta);
+            policy.on_runnable(&mut kernel.threads, now, tid, meta);
         }
     }
     if kernel.cores[m.resource] == (CoreState::Idle { waiting: true }) {

@@ -5,7 +5,6 @@
 use std::collections::BTreeMap;
 
 use wave_core::runtime::SlotId;
-use wave_core::txn::GenerationTable;
 use wave_core::workload::AnySource;
 use wave_sim::cpu::WorkloadClass;
 use wave_sim::stats::Histogram;
@@ -14,7 +13,6 @@ use super::agent::arm_pump;
 use super::*;
 use crate::arena::{ThreadRun, ThreadTable};
 use crate::msg::{CpuId, SchedMsg, SchedMsgKind, Tid};
-use crate::slots::SlotDecision;
 
 /// Worker-core state machine, as the *host kernel* sees it.
 ///
@@ -43,9 +41,10 @@ pub(super) struct Segment {
 /// The host kernel's state.
 pub(super) struct Kernel {
     pub(super) cores: Vec<CoreState>,
-    pub(super) gen: GenerationTable,
-    /// The thread arena; the policies' run queues are intrusive lists
-    /// through its rows.
+    /// The thread arena, the one record per thread: its generation-
+    /// stamped [`Tid`]s are what a commit validates, its length is the
+    /// outstanding count, and the policies' run queues are intrusive
+    /// lists through its rows.
     pub(super) threads: ThreadTable,
     /// [`SchedConfig::workload`] built with the config seed; statically
     /// dispatched, as the sim's hottest external call.
@@ -54,7 +53,6 @@ pub(super) struct Kernel {
     /// (thread ids are generation-packed arena handles).
     next_seq: u64,
     run_token: u64,
-    pub(super) outstanding: usize,
     /// Per RPC-stack core, when it next falls idle (Fig. 6 ingress).
     stack_busy: Vec<SimTime>,
     pub(super) lat: Histogram,
@@ -62,7 +60,6 @@ pub(super) struct Kernel {
     pub(super) lat_by_class: BTreeMap<u8, Histogram>,
     /// Per-phase latency histograms, by arrival (empty without phases).
     pub(super) lat_by_phase: Vec<Histogram>,
-    pub(super) completed_measured: u64,
     pub(super) dropped: u64,
     /// Fleet mode: log every request's outcome to `completions`.
     pub(super) log_completions: bool,
@@ -73,12 +70,10 @@ impl Kernel {
     pub(super) fn new(cfg: &SchedConfig) -> Self {
         Kernel {
             cores: vec![CoreState::Idle { waiting: true }; cfg.workers as usize],
-            gen: GenerationTable::new(),
             threads: ThreadTable::with_capacity(1024),
             source: cfg.workload.build(cfg.seed),
             next_seq: 0,
             run_token: 0,
-            outstanding: 0,
             stack_busy: vec![SimTime::ZERO; cfg.ingress.map_or(0, |i| i.stack_cores as usize)],
             lat: Histogram::new(),
             lat_by_class: BTreeMap::new(),
@@ -87,7 +82,6 @@ impl Kernel {
             } else {
                 vec![Histogram::new(); cfg.phases.len() + 1]
             },
-            completed_measured: 0,
             dropped: 0,
             log_completions: false,
             completions: Vec::new(),
@@ -126,9 +120,7 @@ impl Kernel {
             return;
         };
         let (arrival, slo) = (t.arrival, t.slo);
-        self.gen.remove(tid.0);
         self.threads.remove(tid);
-        self.outstanding -= 1;
         self.log(arrival, now, slo, false);
         if arrival >= cfg.warmup && now <= cfg.duration {
             let lat = now - arrival;
@@ -140,7 +132,6 @@ impl Kernel {
                 let idx = cfg.phases.partition_point(|&p| p <= arrival);
                 self.lat_by_phase[idx].record_time(lat);
             }
-            self.completed_measured += 1;
         }
     }
 }
@@ -177,13 +168,8 @@ impl SchedSim {
     /// Host read of `cpu`'s decision slot (Table 1 `POLL_TXNS`) at `at`:
     /// `fresh` flushes the stale view first (§5.3.2, the MSI-X paths);
     /// otherwise it reads what the idle transition prefetched. Returns
-    /// the host cost and the staged decision, if any.
-    fn read_slot(
-        &mut self,
-        at: SimTime,
-        cpu: CpuId,
-        fresh: bool,
-    ) -> (SimTime, Option<SlotDecision>) {
+    /// the host cost and the staged thread, if any.
+    fn read_slot(&mut self, at: SimTime, cpu: CpuId, fresh: bool) -> (SimTime, Option<Tid>) {
         let si = self.agents.shard_of(cpu);
         let slots = self.agents.shards[si].rt.slots();
         let mut cost = SimTime::ZERO;
@@ -214,7 +200,7 @@ impl SchedSim {
         if let Some(at) = self.kernel.source.next_arrival() {
             sim.schedule(at, SchedEvent::Arrival);
         }
-        if self.kernel.outstanding >= self.cfg.max_outstanding {
+        if self.kernel.threads.len() >= self.cfg.max_outstanding {
             self.kernel.dropped += 1;
             self.kernel.source.drop_task();
             return;
@@ -246,14 +232,12 @@ impl SchedSim {
         let k = &mut self.kernel;
         let seq = k.next_seq;
         k.next_seq += 1;
-        k.outstanding += 1;
         let io = self
             .cfg
             .ingress
             .map_or(SimTime::ZERO, |i| i.worker_receive + i.worker_respond);
         let service = task.service + SimTime::from_ns(self.cfg.cost.app_overhead_ns) + io;
         let tid = k.threads.insert(service, wire_arrival, task.slo);
-        k.gen.insert(tid.0);
         // The load generator core sends the message (its CPU time is not
         // charged against worker throughput, matching the paper's setup
         // where the generator has its own resources).
@@ -261,9 +245,7 @@ impl SchedSim {
         let msg = SchedMsg::new(tid, SchedMsgKind::Wakeup, None);
         if !self.send_to_agent(sim, si, now, msg, true).1 {
             let k = &mut self.kernel;
-            k.gen.remove(tid.0);
             k.threads.remove(tid);
-            k.outstanding -= 1;
             k.reject(now, wire_arrival, task.slo);
         }
     }
@@ -276,9 +258,9 @@ impl SchedSim {
             return; // Core got work through another path meanwhile.
         }
         match self.read_slot(now, cpu, true) {
-            (cost, Some(d)) => {
+            (cost, Some(tid)) => {
                 self.diag.wakeup_hit += 1;
-                self.try_commit(sim, cpu, d, now + cost)
+                self.try_commit(sim, cpu, tid, now + cost)
             }
             (cost, None) => {
                 // Spurious kick (e.g. the decision moved to another shard
@@ -290,19 +272,19 @@ impl SchedSim {
     }
 
     /// Validate + enforce a decision on `cpu` (the atomic commit, Table 1
-    /// `SET_TXNS_OUTCOMES`).
-    fn try_commit(&mut self, sim: &mut S, cpu: CpuId, d: SlotDecision, at: SimTime) {
+    /// `SET_TXNS_OUTCOMES`): `tid` commits only if it still resolves in
+    /// the arena at the generation the agent saw and is runnable.
+    fn try_commit(&mut self, sim: &mut S, cpu: CpuId, tid: Tid, at: SimTime) {
         let offloaded = self.cfg.placement == Placement::Offloaded;
         let cost = self.cfg.cost.commit_path(offloaded);
         let k = &mut self.kernel;
-        let runnable = matches!(k.threads.get(d.tid), Some(t) if t.run == ThreadRun::Runnable);
-        if !k.gen.validate(d.target).is_committed() || !runnable {
+        if !matches!(k.threads.get(tid), Some(t) if t.run == ThreadRun::Runnable) {
             // Failed transaction: clean failure, core keeps waiting.
             self.diag.commit_fail += 1;
             return self.park(sim, cpu, at + cost);
         }
         k.run_token += 1;
-        let (tid, token) = (d.tid, k.run_token);
+        let token = k.run_token;
         k.cores[cpu.0 as usize] = CoreState::Busy { tid, token };
         k.threads[tid].run = ThreadRun::Running(cpu);
         let start = at + cost + self.cfg.cost.kernel_switch();
@@ -345,7 +327,7 @@ impl SchedSim {
         let rem = self.kernel.threads[tid].remaining.saturating_sub(ran);
         let (mut cost, got) = self.read_slot(now, cpu, true);
         match got {
-            Some(d) if d.tid != tid => {
+            Some(next) if next != tid => {
                 self.diag.preempt_switch += 1;
                 if rem == SimTime::ZERO {
                     // The thread finished exactly at the slice boundary;
@@ -361,7 +343,7 @@ impl SchedSim {
                     let si = self.agents.shard_of(cpu);
                     cost += self.send_to_agent(sim, si, now + cost, msg, false).0;
                 }
-                self.try_commit(sim, cpu, d, now + cost);
+                self.try_commit(sim, cpu, next, now + cost);
             }
             Some(_) if rem == SimTime::ZERO => {
                 // "Continue" decision for a thread that just finished.
@@ -400,9 +382,9 @@ impl SchedSim {
         let msg = SchedMsg::new(seg.tid, SchedMsgKind::Dead, Some(cpu));
         cost += self.send_to_agent(sim, si, now + cost, msg, true).0;
         match self.read_slot(now + cost, cpu, false) {
-            (c, Some(d)) => {
+            (c, Some(tid)) => {
                 self.diag.complete_hit += 1;
-                self.try_commit(sim, cpu, d, now + cost + c);
+                self.try_commit(sim, cpu, tid, now + cost + c);
             }
             (c, None) => {
                 self.diag.complete_miss += 1;

@@ -11,14 +11,14 @@
 //! The flow is the paper's Fig. 2: thread events send messages to the
 //! agent; the agent runs the policy and stages decisions in per-core
 //! slots; the host consumes them on idle transitions (prestaged path) or
-//! after an MSI-X (idle/preemption path); commits are validated against
-//! the kernel's generation table.
+//! after an MSI-X (idle/preemption path); a commit validates the
+//! generation-stamped thread id against the kernel's thread arena.
 //!
 //! **The seam.** The model is split where Wave splits the system. The
 //! host kernel (`kernel.rs`) keeps the mechanisms: admission, the cores'
-//! state machine, the generation table, commit and the latency
-//! accounting. The agent (`agent.rs`) makes the decisions: the shards,
-//! their policies, core ownership and rebalancing. The two meet in one
+//! state machine, the thread arena, commit and the latency accounting.
+//! The agent (`agent.rs`) makes the decisions: the shards, their
+//! policies, core ownership and rebalancing. The two meet in one
 //! function per Table 1 crossing (tabled in `docs/ARCHITECTURE.md`).
 //! Where the agent still reads kernel state that no message carried, a
 //! `// shortcut:` comment names the message it stands in for.
@@ -381,7 +381,7 @@ impl SchedSim {
             SchedEvent::Inject { wire_arrival, task } => {
                 // The same overload guard a local arrival passes, without
                 // the ingress stack: the fabric already carried the request.
-                if self.kernel.outstanding < self.cfg.max_outstanding {
+                if self.kernel.threads.len() < self.cfg.max_outstanding {
                     self.admit(sim, wire_arrival, task);
                 } else {
                     self.kernel.reject(sim.now(), wire_arrival, task.slo);
@@ -504,9 +504,9 @@ impl SchedStepper {
         let window = m.cfg.duration - m.cfg.warmup;
         SchedReport {
             offered: m.cfg.workload.offered(),
-            achieved: k.completed_measured as f64 / window.as_secs_f64(),
+            achieved: k.lat.count() as f64 / window.as_secs_f64(),
             latency: k.lat.summary(),
-            completed: k.completed_measured,
+            completed: k.lat.count(),
             dropped: k.dropped,
             prestage_hits,
             prestage_misses,
@@ -523,7 +523,7 @@ impl SchedStepper {
                 .map_or_else(Vec::new, |r| r.history().to_vec()),
             latency_cdf: k.lat.ladder(),
             diag: Diag {
-                outstanding_at_end: k.outstanding as u64,
+                outstanding_at_end: k.threads.len() as u64,
                 ..m.diag
             },
         }

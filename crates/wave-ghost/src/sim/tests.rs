@@ -1,7 +1,9 @@
+use super::kernel::CoreState;
 use super::*;
 use crate::policies::{FifoPolicy, ShinjukuPolicy};
-use crate::{ThreadMeta, ThreadTable, Tid};
+use crate::{ThreadMeta, ThreadRun, ThreadTable, Tid};
 use rand::Rng;
+use wave_core::runtime::SlotId;
 
 fn quick_cfg(placement: Placement, opts: OptLevel, offered: f64) -> SchedConfig {
     let mut cfg = SchedConfig::new(4, placement, opts);
@@ -526,4 +528,39 @@ fn stepper_windows_are_invisible() {
             assert!(stepped == whole, "seed {seed}: windows changed the report");
         }
     }
+}
+
+/// The §3.2 commit check: a decision for a thread that exited, whose
+/// arena slot a new thread now holds, fails cleanly and parks the core;
+/// the live id for the same slot commits and runs.
+#[test]
+fn stale_tid_fails_commit_and_live_tid_runs() {
+    let cfg = quick_cfg(Placement::Offloaded, OptLevel::full(), 20_000.0);
+    let mut m = SchedSim::new(cfg, Box::new(FifoPolicy::new()));
+    let threads = &mut m.kernel.threads;
+    let stale = threads.insert(SimTime::from_us(10), SimTime::ZERO, SloClass::DEFAULT);
+    assert!(threads.remove(stale));
+    let live = threads.insert(SimTime::from_us(10), SimTime::ZERO, SloClass::DEFAULT);
+    assert_eq!(live.slot(), stale.slot());
+    // Stages `tid` in idle core 0's slot at `at` and delivers the MSI-X
+    // 10 µs later; nothing after the handler runs.
+    let (cpu, idle) = (CpuId(0), CoreState::Idle { waiting: true });
+    let stage_and_kick = |m: &mut SchedSim, tid: Tid, at: SimTime| {
+        m.agents.shards[0].rt.stage(at, &mut m.ic, SlotId(0), tid);
+        let mut sim: S = Sim::new();
+        let irq = at + SimTime::from_us(10);
+        sim.set_horizon(irq);
+        sim.schedule(irq, SchedEvent::WakeupIrq(cpu));
+        sim.run(|s, ev| m.handle(s, ev));
+    };
+    assert_eq!(m.kernel.cores[0], idle);
+    stage_and_kick(&mut m, stale, SimTime::ZERO);
+    assert_eq!((m.diag.wakeup_hit, m.diag.commit_fail), (1, 1));
+    assert_eq!(m.kernel.cores[0], idle, "a failed commit parks the core");
+    assert_eq!(m.kernel.threads[live].run, ThreadRun::Runnable);
+
+    stage_and_kick(&mut m, live, SimTime::from_us(20));
+    assert_eq!((m.diag.wakeup_hit, m.diag.commit_fail), (2, 1));
+    assert!(matches!(m.kernel.cores[0], CoreState::Busy { tid, .. } if tid == live));
+    assert_eq!(m.kernel.threads[live].run, ThreadRun::Running(cpu));
 }

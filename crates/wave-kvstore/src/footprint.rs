@@ -81,11 +81,6 @@ impl FootprintConfig {
     pub fn batches(&self) -> usize {
         (self.total_bytes / (self.page_bytes * self.pages_per_batch)) as usize
     }
-
-    /// Bytes per batch.
-    pub fn batch_bytes(&self) -> u64 {
-        self.page_bytes * self.pages_per_batch
-    }
 }
 
 /// How batch hotness is assigned across the address space.
@@ -219,11 +214,6 @@ impl DbFootprint {
         self.resident[i] = true;
     }
 
-    /// Current fast-tier bytes.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.iter().filter(|&&r| r).count() as u64 * self.cfg.batch_bytes()
-    }
-
     /// Fast-tier fraction of the original footprint.
     pub fn resident_fraction(&self) -> f64 {
         self.resident.iter().filter(|&&r| r).count() as f64 / self.resident.len() as f64
@@ -269,24 +259,23 @@ mod tests {
     fn all_resident_at_startup() {
         let f = DbFootprint::new(cfg(), AccessPattern::Clustered, 1);
         assert!((f.resident_fraction() - 1.0).abs() < 1e-12);
-        assert!(f.resident_bytes() > 0);
     }
 
     #[test]
     fn demotion_shrinks_footprint() {
         let mut f = DbFootprint::new(cfg(), AccessPattern::Clustered, 1);
-        let before = f.resident_bytes();
+        let before = f.resident_fraction();
         for i in 0..f.batches() {
             if !f.is_hot(i) {
                 f.demote(i);
             }
         }
-        let after = f.resident_bytes();
+        let after = f.resident_fraction();
         assert!(
-            after < before / 3,
+            after < before / 3.0,
             "cold demotion must cut ~79%: {after} vs {before}"
         );
-        let frac = after as f64 / before as f64;
+        let frac = after / before;
         assert!((frac - 0.209).abs() < 0.03, "frac {frac}");
     }
 

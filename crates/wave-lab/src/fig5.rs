@@ -114,14 +114,6 @@ pub fn report(cfg: &Fig5Config) -> Report {
     r
 }
 
-/// The paper's headline resource claim: cores saved per host at full
-/// occupancy (1.7% × 256 hyperthreads = 4.4 cores).
-pub fn cores_saved_at_full_load(cfg: &Fig5Config) -> f64 {
-    let points = run(cfg);
-    let imp = points[127].improvement() / 100.0;
-    imp * 256.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,7 +154,10 @@ mod tests {
 
     #[test]
     fn cores_saved_matches_paper_arithmetic() {
-        let saved = cores_saved_at_full_load(&Fig5Config::paper());
+        // The paper's headline resource claim: cores saved per host at
+        // full occupancy (1.7% × 256 hyperthreads = 4.4 cores).
+        let points = run(&Fig5Config::paper());
+        let saved = points[127].improvement() / 100.0 * 256.0;
         assert!((saved - 4.4).abs() < 0.5, "saved {saved}");
     }
 }

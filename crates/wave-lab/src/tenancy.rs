@@ -159,12 +159,6 @@ impl TenancyResult {
         self.victim_p99(1, true)
             .or_else(|| self.victim_p99(1, false))
     }
-
-    /// Victim p99 as a multiple of the solo run.
-    pub fn victim_ratio(&self, tenants: u32, weighted: bool) -> Option<f64> {
-        let solo = self.solo_p99()?;
-        self.victim_p99(tenants, weighted).map(|p| p / solo)
-    }
 }
 
 /// Calibrates the single-tenant agent capacity (req/s) at
@@ -370,10 +364,10 @@ mod tests {
     #[test]
     fn weighted_fair_bounds_the_victim_where_fifo_does_not() {
         let res = run(&test_cfg());
-        let wf4 = res.victim_ratio(4, true).unwrap();
-        let ff4 = res.victim_ratio(4, false).unwrap();
-        let wf8 = res.victim_ratio(8, true).unwrap();
-        let ff8 = res.victim_ratio(8, false).unwrap();
+        // Victim p99 as a multiple of the solo run.
+        let ratio = |t, wf| res.victim_p99(t, wf).unwrap() / res.solo_p99().unwrap();
+        let (wf4, ff4) = (ratio(4, true), ratio(4, false));
+        let (wf8, ff8) = (ratio(8, true), ratio(8, false));
         // Weighted-fair: bounded slowdown all the way to T=8.
         assert!(wf4 < 2.0, "wf T=4 victim ratio {wf4}");
         assert!(wf8 < 6.0, "wf T=8 victim ratio {wf8}");

@@ -231,11 +231,6 @@ impl SolPolicy {
         row
     }
 
-    /// Posterior mean for a (global) batch id (test/telemetry).
-    pub fn posterior_mean(&self, global: u32) -> f64 {
-        self.batches[self.local_index(global)].mean()
-    }
-
     /// The (global) batches due for a scan at `now`, ascending — the
     /// policy's one due filter. The agent's host leg streams it straight
     /// into its sends.
@@ -458,6 +453,11 @@ mod tests {
     use rand::RngCore;
     use wave_kvstore::{AccessPattern, FootprintConfig};
 
+    /// Posterior mean α / (α + β) of a (global) batch id.
+    fn posterior_mean(policy: &SolPolicy, global: u32) -> f64 {
+        policy.batches[policy.local_index(global)].mean()
+    }
+
     fn small_world() -> (DbFootprint, SolPolicy, SmallRng) {
         let cfg = FootprintConfig::paper(0.002); // ~835 batches
         let fp = DbFootprint::new(cfg, AccessPattern::Scattered, 7);
@@ -637,7 +637,7 @@ mod tests {
         for &g in &moved {
             let g = g as u32;
             assert!(due.contains(&g), "adopted batch {g} not due");
-            assert!((recipient.posterior_mean(g) - 0.5).abs() < 1e-12);
+            assert!((posterior_mean(&recipient, g) - 0.5).abs() < 1e-12);
         }
         // Donor no longer reports them due (or at all).
         assert!(donor.due(now).all(|g| (g as usize) < n / 2 - 10));
@@ -894,14 +894,14 @@ mod tests {
             policy.iterate(now, &fp, &mut rng);
         }
         assert!(
-            policy.posterior_mean(0) > 0.7,
+            posterior_mean(&policy, 0) > 0.7,
             "{}",
-            policy.posterior_mean(0)
+            posterior_mean(&policy, 0)
         );
         assert!(
-            policy.posterior_mean(last) < 0.3,
+            posterior_mean(&policy, last) < 0.3,
             "{}",
-            policy.posterior_mean(last)
+            posterior_mean(&policy, last)
         );
     }
 }

@@ -31,4 +31,4 @@
 
 pub mod queue;
 
-pub use queue::{PollOutcome, PushError, PushOutcome, QueueStats, Rejected, Transport, WaveQueue};
+pub use queue::{PushError, PushOutcome, QueueStats, Rejected, Transport, WaveQueue};

@@ -57,16 +57,6 @@ pub struct PushOutcome {
     pub visible_at: Option<SimTime>,
 }
 
-/// Result of a poll.
-#[derive(Debug, Clone)]
-pub struct PollOutcome<T> {
-    /// CPU time spent by the consumer (including any blocking MMIO
-    /// reads).
-    pub cpu: SimTime,
-    /// Entries drained, in FIFO order.
-    pub items: Vec<T>,
-}
-
 /// Telemetry counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct QueueStats {
@@ -339,18 +329,10 @@ impl<T> WaveQueue<T> {
 
     /// NIC-side poll (`POLL_MESSAGES`).
     ///
-    /// Drains up to `max` entries that are visible at `now`. The cost is
-    /// one flag probe when empty, plus per-entry reads.
-    pub fn poll_nic(&mut self, now: SimTime, ic: &mut Interconnect, max: usize) -> PollOutcome<T> {
-        let mut items = Vec::new();
-        let cpu = self.poll_nic_into(now, ic, max, &mut items);
-        PollOutcome { cpu, items }
-    }
-
-    /// [`WaveQueue::poll_nic`], draining into a caller-owned buffer (the
-    /// agent pump runs this on every duty cycle, so the per-poll `Vec`
-    /// must be reusable scratch). Appends at most `max` entries to
-    /// `out` and returns the consumer CPU time.
+    /// Drains up to `max` entries that are visible at `now`, appending
+    /// them to `out` in FIFO order: a caller-owned buffer, since the
+    /// agent pump polls on every duty cycle. Returns the consumer CPU
+    /// time: one flag probe when empty, plus per-entry reads.
     pub fn poll_nic_into(
         &mut self,
         now: SimTime,
@@ -394,6 +376,13 @@ mod tests {
         WaveQueue::new(ic, Transport::Mmio, 64, 8, host_pte, SocPteMode::WriteBack)
     }
 
+    /// Polls up to `max` entries visible at `now` into a fresh vector.
+    fn poll<T>(q: &mut WaveQueue<T>, now: SimTime, ic: &mut Interconnect, max: usize) -> Vec<T> {
+        let mut out = Vec::new();
+        q.poll_nic_into(now, ic, max, &mut out);
+        out
+    }
+
     #[test]
     fn host_to_nic_fifo_delivery() {
         let mut ic = Interconnect::pcie();
@@ -402,8 +391,8 @@ mod tests {
             q.push(SimTime::ZERO, &mut ic, v).unwrap();
         }
         // Entries visible after the one-way transit; poll late enough.
-        let out = q.poll_nic(SimTime::from_us(5), &mut ic, 16);
-        assert_eq!(out.items, vec![0, 1, 2, 3, 4]);
+        let out = poll(&mut q, SimTime::from_us(5), &mut ic, 16);
+        assert_eq!(out, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -413,10 +402,10 @@ mod tests {
         let push = q.push(SimTime::ZERO, &mut ic, 7u32).unwrap();
         let visible = push.visible_at.expect("UC write is posted");
         // Polling before visibility sees nothing.
-        let early = q.poll_nic(SimTime::ZERO, &mut ic, 16);
-        assert!(early.items.is_empty());
-        let late = q.poll_nic(visible, &mut ic, 16);
-        assert_eq!(late.items, vec![7]);
+        let early = poll(&mut q, SimTime::ZERO, &mut ic, 16);
+        assert!(early.is_empty());
+        let late = poll(&mut q, visible, &mut ic, 16);
+        assert_eq!(late, vec![7]);
     }
 
     #[test]
@@ -434,12 +423,12 @@ mod tests {
         );
         let push = q4.push(SimTime::ZERO, &mut ic, 9).unwrap();
         assert_eq!(push.visible_at, None);
-        let early = q4.poll_nic(SimTime::from_ms(1), &mut ic, 16);
-        assert!(early.items.is_empty(), "unfenced WC data must be invisible");
+        let early = poll(&mut q4, SimTime::from_ms(1), &mut ic, 16);
+        assert!(early.is_empty(), "unfenced WC data must be invisible");
         let cpu = q4.flush(SimTime::from_ms(1), &mut ic);
         assert!(cpu > SimTime::ZERO);
-        let late = q4.poll_nic(SimTime::from_ms(2), &mut ic, 16);
-        assert_eq!(late.items, vec![9]);
+        let late = poll(&mut q4, SimTime::from_ms(2), &mut ic, 16);
+        assert_eq!(late, vec![9]);
         drop(q);
     }
 
@@ -472,12 +461,12 @@ mod tests {
         // The producer pays only the doorbell.
         assert!(cpu < SimTime::from_us(1));
         let complete = ic.dma.busy_until();
-        let early = q.poll_nic(complete - SimTime::from_ns(10), &mut ic, 256);
-        assert!(early.items.is_empty());
-        let late = q.poll_nic(complete, &mut ic, 256);
-        assert_eq!(late.items.len(), 100);
-        assert_eq!(late.items[0], 0);
-        assert_eq!(late.items[99], 99);
+        let early = poll(&mut q, complete - SimTime::from_ns(10), &mut ic, 256);
+        assert!(early.is_empty());
+        let late = poll(&mut q, complete, &mut ic, 256);
+        assert_eq!(late.len(), 100);
+        assert_eq!(late[0], 0);
+        assert_eq!(late[99], 99);
     }
 
     #[test]
@@ -509,8 +498,8 @@ mod tests {
         assert_eq!(ic_cmp.dma.bytes_moved(), 100 * 8);
         assert!(ic_cmp.dma.busy_until() < ic_raw.dma.busy_until());
         // All entries still arrive intact.
-        let got = cmp.poll_nic(ic_cmp.dma.busy_until(), &mut ic_cmp, 256);
-        assert_eq!(got.items.len(), 100);
+        let got = poll(&mut cmp, ic_cmp.dma.busy_until(), &mut ic_cmp, 256);
+        assert_eq!(got.len(), 100);
         // A single compressed entry pays the 64-byte minimum payload.
         let mut ic_min = Interconnect::pcie();
         let mut min = mk(&mut ic_min, Some(8));
@@ -540,8 +529,8 @@ mod tests {
         assert_eq!(q.stats().full_rejections, 1);
         // Consumer drains everything; head publishes every capacity/4=1
         // pops.
-        let out = q.poll_nic(SimTime::from_us(10), &mut ic, 16);
-        assert_eq!(out.items.len(), 4);
+        let out = poll(&mut q, SimTime::from_us(10), &mut ic, 16);
+        assert_eq!(out.len(), 4);
         // Producer still thinks it's full until it syncs credits.
         assert_eq!(
             q.push(SimTime::from_us(11), &mut ic, 9).unwrap_err().error,
@@ -575,8 +564,8 @@ mod tests {
                 next_push += 1;
             }
             t += SimTime::from_us(10);
-            let out = q.poll_nic(t, &mut ic, 16);
-            for item in out.items {
+            let out = poll(&mut q, t, &mut ic, 16);
+            for item in out {
                 assert_eq!(item, next_expect);
                 next_expect += 1;
             }
@@ -591,7 +580,7 @@ mod tests {
         let mut q = message_queue(&mut ic, PteType::Uncacheable);
         q.push(SimTime::ZERO, &mut ic, 1).unwrap();
         q.push(SimTime::ZERO, &mut ic, 2).unwrap();
-        let _ = q.poll_nic(SimTime::from_us(5), &mut ic, 16);
+        let _ = poll(&mut q, SimTime::from_us(5), &mut ic, 16);
         let s = q.stats();
         assert_eq!(s.pushed, 2);
         assert_eq!(s.polled, 2);

@@ -3,14 +3,16 @@
 //! Builds one agent runtime (a host→SmartNIC message queue plus a
 //! decision slot per core), sends a kernel message, lets the agent stage
 //! a decision and kick the host with an MSI-X, and has the host read the
-//! decision and validate it against the kernel's generation table — the
-//! paper's Fig. 2 lifecycle, printing every latency along the way.
+//! decision and commit it only if the thread id — which carries the
+//! generation the agent saw — still resolves in the kernel's thread
+//! arena: the paper's Fig. 2 lifecycle, printing every latency along the
+//! way.
 //!
 //! Run with: `cargo run --example quickstart`
 
 use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
-use wave::core::{GenerationTable, OptLevel, ResourceRef};
-use wave::ghost::CostModel;
+use wave::core::OptLevel;
+use wave::ghost::{CostModel, SloClass, ThreadTable, Tid};
 use wave::pcie::config::Side;
 use wave::pcie::{Interconnect, MsixSendPath, MsixVector};
 use wave::queue::Transport;
@@ -40,25 +42,26 @@ pub fn run() -> SimTime {
         soc_pte: opts.soc_pte(),
         pickup: SimTime::from_ns(cost.agent_pickup_ns),
     };
-    // A decision names the thread to run and the generation the agent saw.
-    let mut rt: AgentRuntime<u64, ResourceRef> = AgentRuntime::new(&mut ic, &cfg);
+    // Messages and decisions are both thread ids; each id packs the
+    // thread's arena slot with the slot's generation.
+    let mut rt: AgentRuntime<Tid, Tid> = AgentRuntime::new(&mut ic, &cfg);
     let core = SlotId(0);
 
-    // Host kernel state: thread 7 exists at generation 0.
-    let mut kernel = GenerationTable::new();
-    kernel.insert(7);
+    // Host kernel state: one thread, admitted into the arena.
+    let mut kernel = ThreadTable::new();
+    let tid = kernel.insert(SimTime::from_us(10), SimTime::ZERO, SloClass::DEFAULT);
 
-    // ❶ Thread 7 becomes runnable while core 0 idles; the host tells the
-    // agent (SEND_MESSAGES).
+    // ❶ The thread becomes runnable while core 0 idles; the host tells
+    // the agent (SEND_MESSAGES).
     let t0 = SimTime::from_us(10);
-    let (send_cpu, delivered) = rt.host_send(t0, &mut ic, 7);
+    let (send_cpu, delivered) = rt.host_send(t0, &mut ic, tid);
     assert!(delivered, "queue has room");
     let send_cpu = send_cpu + rt.host_flush(t0 + send_cpu, &mut ic);
     let visible_at = rt.next_visible_at().expect("message in flight");
     println!("host: message sent in {send_cpu}, visible on the NIC at {visible_at}");
 
     // ❷-❹ The agent picks the message up (POLL_MESSAGES), stages "run
-    // thread 7" into core 0's slot and kicks the host (TXNS_COMMIT).
+    // this thread" into core 0's slot and kicks the host (TXNS_COMMIT).
     let pump_at = rt.arm_pump(visible_at).expect("no pump in flight");
     rt.pump_fired();
     let mut polled = Vec::new();
@@ -67,9 +70,8 @@ pub fn run() -> SimTime {
         "agent: polled {} message(s) at {pump_at} in {poll_cpu}",
         polled.len()
     );
-    let target = kernel.snapshot(polled[0]).expect("thread exists");
     let mut agent_t = pump_at + poll_cpu;
-    agent_t += rt.stage(agent_t, &mut ic, core, target);
+    agent_t += rt.stage(agent_t, &mut ic, core, polled[0]);
     rt.record_decision();
     let kick = ic
         .msix
@@ -80,18 +82,15 @@ pub fn run() -> SimTime {
     );
 
     // ❺-❻ Host IRQ handler: software coherence flush, read (POLL_TXNS),
-    // validate against the kernel's generation table.
+    // validate: the id must still resolve at the generation it carries.
     let t_irq = kick.handler_at;
     let mut host_cpu = rt.slots().host_invalidate(t_irq, &mut ic, core);
     let (read_cpu, decision) = rt.slots().host_consume(t_irq + host_cpu, &mut ic, core);
     host_cpu += read_cpu;
     let decision = decision.expect("the clflush exposes the fresh decision");
-    let outcome = kernel.validate(decision);
-    println!(
-        "host: read decision for thread {} in {host_cpu}, commit outcome: {outcome:?}",
-        decision.resource
-    );
-    assert!(outcome.is_committed());
+    let committed = kernel.contains(decision);
+    println!("host: read decision {decision:?} in {host_cpu}, committed: {committed}");
+    assert!(committed);
 
     let total = t_irq + host_cpu - t0;
     println!("\nmessage→decision-read latency (MSI-X path): {total}");

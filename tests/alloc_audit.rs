@@ -122,7 +122,7 @@ fn audit_engine_steady_state() {
 /// stays allocation-lean per simulated event: the pump drains into a
 /// reused buffer and schedules each kick directly, no `Vec` per pump.
 /// Histograms, queues, that buffer and the event heap still grow while
-/// the run warms up (50 allocations over 132,353 events), so the budget
+/// the run warms up (36 allocations over 132,353 events), so the budget
 /// is 1 per 1,000 events; a per-pump allocation would blow well past it.
 fn audit_sched_sim_pump() {
     let mut sc = SchedConfig::new(16, Placement::Offloaded, OptLevel::full());

@@ -7,7 +7,8 @@
 use std::collections::BTreeSet;
 
 use wave::core::runtime::{AgentRuntime, RuntimeConfig, SlotId};
-use wave::core::{GenerationTable, OptLevel, ResourceRef, TxnOutcome, Watchdog};
+use wave::core::{OptLevel, Watchdog};
+use wave::ghost::{SloClass, ThreadTable, Tid};
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave::memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave::pcie::config::Side;
@@ -16,9 +17,9 @@ use wave::queue::Transport;
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
-/// A scheduler-style agent runtime over four cores; a decision names
-/// the thread to run at the generation the agent observed.
-fn sched_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, ResourceRef> {
+/// A scheduler-style agent runtime over four cores; a decision is the
+/// thread id to run, which carries the generation the agent observed.
+fn sched_runtime(ic: &mut Interconnect) -> AgentRuntime<Tid, Tid> {
     let opts = OptLevel::full();
     let cfg = RuntimeConfig {
         queue_capacity: 1024,
@@ -35,32 +36,36 @@ fn sched_runtime(ic: &mut Interconnect) -> AgentRuntime<u64, ResourceRef> {
     AgentRuntime::new(ic, &cfg)
 }
 
+/// Admits a thread into the host kernel's arena.
+fn spawn(kernel: &mut ThreadTable) -> Tid {
+    kernel.insert(SimTime::from_us(10), SimTime::ZERO, SloClass::DEFAULT)
+}
+
 /// Host side of a commit at `at`: flush the slot's cached line, read the
-/// decision, and validate it against the kernel's generations.
+/// decision, and commit it only if the id still resolves in the arena at
+/// the generation it carries. Returns whether it committed.
 fn consume(
-    rt: &mut AgentRuntime<u64, ResourceRef>,
+    rt: &mut AgentRuntime<Tid, Tid>,
     ic: &mut Interconnect,
-    kernel: &GenerationTable,
+    kernel: &ThreadTable,
     at: SimTime,
     slot: SlotId,
-) -> TxnOutcome {
+) -> bool {
     let flush = rt.slots().host_invalidate(at, ic, slot);
     let (_, got) = rt.slots().host_consume(at + flush, ic, slot);
-    kernel.validate(got.expect("the clflush exposes the staged decision"))
+    kernel.contains(got.expect("the clflush exposes the staged decision"))
 }
 
 /// Agent side of a commit: stage a decision for `tid` into `slot` and
 /// kick the host. Returns when the host's MSI-X handler runs.
 fn commit(
-    rt: &mut AgentRuntime<u64, ResourceRef>,
+    rt: &mut AgentRuntime<Tid, Tid>,
     ic: &mut Interconnect,
-    kernel: &GenerationTable,
     now: SimTime,
     slot: SlotId,
-    tid: u64,
+    tid: Tid,
 ) -> SimTime {
-    let target = kernel.snapshot(tid).expect("kernel has the thread");
-    let staged = now + rt.stage(now, ic, slot, target);
+    let staged = now + rt.stage(now, ic, slot, tid);
     rt.record_decision();
     ic.msix
         .send(staged, MsixVector(slot.0), MsixSendPath::Ioctl, Side::Nic)
@@ -74,23 +79,20 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
     let mut wd = Watchdog::scheduler_default();
 
     // Host kernel is the source of truth for thread state.
-    let mut kernel = GenerationTable::new();
-    for tid in 0..10 {
-        kernel.insert(tid);
-    }
+    let mut kernel = ThreadTable::new();
+    let tids: Vec<Tid> = (0..10).map(|_| spawn(&mut kernel)).collect();
 
     // The agent works normally for a while...
     let t1 = SimTime::from_ms(1);
-    let irq = commit(&mut rt, &mut ic, &kernel, t1, SlotId(0), 3);
+    let irq = commit(&mut rt, &mut ic, t1, SlotId(0), tids[3]);
     wd.heartbeat(t1);
-    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)).is_committed());
+    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)));
     assert!(!wd.expired(SimTime::from_ms(5)));
 
     // ...stages a decision for thread 5 on core 1 that the host has not
     // read yet, then goes silent (fault injection). No more heartbeats.
     let t2 = SimTime::from_ms(2);
-    let observed = kernel.snapshot(5).expect("kernel has the thread");
-    rt.stage(t2, &mut ic, SlotId(1), observed);
+    rt.stage(t2, &mut ic, SlotId(1), tids[5]);
     let t_detect = SimTime::from_ms(25);
     assert!(
         wd.expired(t_detect),
@@ -100,11 +102,15 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
     rt.kill();
     assert!(!rt.is_running());
 
-    // While the agent is dead, thread 5 changes on the host.
-    kernel.bump(5);
+    // While the agent is dead, thread 5 exits and a new thread reuses
+    // its arena slot under the next generation.
+    assert!(kernel.remove(tids[5]));
+    let reused = spawn(&mut kernel);
+    assert_eq!(reused.slot(), tids[5].slot());
+    assert_ne!(reused, tids[5]);
 
     // Operator restarts the agent; it re-pulls state from the kernel
-    // (generation snapshots) rather than from any checkpoint.
+    // (the live thread ids) rather than from any checkpoint.
     let t_restart = SimTime::from_ms(30);
     rt.restart(t_restart);
     wd.rearm(t_restart);
@@ -113,22 +119,19 @@ fn watchdog_kills_silent_agent_and_restart_recovers() {
 
     // The restarted agent can immediately make valid decisions: state
     // re-pulled from the host validates.
-    let irq = commit(&mut rt, &mut ic, &kernel, t_restart, SlotId(0), 3);
-    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)).is_committed());
+    let irq = commit(&mut rt, &mut ic, t_restart, SlotId(0), tids[3]);
+    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(0)));
 
     // The decision staged before the crash still sits in core 1's slot.
     // The host reads it on core 1's next idle transition and must reject
-    // it, not enforce it: thread 5 moved on while the agent was down.
+    // it, not enforce it: thread 5 exited while the agent was down, and
+    // its slot now holds another thread.
     assert!(rt.slots_ref().is_staged(SlotId(1)));
     let idle = irq + SimTime::from_us(10);
-    let outcome = consume(&mut rt, &mut ic, &kernel, idle, SlotId(1));
-    assert_eq!(
-        outcome,
-        TxnOutcome::StaleGeneration {
-            observed: 0,
-            current: 1
-        }
-    );
+    assert!(!consume(&mut rt, &mut ic, &kernel, idle, SlotId(1)));
+    // The thread that reused the slot commits under its own id.
+    let irq = commit(&mut rt, &mut ic, idle, SlotId(1), reused);
+    assert!(consume(&mut rt, &mut ic, &kernel, irq, SlotId(1)));
 }
 
 #[test]
@@ -303,14 +306,27 @@ fn rebalance_keeps_running_masked_through_a_kill_restart_cycle() {
 fn stale_transactions_fail_cleanly_across_restart() {
     // A decision staged by the dead agent against state that changed
     // while it was down must fail validation — never corrupt the kernel.
-    let mut kernel = GenerationTable::new();
-    kernel.insert(7);
-    let stale = kernel.snapshot(7).unwrap();
+    let mut ic = Interconnect::pcie();
+    let mut rt = sched_runtime(&mut ic);
+    let mut kernel = ThreadTable::new();
+    let stale = spawn(&mut kernel);
+    rt.stage(SimTime::from_ms(1), &mut ic, SlotId(0), stale);
+    rt.kill();
     // While the agent was dead, the thread exited and a new one reused
-    // the resource id.
-    kernel.remove(7);
-    kernel.insert(7);
-    kernel.bump(7);
-    let outcome = kernel.validate(stale);
-    assert!(!outcome.is_committed());
+    // its arena slot.
+    assert!(kernel.remove(stale));
+    let fresh = spawn(&mut kernel);
+    assert_eq!(fresh.slot(), stale.slot());
+    rt.restart(SimTime::from_ms(30));
+    assert!(!consume(
+        &mut rt,
+        &mut ic,
+        &kernel,
+        SimTime::from_ms(31),
+        SlotId(0)
+    ));
+    assert!(
+        kernel.contains(fresh),
+        "the failed commit left the kernel alone"
+    );
 }
