@@ -78,6 +78,6 @@ pub use tenant::{Arbitration, TenantBinding, TenantId, TenantRegistry, TenantSpe
 pub use watchdog::Watchdog;
 pub use workload::{
     MemPhase, MixEntry, PhaseSchedule, PoissonClock, PoissonSource, ServiceMix, SloClass,
-    SyntheticConfig, SyntheticTraceGenerator, Task, TraceError, TraceOptions, TraceRecord,
-    TraceSource, WorkloadSource, WorkloadSpec,
+    SyntheticConfig, SyntheticTraceGenerator, Task, TraceRecord, TraceSource, WorkloadSource,
+    WorkloadSpec,
 };

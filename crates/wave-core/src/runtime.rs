@@ -545,9 +545,10 @@ impl<M, D: Copy> AgentRuntime<M, D> {
         }
     }
 
-    /// Host pushes one message with no retry (paths that tolerate loss,
-    /// e.g. a preemption requeue racing queue exhaustion). Returns the
-    /// CPU cost on success.
+    /// Host pushes one message with no retry. Returns the CPU cost on
+    /// success; on `None` the message is lost, and the caller must cope
+    /// with that (the scheduler's preemption requeue does not: its
+    /// thread is stranded).
     pub fn host_try_send(
         &mut self,
         now: SimTime,
@@ -1006,5 +1007,80 @@ mod tests {
         }
         // Capacity is 64 and nothing polls: pushes must start failing.
         assert!(delivered < 200, "delivered {delivered}");
+    }
+
+    fn slot_table(ic: &mut Interconnect, pte: PteType) -> SlotTable<u64> {
+        SlotTable::new(ic, 4, 6, pte, SocPteMode::WriteBack)
+    }
+
+    #[test]
+    fn stage_then_consume_uncached() {
+        let mut ic = Interconnect::pcie();
+        let mut s = slot_table(&mut ic, PteType::Uncacheable);
+        s.stage(SimTime::ZERO, &mut ic, SlotId(0), 7);
+        let (cost, got) = s.host_consume(SimTime::from_us(2), &mut ic, SlotId(0));
+        assert_eq!(got.unwrap(), 7);
+        // 6 uncached word reads + consumed-flag write.
+        assert!(cost >= SimTime::from_ns(6 * 750 + 50), "cost {cost}");
+        assert!(!s.is_staged(SlotId(0)));
+    }
+
+    #[test]
+    fn prefetch_then_consume_is_cheap_and_fresh() {
+        let mut ic = Interconnect::pcie();
+        let mut s = slot_table(&mut ic, PteType::WriteThrough);
+        s.stage(SimTime::ZERO, &mut ic, SlotId(1), 9);
+        // Host prefetches at 2 us; fill completes by 2.75 us.
+        s.host_prefetch(SimTime::from_us(2), &mut ic, SlotId(1));
+        let (cost, got) = s.host_consume(SimTime::from_us(4), &mut ic, SlotId(1));
+        assert_eq!(got.unwrap(), 9);
+        assert!(cost < SimTime::from_ns(120), "prefetched consume {cost}");
+    }
+
+    #[test]
+    fn stale_cache_hides_decision_until_invalidate() {
+        let mut ic = Interconnect::pcie();
+        let mut s = slot_table(&mut ic, PteType::WriteThrough);
+        // Host caches the empty slot.
+        let (_c, none) = s.host_consume(SimTime::ZERO, &mut ic, SlotId(2));
+        assert!(none.is_none());
+        // Agent stages afterwards.
+        s.stage(SimTime::from_us(1), &mut ic, SlotId(2), 5);
+        // Host re-reads: stale snapshot hides it.
+        let (_c, hidden) = s.host_consume(SimTime::from_us(2), &mut ic, SlotId(2));
+        assert!(hidden.is_none(), "stale line must hide the decision");
+        // MSI-X handler protocol: clflush, then read.
+        s.host_invalidate(SimTime::from_us(3), &mut ic, SlotId(2));
+        let (_c, got) = s.host_consume(SimTime::from_us(4), &mut ic, SlotId(2));
+        assert_eq!(got.unwrap(), 5);
+        let (hits, misses) = s.hit_miss();
+        assert_eq!((hits, misses), (1, 2));
+    }
+
+    #[test]
+    fn race_prefetch_before_stage_misses() {
+        let mut ic = Interconnect::pcie();
+        let mut s = slot_table(&mut ic, PteType::WriteThrough);
+        // Prefetch snapshot taken before the stage: decision invisible.
+        s.host_prefetch(SimTime::ZERO, &mut ic, SlotId(0));
+        s.stage(SimTime::from_ns(500), &mut ic, SlotId(0), 3);
+        let (_c, got) = s.host_consume(SimTime::from_us(1), &mut ic, SlotId(0));
+        assert!(got.is_none(), "prestage raced the prefetch; host must miss");
+        assert!(
+            s.is_staged(SlotId(0)),
+            "decision stays staged for the MSI-X path"
+        );
+    }
+
+    #[test]
+    fn consume_after_consume_is_empty() {
+        let mut ic = Interconnect::pcie();
+        let mut s = slot_table(&mut ic, PteType::WriteThrough);
+        s.stage(SimTime::ZERO, &mut ic, SlotId(0), 1);
+        s.host_invalidate(SimTime::from_us(1), &mut ic, SlotId(0));
+        let (_c, got) = s.host_consume(SimTime::from_us(2), &mut ic, SlotId(0));
+        assert!(got.is_some());
+        let (_c, again) = s.host_consume(SimTime::from_us(3), &mut ic, SlotId(0));
+        assert!(again.is_none());
     }
 }

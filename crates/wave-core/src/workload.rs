@@ -8,15 +8,13 @@
 //!
 //! * [`WorkloadSource`] — the trait every generator implements. The
 //!   scheduler pulls each arrival's absolute time, then its [`Task`]: CPU
-//!   service demand, SLO class, an optional placement-affinity hint, and
-//!   (for the memory agent) a memory-demand delta.
+//!   service demand, SLO class and an optional placement-affinity hint.
 //! * [`PoissonSource`] — wraps the legacy `Exp` + [`ServiceMix`] path,
 //!   **bit-identical** to the old inline sampling (see the trait docs
 //!   for the draw-order contract that makes this hold even when the
 //!   overload guard sheds arrivals).
-//! * [`TraceSource`] — an Alibaba/Google-cluster-style CSV reader with
-//!   service-time clamping and arrival-time rescaling, so a day-long
-//!   production trace replays inside a seconds-long simulation.
+//! * [`TraceSource`] — replays a sorted list of [`TraceRecord`]s, each
+//!   placed by hand (Table 3's two-request runs, hand-built test traces).
 //! * [`SyntheticTraceGenerator`] — a deterministic production-shaped
 //!   generator: diurnal sinusoid × bursty MMPP arrival modulation with
 //!   heavy-tailed Pareto service times, so the offline build exercises
@@ -193,20 +191,18 @@ pub struct Task {
     /// routing to the consumer's default (the scheduler's sequential
     /// round-robin, bit-identical to the pre-source behavior).
     pub affinity: Option<u32>,
-    /// Memory-demand delta in bytes the task contributes (positive =
-    /// pressure growing). Consumed by the memory agent's phase driver;
-    /// scheduling-only consumers ignore it.
-    pub mem_delta: i64,
 }
 
+// Every `SchedSim` heap entry and fleet message carries one inline.
+const _: () = assert!(std::mem::size_of::<Task>() == 24);
+
 impl Task {
-    /// A pure-CPU task with no affinity hint or memory demand.
+    /// A task with no affinity hint.
     pub fn new(service: SimTime, slo: SloClass) -> Self {
         Task {
             service,
             slo,
             affinity: None,
-            mem_delta: 0,
         }
     }
 }
@@ -303,101 +299,21 @@ impl WorkloadSource for PoissonSource {
     }
 }
 
-/// One parsed trace row.
+/// One trace record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
-    /// Absolute arrival time (already rescaled).
+    /// Absolute arrival time.
     pub at: SimTime,
-    /// CPU service demand (already clamped).
+    /// CPU service demand.
     pub service: SimTime,
     /// SLO class.
     pub slo: SloClass,
-    /// Placement-affinity hint, when the row carries one.
+    /// Placement-affinity hint, when the record carries one.
     pub affinity: Option<u32>,
-    /// Memory-demand delta in bytes.
-    pub mem_delta: i64,
 }
 
-/// A malformed trace row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceError {
-    /// A row had fewer than the four required fields.
-    MissingField {
-        /// 1-based line number.
-        line: usize,
-        /// Which field was missing.
-        field: &'static str,
-    },
-    /// A field failed to parse as its numeric type.
-    BadNumber {
-        /// 1-based line number.
-        line: usize,
-        /// Which field was malformed.
-        field: &'static str,
-        /// The offending text.
-        value: String,
-    },
-    /// The trace had no data rows.
-    Empty,
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::MissingField { line, field } => {
-                write!(f, "trace line {line}: missing field `{field}`")
-            }
-            TraceError::BadNumber { line, field, value } => {
-                write!(f, "trace line {line}: bad `{field}` value {value:?}")
-            }
-            TraceError::Empty => write!(f, "trace has no data rows"),
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-/// Knobs for adapting a production trace to the simulation's timescale.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TraceOptions {
-    /// Multiplier on arrival timestamps (e.g. `1e-4` replays a day-long
-    /// trace inside ~9 simulated seconds). Service times are *not*
-    /// rescaled — compressing a trace raises its offered load.
-    pub time_scale: f64,
-    /// Service times are clamped below to this (cluster traces round
-    /// short tasks to zero).
-    pub min_service: SimTime,
-    /// Service times are clamped above to this (a stray day-long batch
-    /// job would otherwise park a worker for the whole run).
-    pub max_service: SimTime,
-}
-
-impl Default for TraceOptions {
-    fn default() -> Self {
-        TraceOptions {
-            time_scale: 1.0,
-            min_service: SimTime::from_us(1),
-            max_service: SimTime::from_ms(100),
-        }
-    }
-}
-
-/// Replays a parsed CSV trace (Alibaba/Google-cluster shape) as a
+/// Replays a list of [`TraceRecord`]s, sorted by arrival, as a
 /// [`WorkloadSource`].
-///
-/// The CSV format is one row per task:
-///
-/// ```text
-/// arrival_us,service_us,slo,mem_kb[,affinity]
-/// ```
-///
-/// `arrival_us`/`service_us` are floating-point microseconds, `slo` the
-/// class id, `mem_kb` the task's memory-demand delta in KiB (signed),
-/// and the optional fifth column a placement-affinity hint. Blank
-/// lines, `#` comments, and a header row starting with `arrival` are
-/// skipped. Rows may arrive out of order (cluster traces are grouped by
-/// job, not globally sorted): parsing stably sorts by arrival and
-/// reports how many rows were out of place.
 #[derive(Debug, Clone)]
 pub struct TraceSource {
     records: Arc<Vec<TraceRecord>>,
@@ -406,68 +322,9 @@ pub struct TraceSource {
     /// Cursor for tasks claimed (trails `arr_idx` by the consumer's
     /// in-flight arrivals).
     task_idx: usize,
-    reordered: usize,
-    clamped: usize,
 }
 
 impl TraceSource {
-    /// Parses CSV text into a replayable source.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError`] naming the first malformed row, or
-    /// [`TraceError::Empty`] when no data rows remain.
-    pub fn from_csv(text: &str, opts: &TraceOptions) -> Result<Self, TraceError> {
-        let mut records = Vec::new();
-        let mut clamped = 0usize;
-        for (i, raw) in text.lines().enumerate() {
-            let line = i + 1;
-            let row = raw.trim();
-            if row.is_empty() || row.starts_with('#') || row.starts_with("arrival") {
-                continue;
-            }
-            let mut fields = row.split(',').map(str::trim);
-            let arrival_us = parse_field::<f64>(&mut fields, line, "arrival_us")?;
-            let service_us = parse_field::<f64>(&mut fields, line, "service_us")?;
-            let slo = parse_field::<u8>(&mut fields, line, "slo")?;
-            let mem_kb = parse_field::<i64>(&mut fields, line, "mem_kb")?;
-            let affinity = match fields.next() {
-                None | Some("") => None,
-                Some(v) => Some(v.parse::<u32>().map_err(|_| TraceError::BadNumber {
-                    line,
-                    field: "affinity",
-                    value: v.to_string(),
-                })?),
-            };
-            let service = SimTime::from_us_f64(service_us.max(0.0));
-            let lo = opts.min_service;
-            let hi = opts.max_service;
-            let clamped_service = service.max(lo).min(hi);
-            if clamped_service != service {
-                clamped += 1;
-            }
-            records.push(TraceRecord {
-                at: SimTime::from_us_f64(arrival_us.max(0.0) * opts.time_scale),
-                service: clamped_service,
-                slo: SloClass(slo),
-                affinity,
-                mem_delta: mem_kb.saturating_mul(1024),
-            });
-        }
-        if records.is_empty() {
-            return Err(TraceError::Empty);
-        }
-        let reordered = records.windows(2).filter(|w| w[1].at < w[0].at).count();
-        records.sort_by_key(|r| r.at);
-        Ok(TraceSource {
-            records: Arc::new(records),
-            arr_idx: 0,
-            task_idx: 0,
-            reordered,
-            clamped,
-        })
-    }
-
     /// A source over pre-built records (sorted by arrival).
     pub fn from_records(records: Arc<Vec<TraceRecord>>) -> Self {
         debug_assert!(records.windows(2).all(|w| w[0].at <= w[1].at));
@@ -475,51 +332,8 @@ impl TraceSource {
             records,
             arr_idx: 0,
             task_idx: 0,
-            reordered: 0,
-            clamped: 0,
         }
     }
-
-    /// The parsed records, sorted by arrival.
-    pub fn records(&self) -> &Arc<Vec<TraceRecord>> {
-        &self.records
-    }
-
-    /// Rows whose arrival was out of order in the input (re-sorted).
-    pub fn reordered(&self) -> usize {
-        self.reordered
-    }
-
-    /// Rows whose service time hit the clamp.
-    pub fn clamped(&self) -> usize {
-        self.clamped
-    }
-
-    /// Total rows.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace is empty (never true after `from_csv`).
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
-fn parse_field<'a, T: std::str::FromStr>(
-    fields: &mut impl Iterator<Item = &'a str>,
-    line: usize,
-    field: &'static str,
-) -> Result<T, TraceError> {
-    let v = fields
-        .next()
-        .filter(|v| !v.is_empty())
-        .ok_or(TraceError::MissingField { line, field })?;
-    v.parse::<T>().map_err(|_| TraceError::BadNumber {
-        line,
-        field,
-        value: v.to_string(),
-    })
 }
 
 impl WorkloadSource for TraceSource {
@@ -537,7 +351,6 @@ impl WorkloadSource for TraceSource {
             service: r.service,
             slo: r.slo,
             affinity: r.affinity,
-            mem_delta: r.mem_delta,
         }
     }
 
@@ -580,10 +393,6 @@ pub struct SyntheticConfig {
     pub hotspot_shards: u32,
     /// Fraction of tasks pinned to the current hotspot shard.
     pub hotspot_weight: f64,
-    /// Magnitude of the per-task memory-demand delta; the sign follows
-    /// the diurnal phase (pressure builds on the rising half, drains on
-    /// the falling half). Zero disables memory deltas.
-    pub mem_delta_bytes: i64,
 }
 
 impl SyntheticConfig {
@@ -604,7 +413,6 @@ impl SyntheticConfig {
             slo_split: SimTime::from_us(100),
             hotspot_shards: 0,
             hotspot_weight: 0.0,
-            mem_delta_bytes: 0,
         }
     }
 
@@ -741,24 +549,10 @@ impl WorkloadSource for SyntheticTraceGenerator {
             Some(h) if self.rng.random::<f64>() < self.cfg.hotspot_weight => Some(h),
             _ => None,
         };
-        let mem_delta = if self.cfg.mem_delta_bytes == 0 {
-            0
-        } else {
-            // Pressure builds on the rising half of the diurnal wave and
-            // drains on the falling half.
-            let phase = std::f64::consts::TAU * self.now.as_ns() as f64
-                / self.cfg.diurnal_period.as_ns().max(1) as f64;
-            if phase.sin() >= 0.0 {
-                self.cfg.mem_delta_bytes
-            } else {
-                -self.cfg.mem_delta_bytes
-            }
-        };
         Task {
             service,
             slo,
             affinity,
-            mem_delta,
         }
     }
 }
@@ -777,7 +571,7 @@ pub enum WorkloadSpec {
         /// Offered load in requests/second.
         offered: f64,
     },
-    /// Replay of a parsed trace (shared so configs stay cheap to clone).
+    /// Replay of a record list (shared so configs stay cheap to clone).
     Trace {
         /// The records, sorted by arrival.
         records: Arc<Vec<TraceRecord>>,
@@ -971,31 +765,6 @@ impl PhaseSchedule {
         PhaseSchedule { phases, idx: 0 }
     }
 
-    /// A rotating memory-pressure schedule: every `period`, the
-    /// ambivalent window (`flappy_fraction` of the space) advances one
-    /// slot around `slots` positions and the hot set is re-drawn — the
-    /// phase pattern that drags scan load across the sharded agent.
-    pub fn rotating(
-        start: SimTime,
-        period: SimTime,
-        cycles: usize,
-        slots: u32,
-        hot_fraction: f64,
-        flappy_fraction: f64,
-    ) -> Self {
-        assert!(slots >= 1, "need at least one window position");
-        let phases = (0..cycles)
-            .map(|k| MemPhase {
-                at: start + period.scale(k as f64),
-                hot_fraction,
-                flappy_fraction,
-                flappy_offset: (k as u32 % slots) as f64 / slots as f64,
-                reseed: k as u64 + 1,
-            })
-            .collect();
-        PhaseSchedule::new(phases)
-    }
-
     /// The next phase, ascending in time; `None` when the schedule is
     /// exhausted.
     pub fn next_phase(&mut self) -> Option<MemPhase> {
@@ -1063,21 +832,18 @@ mod tests {
                 service: SimTime::from_us(10),
                 slo: SloClass(0),
                 affinity: None,
-                mem_delta: 0,
             },
             TraceRecord {
                 at: SimTime::from_us(2),
                 service: SimTime::from_us(20),
                 slo: SloClass(0),
                 affinity: None,
-                mem_delta: 0,
             },
             TraceRecord {
                 at: SimTime::from_us(3),
                 service: SimTime::from_us(30),
                 slo: SloClass(1),
                 affinity: Some(2),
-                mem_delta: 4096,
             },
         ];
         let mut src = TraceSource::from_records(Arc::new(recs));
@@ -1088,7 +854,6 @@ mod tests {
         assert_eq!(src.next_arrival(), Some(SimTime::from_us(3)));
         let t = src.task();
         assert_eq!(t.affinity, Some(2));
-        assert_eq!(t.mem_delta, 4096);
         assert_eq!(src.next_arrival(), None);
     }
 
@@ -1157,14 +922,12 @@ mod tests {
                 service: SimTime::from_us(10),
                 slo: SloClass(0),
                 affinity: None,
-                mem_delta: 0,
             },
             TraceRecord {
                 at: SimTime::from_ms(2),
                 service: SimTime::from_us(30),
                 slo: SloClass(0),
                 affinity: None,
-                mem_delta: 0,
             },
         ]);
         // 2 records over 2 ms = 1000 req/s.
@@ -1172,15 +935,5 @@ mod tests {
         assert_eq!(spec.mean_service(), SimTime::from_us(20));
         spec.set_offered(2000.0);
         assert!((spec.offered() - 2000.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn rotating_schedule_moves_the_window() {
-        let mut s =
-            PhaseSchedule::rotating(SimTime::from_ms(10), SimTime::from_ms(10), 4, 4, 0.2, 0.5);
-        let offsets: Vec<f64> = std::iter::from_fn(|| s.next_phase())
-            .map(|p| p.flappy_offset)
-            .collect();
-        assert_eq!(offsets, vec![0.0, 0.25, 0.5, 0.75]);
     }
 }

@@ -13,7 +13,6 @@ use std::collections::BTreeMap;
 
 use wave_core::workload::{AnySource, SloClass, Task, WorkloadSource, WorkloadSpec};
 use wave_ghost::{HostCompletion, SchedConfig, SchedReport, SchedSim, SchedStepper};
-use wave_rpc::{RpcHeader, RssSteering, Steering};
 use wave_sim::fleet::{Envelope, FleetHost, Outbound};
 use wave_sim::stats::Histogram;
 use wave_sim::SimTime;
@@ -42,7 +41,7 @@ pub enum FleetMsg {
 /// How the frontdoor spreads requests over the hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LbPolicy {
-    /// RSS-style: hash the flow id ([`RssSteering`]), blind to load.
+    /// RSS-style: hash the flow id ([`wave_rpc::rss`]), blind to load.
     Hash,
     /// Least outstanding requests (ties to the lowest host index).
     /// Counts are exact at window barriers and stale within a window —
@@ -171,7 +170,6 @@ pub struct FrontdoorStats {
 pub struct Frontdoor {
     source: AnySource,
     lb: LbPolicy,
-    rss: RssSteering,
     /// Next undrawn arrival time, if the source has one.
     next_arrival: Option<SimTime>,
     /// Stop emitting after this time (drain phase follows).
@@ -182,8 +180,6 @@ pub struct Frontdoor {
     outstanding: Vec<u64>,
     /// Flow-id counter for the hash balancer.
     flows: u64,
-    /// All-false scratch (RSS only reads its length).
-    idle: Vec<bool>,
     stats: FrontdoorStats,
 }
 
@@ -205,13 +201,11 @@ impl Frontdoor {
         Frontdoor {
             source,
             lb,
-            rss: RssSteering::new(),
             next_arrival,
             duration,
             warmup,
             outstanding: vec![0; hosts as usize],
             flows: 0,
-            idle: vec![false; hosts as usize],
             stats: FrontdoorStats {
                 emitted: 0,
                 completed: 0,
@@ -231,18 +225,9 @@ impl Frontdoor {
     }
 
     /// Steers one request to a host.
-    fn pick(&mut self, task: &Task) -> u32 {
+    fn pick(&self) -> u32 {
         match self.lb {
-            LbPolicy::Hash => {
-                let header = RpcHeader {
-                    id: self.flows,
-                    flow: self.flows,
-                    payload_len: 0,
-                    slo: task.slo.0,
-                    method: 0,
-                };
-                self.rss.steer(&header, &self.idle)
-            }
+            LbPolicy::Hash => wave_rpc::rss(self.flows, self.outstanding.len() as u32),
             LbPolicy::LeastLoaded => self
                 .outstanding
                 .iter()
@@ -259,7 +244,7 @@ impl Frontdoor {
         // arrival first, then draw the task.
         self.next_arrival = self.source.next_arrival();
         let task = self.source.task();
-        let host = self.pick(&task);
+        let host = self.pick();
         self.flows += 1;
         self.outstanding[host as usize] += 1;
         self.stats.emitted += 1;

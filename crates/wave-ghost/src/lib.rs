@@ -15,10 +15,6 @@
 //! * [`policies`] — the paper's ported µs-scale policies: FIFO
 //!   run-to-completion, Shinjuku (30 µs preemption) and multi-queue
 //!   Shinjuku (per-SLO queues, §7.3.2).
-//! * [`slots`] — per-core decision slots in SmartNIC DRAM (the paper's
-//!   Fig. 2 "Core 0 Queue / Core 1 Queue"), supporting prestaging,
-//!   prefetching and the software coherence protocol; a staged decision
-//!   is the generation-stamped [`Tid`] the host's commit validates.
 //! * [`cost`] — the calibrated host-side cost model (kernel context
 //!   switch, event bookkeeping, commit path).
 //! * [`sim`] — the end-to-end scheduling simulation behind Figures 4a/4b,
@@ -38,7 +34,6 @@ pub mod msg;
 pub mod policies;
 pub mod policy;
 pub mod sim;
-pub mod slots;
 
 pub use arena::{ThreadQueue, ThreadRun, ThreadTable};
 pub use cost::CostModel;

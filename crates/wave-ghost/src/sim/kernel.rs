@@ -140,8 +140,10 @@ impl SchedSim {
     /// Host→agent message (Table 1 `SEND_MESSAGES`): pushes `msg` onto
     /// shard `si`'s queue at `at`, flushes it, and arms the pump for when
     /// it is visible, one hop later. A full queue gets one credit refresh
-    /// and retry with `retry`; else the message is lost (a preemption's
-    /// requeue tolerates that). Returns the host cost and whether it went.
+    /// and retry with `retry`; else the message is lost. A lost
+    /// preemption requeue strands its thread: it stays runnable, but no
+    /// policy queue holds it, so it never runs again. Returns the host
+    /// cost and whether it went.
     fn send_to_agent(
         &mut self,
         sim: &mut S,

@@ -316,6 +316,9 @@ enum SchedEvent {
     RebalanceEpoch,
 }
 
+// Inline in every event-heap entry (56 bytes with `at` and `seq`).
+const _: () = assert!(std::mem::size_of::<SchedEvent>() == 40);
+
 type S = Sim<SchedEvent>;
 
 impl SchedSim {

@@ -435,7 +435,6 @@ fn trace_workload_replays_and_affinity_pins_shards() {
             service: SimTime::from_us(5),
             slo: Wslo(0),
             affinity: Some(1),
-            mem_delta: 0,
         })
         .collect();
     let mut cfg = sharded_cfg(4, 2, 0.0);

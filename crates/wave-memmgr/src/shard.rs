@@ -833,13 +833,16 @@ mod tests {
             4,
         );
         // Window rotates between the two halves every 1.2 s.
-        let mut sched = PhaseSchedule::rotating(
-            SimTime::from_ms(600),
-            SimTime::from_ms(1_200),
-            4,
-            2,
-            fp.config().hot_fraction,
-            0.5,
+        let mut sched = PhaseSchedule::new(
+            (0..4u32)
+                .map(|k| MemPhase {
+                    at: SimTime::from_ms(600 + 1_200 * k as u64),
+                    hot_fraction: fp.config().hot_fraction,
+                    flappy_fraction: 0.5,
+                    flappy_offset: (k % 2) as f64 / 2.0,
+                    reseed: k as u64 + 1,
+                })
+                .collect(),
         );
         assert!(fp.is_flappy(0), "starts at the front");
 

@@ -229,7 +229,7 @@ mod tests {
         let big = c.dma_duration(1 << 20);
         assert!(big > small);
         // 1 MiB at 20 B/ns ~ 52 us + fixed.
-        assert!((big.as_us() as i64 - 52).unsigned_abs() < 4);
+        assert!((big.as_ns() as i64 / 1_000 - 52).unsigned_abs() < 4);
     }
 
     #[test]

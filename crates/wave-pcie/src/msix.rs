@@ -138,11 +138,6 @@ impl MsixVectorTable {
         self.capacity - self.in_use
     }
 
-    /// Whether the table has no free vector left.
-    pub fn exhausted(&self) -> bool {
-        self.available() == 0
-    }
-
     /// Allocates the next `n` vectors, all-or-nothing: a tenant bundle
     /// needs one vector per worker core, and a partial set is useless —
     /// it would still have to poll for the uncovered cores.
@@ -219,6 +214,6 @@ mod tests {
         assert!(tbl.alloc_block(4).is_none());
         assert_eq!(tbl.available(), 2, "failed block left the table intact");
         assert_eq!(tbl.alloc_block(2), Some(vec![MsixVector(6), MsixVector(7)]));
-        assert!(tbl.exhausted());
+        assert_eq!(tbl.available(), 0);
     }
 }

@@ -11,15 +11,25 @@
 //! 3. **Offload-All** — stack and scheduler co-located on the SmartNIC;
 //!    RocksDB gets all 16 host cores; workers poll per-core MMIO queues
 //!    (commits skip the MSI-X, §4.3).
+//!
+//! The scenarios differ in *where* the TCP/RPC protocol work runs and
+//! *what memory* separates the stack from the RocksDB workers; each
+//! scenario's [`IngressConfig`] carries both into the simulation.
 
 use wave_core::workload::{ServiceMix, WorkloadSpec};
 use wave_core::OptLevel;
 use wave_ghost::sim::{IngressConfig, Placement, SchedConfig};
 use wave_pcie::PcieConfig;
+use wave_sim::cpu::CoreClass;
 use wave_sim::SimTime;
 
-use crate::header::RpcHeader;
-use crate::stack::StackModel;
+/// 64-bit words of one RPC header (request id, flow id, payload length,
+/// SLO class and method), the part OnHost-Schedule's host scheduler
+/// must read over PCIe.
+const RPC_HEADER_WORDS: u64 = 3;
+
+/// 64-bit words of one RPC queue entry: the header plus a small payload.
+const RPC_ENTRY_WORDS: u64 = 16;
 
 /// Which scheduler the scenario runs (Fig. 6a vs 6b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,11 +81,41 @@ impl Fig6Scenario {
         }
     }
 
-    /// The stack deployment.
-    pub fn stack(self) -> StackModel {
-        match self {
-            Fig6Scenario::OnHostAll => StackModel::onhost(),
-            _ => StackModel::offloaded(),
+    /// The RPC stack's deployment as the simulation's ingress. Every
+    /// stack core charges 2 µs of host-reference CPU per RPC (TCP
+    /// processing, deserialization, dispatch; "a few µs", §4.3).
+    ///
+    /// * OnHost-All: "The RPC stack uses 8 cores" on the host, behind a
+    ///   DMA hop from the NIC. Workers share coherent memory with it:
+    ///   about 2 cache misses to receive an RPC and 2 stores to respond.
+    /// * Every other scenario runs the stack on 12 of the SmartNIC's 16
+    ///   ARM cores (the agent and the NIC OS use the rest), with no host
+    ///   DMA hop. Workers receive through per-core MMIO queues, one WT
+    ///   line miss per line plus cached hits for the rest (§4.3 "MMIO
+    ///   for communication"), and respond with write-combined stores.
+    fn ingress(self, pcie: &PcieConfig) -> IngressConfig {
+        if self == Fig6Scenario::OnHostAll {
+            IngressConfig {
+                stack_cores: 8,
+                stack_core: CoreClass::HostX86,
+                per_rpc: SimTime::from_us(2),
+                network_delay: SimTime::from_us(3),
+                worker_receive: SimTime::from_ns(2 * 80),
+                worker_respond: SimTime::from_ns(2 * 20),
+            }
+        } else {
+            let lines = RPC_ENTRY_WORDS.div_ceil(pcie.words_per_line());
+            let hits = RPC_ENTRY_WORDS - lines;
+            IngressConfig {
+                stack_cores: 12,
+                stack_core: CoreClass::NicArm,
+                per_rpc: SimTime::from_us(2),
+                network_delay: SimTime::from_us(1),
+                worker_receive: SimTime::from_ns(lines * pcie.mmio_read_ns + hits * pcie.wt_hit_ns),
+                worker_respond: SimTime::from_ns(
+                    RPC_ENTRY_WORDS * pcie.mmio_write_wc_ns + pcie.wc_flush_ns,
+                ),
+            }
         }
     }
 
@@ -87,7 +127,12 @@ impl Fig6Scenario {
             Placement::OnHost => 1,
             Placement::Offloaded => 0,
         };
-        self.workers() + sched + self.stack().host_cores_used()
+        let ingress = self.ingress(&PcieConfig::pcie());
+        let stack = match ingress.stack_core {
+            CoreClass::HostX86 => ingress.stack_cores,
+            _ => 0,
+        };
+        self.workers() + sched + stack
     }
 
     /// Per-decision scheduler-side PCIe reads: OnHost-Schedule must pull
@@ -99,11 +144,11 @@ impl Fig6Scenario {
         }
         let words = match kind {
             // Header plus flow/dispatch state.
-            SchedulerKind::SingleQueue => RpcHeader::WIRE_WORDS + 5,
+            SchedulerKind::SingleQueue => RPC_HEADER_WORDS + 5,
             // Header + digging the SLO out of the payload: "the overhead
             // of reading the SLO (not just the RPC header) via PCIe
             // dominates" (§7.3.2).
-            SchedulerKind::MultiQueueSlo => RpcHeader::WIRE_WORDS + 7,
+            SchedulerKind::MultiQueueSlo => RPC_HEADER_WORDS + 7,
         };
         SimTime::from_ns(words * pcie.mmio_read_ns)
     }
@@ -114,20 +159,12 @@ impl Fig6Scenario {
     /// adjust `workload`, `duration`, `warmup`, `seed`, … directly.
     pub fn sched_config(self, kind: SchedulerKind) -> SchedConfig {
         let pcie = PcieConfig::pcie();
-        let stack = self.stack();
         let mut cfg =
             SchedConfig::new(self.workers(), self.scheduler_placement(), OptLevel::full());
         cfg.workload = WorkloadSpec::poisson(ServiceMix::paper_bimodal(), 100_000.0);
         cfg.duration = SimTime::from_ms(600);
         cfg.warmup = SimTime::from_ms(100);
-        cfg.ingress = Some(IngressConfig {
-            stack_cores: stack.cores,
-            stack_core: stack.core_class(),
-            per_rpc: stack.per_rpc,
-            network_delay: stack.network_delay,
-            worker_receive: stack.worker_receive(&pcie),
-            worker_respond: stack.worker_respond(&pcie),
-        });
+        cfg.ingress = Some(self.ingress(&pcie));
         cfg.agent_decision_extra = self.agent_decision_extra(kind, &pcie);
         cfg
     }
@@ -149,6 +186,47 @@ mod tests {
                 - Fig6Scenario::OffloadAll15.host_cores_used(),
             9
         );
+    }
+
+    fn ingress(sc: Fig6Scenario) -> IngressConfig {
+        sc.sched_config(SchedulerKind::SingleQueue)
+            .ingress
+            .expect("every scenario has an RPC ingress")
+    }
+
+    #[test]
+    fn onhost_uses_8_host_cores() {
+        let i = ingress(Fig6Scenario::OnHostAll);
+        assert_eq!((i.stack_cores, i.stack_core), (8, CoreClass::HostX86));
+    }
+
+    #[test]
+    fn offload_frees_host_cores() {
+        for sc in [
+            Fig6Scenario::OnHostSchedule,
+            Fig6Scenario::OffloadAll,
+            Fig6Scenario::OffloadAll15,
+        ] {
+            let i = ingress(sc);
+            assert_eq!((i.stack_cores, i.stack_core), (12, CoreClass::NicArm));
+        }
+        // OnHost-Schedule keeps only its scheduler core on the host.
+        assert_eq!(Fig6Scenario::OnHostSchedule.host_cores_used(), 15 + 1);
+    }
+
+    #[test]
+    fn mmio_receive_costs_more_than_shared_memory() {
+        let host = ingress(Fig6Scenario::OnHostAll).worker_receive;
+        let nic = ingress(Fig6Scenario::OffloadAll).worker_receive;
+        assert!(nic > host * 5, "host {host} nic {nic}");
+        // 2 lines of 16 words: 2 misses + 14 hits.
+        assert_eq!(nic, SimTime::from_ns(2 * 750 + 14 * 2));
+    }
+
+    #[test]
+    fn respond_uses_write_combining() {
+        let nic = ingress(Fig6Scenario::OffloadAll).worker_respond;
+        assert_eq!(nic, SimTime::from_ns(16 * 10 + 50));
     }
 
     #[test]

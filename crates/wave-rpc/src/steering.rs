@@ -1,144 +1,40 @@
-//! Packet-to-core steering policies.
+//! Packet-to-host steering.
 //!
 //! Vanilla Stubby uses hardware RSS: a hash of the flow id picks the
-//! core, blind to load. The Wave agent steers to *idle* workers instead,
-//! using its scheduler-side knowledge — the paper's argument for
-//! co-locating the RPC stack with the thread scheduler (§7.3).
+//! destination, blind to load. The fleet frontdoor's `Hash` balancer
+//! steers requests to hosts this way.
 
-use crate::header::RpcHeader;
-
-/// A steering policy maps an RPC to a worker core.
-pub trait Steering {
-    /// Policy name (reports).
-    fn name(&self) -> &'static str;
-
-    /// Chooses a worker core in `0..workers` for this RPC.
-    /// `busy` marks currently-busy workers.
-    fn steer(&mut self, header: &RpcHeader, busy: &[bool]) -> u32;
-}
-
-/// Receive-side scaling: hash the flow id, ignore load.
-#[derive(Debug, Default)]
-pub struct RssSteering;
-
-impl RssSteering {
-    /// Creates the RSS policy.
-    pub fn new() -> Self {
-        RssSteering
-    }
-
-    /// The Toeplitz-flavoured mix RSS hardware applies (simplified to a
-    /// 64-bit finalizer; distribution quality is what matters here).
-    fn hash(flow: u64) -> u64 {
-        // splitmix64 finalizer.
-        let mut z = flow.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-}
-
-impl Steering for RssSteering {
-    fn name(&self) -> &'static str {
-        "rss"
-    }
-
-    fn steer(&mut self, header: &RpcHeader, busy: &[bool]) -> u32 {
-        (Self::hash(header.flow) % busy.len() as u64) as u32
-    }
-}
-
-/// The Wave agent's steering: prefer an idle worker; fall back to the
-/// least-loaded-by-rotation choice.
-#[derive(Debug, Default)]
-pub struct AgentSteering {
-    next: u32,
-}
-
-impl AgentSteering {
-    /// Creates the agent steering policy.
-    pub fn new() -> Self {
-        AgentSteering { next: 0 }
-    }
-}
-
-impl Steering for AgentSteering {
-    fn name(&self) -> &'static str {
-        "agent-idle-first"
-    }
-
-    fn steer(&mut self, _header: &RpcHeader, busy: &[bool]) -> u32 {
-        if let Some(idle) = busy.iter().position(|&b| !b) {
-            return idle as u32;
-        }
-        // All busy: round-robin to spread queueing.
-        let pick = self.next % busy.len() as u32;
-        self.next = self.next.wrapping_add(1);
-        pick
-    }
+/// Receive-side scaling: the destination in `0..hosts` for `flow`, the
+/// Toeplitz-flavoured mix RSS hardware applies (simplified to the
+/// splitmix64 finalizer; distribution quality is what matters here).
+pub fn rss(flow: u64, hosts: u32) -> u32 {
+    let mut z = flow.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    ((z ^ (z >> 31)) % hosts as u64) as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn header(flow: u64) -> RpcHeader {
-        RpcHeader {
-            id: 0,
-            flow,
-            payload_len: 0,
-            slo: 0,
-            method: 0,
-        }
-    }
-
     #[test]
     fn rss_is_deterministic_per_flow() {
-        let mut rss = RssSteering::new();
-        let busy = vec![false; 16];
-        let a = rss.steer(&header(7), &busy);
-        let b = rss.steer(&header(7), &busy);
-        assert_eq!(a, b, "same flow must hash to the same core");
-    }
-
-    #[test]
-    fn rss_spreads_flows() {
-        let mut rss = RssSteering::new();
-        let busy = vec![false; 16];
-        let mut counts = [0u32; 16];
-        for flow in 0..16_000 {
-            counts[rss.steer(&header(flow), &busy) as usize] += 1;
-        }
-        let min = *counts.iter().min().unwrap();
-        let max = *counts.iter().max().unwrap();
-        assert!(min > 800 && max < 1_200, "min {min} max {max}");
-    }
-
-    #[test]
-    fn rss_ignores_load() {
-        let mut rss = RssSteering::new();
-        let mut busy = vec![false; 4];
-        let target = rss.steer(&header(3), &busy);
-        busy[target as usize] = true;
         assert_eq!(
-            rss.steer(&header(3), &busy),
-            target,
-            "RSS keeps hashing to a busy core"
+            rss(7, 16),
+            rss(7, 16),
+            "same flow must hash to the same core"
         );
     }
 
     #[test]
-    fn agent_prefers_idle() {
-        let mut agent = AgentSteering::new();
-        let busy = vec![true, true, false, true];
-        assert_eq!(agent.steer(&header(1), &busy), 2);
-    }
-
-    #[test]
-    fn agent_round_robins_when_all_busy() {
-        let mut agent = AgentSteering::new();
-        let busy = vec![true; 4];
-        let picks: Vec<u32> = (0..4).map(|_| agent.steer(&header(1), &busy)).collect();
-        assert_eq!(picks, vec![0, 1, 2, 3]);
+    fn rss_spreads_flows() {
+        let mut counts = [0u32; 16];
+        for flow in 0..16_000 {
+            counts[rss(flow, 16) as usize] += 1;
+        }
+        let min = *counts.iter().min().unwrap();
+        let max = *counts.iter().max().unwrap();
+        assert!(min > 800 && max < 1_200, "min {min} max {max}");
     }
 }

@@ -6,10 +6,8 @@
 //!
 //! * [`Exp`] — exponential inter-arrival times for the open-loop Poisson
 //!   load generators of §7.2/§7.3.
-//! * [`Zipf`] — skewed key/page popularity for the SOL workload of §7.4.
 //! * [`Gamma`] (Marsaglia–Tsang) and [`Beta`] — required by SOL's Thompson
 //!   sampling with a Beta prior (§4.2).
-//! * [`Bernoulli`] — the paper's 99.5%/0.5% GET/RANGE request mix.
 //! * [`Pareto`] — heavy-tailed service times for the synthetic
 //!   production-trace generator (`wave_core::workload`).
 //!
@@ -60,84 +58,6 @@ impl Exp {
         // Guard against ln(0): random() is in [0, 1).
         let u: f64 = 1.0 - rng.random::<f64>();
         -u.ln() / self.lambda
-    }
-}
-
-/// Bernoulli distribution: `true` with probability `p`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Bernoulli {
-    p: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli distribution.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 1]`.
-    pub fn new(p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&p), "probability out of range: {p}");
-        Bernoulli { p }
-    }
-
-    /// Draws one sample.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
-        rng.random::<f64>() < self.p
-    }
-}
-
-/// Zipf distribution over ranks `1..=n` with exponent `s`.
-///
-/// Uses a precomputed cumulative table with binary search; construction is
-/// O(n), sampling O(log n). Suitable for the page-batch popularity model
-/// (hundreds of thousands of batches).
-#[derive(Debug, Clone)]
-pub struct Zipf {
-    cdf: Vec<f64>,
-}
-
-impl Zipf {
-    /// Creates a Zipf distribution over `1..=n` with exponent `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `s` is negative/not finite.
-    pub fn new(n: usize, s: f64) -> Self {
-        assert!(n > 0, "Zipf support must be non-empty");
-        assert!(s.is_finite() && s >= 0.0, "invalid Zipf exponent: {s}");
-        let mut cdf = Vec::with_capacity(n);
-        let mut acc = 0.0;
-        for k in 1..=n {
-            acc += 1.0 / (k as f64).powf(s);
-            cdf.push(acc);
-        }
-        let total = acc;
-        for v in &mut cdf {
-            *v /= total;
-        }
-        Zipf { cdf }
-    }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// Whether the support is empty (never true; kept for API symmetry).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
-
-    /// Draws a rank in `1..=n` (1 = most popular).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.random();
-        match self
-            .cdf
-            .binary_search_by(|probe| probe.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i + 1,
-            Err(i) => (i + 1).min(self.cdf.len()),
-        }
     }
 }
 
@@ -328,44 +248,6 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn exp_rejects_zero_rate() {
         let _ = Exp::new(0.0);
-    }
-
-    #[test]
-    fn bernoulli_rate() {
-        let mut rng = crate::rng(1);
-        let d = Bernoulli::new(0.005); // the paper's RANGE-query rate
-        let hits = (0..400_000).filter(|_| d.sample(&mut rng)).count();
-        let rate = hits as f64 / 400_000.0;
-        assert!((rate - 0.005).abs() < 0.001, "rate {rate}");
-    }
-
-    #[test]
-    fn zipf_rank_one_dominates() {
-        let mut rng = crate::rng(3);
-        let d = Zipf::new(100, 1.0);
-        let mut counts = vec![0u32; 101];
-        for _ in 0..100_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        assert!(counts[1] > counts[2]);
-        assert!(counts[2] > counts[10]);
-        // H(100) ~ 5.187; p(1) ~ 0.1928.
-        let p1 = counts[1] as f64 / 100_000.0;
-        assert!((p1 - 0.1928).abs() < 0.01, "p1 {p1}");
-    }
-
-    #[test]
-    fn zipf_uniform_when_s_zero() {
-        let mut rng = crate::rng(4);
-        let d = Zipf::new(10, 0.0);
-        let mut counts = [0u32; 11];
-        for _ in 0..100_000 {
-            counts[d.sample(&mut rng)] += 1;
-        }
-        for (k, &count) in counts.iter().enumerate().skip(1) {
-            let p = count as f64 / 100_000.0;
-            assert!((p - 0.1).abs() < 0.01, "rank {k} p {p}");
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   a steady-state simulation does not allocate per event. Events cannot
 //!   be cancelled; a model drops a stale timer with its own token.
 //! * [`dist`] provides the random distributions the experiments need
-//!   (exponential inter-arrivals, Zipf, Gamma/Beta for SOL's Thompson
-//!   sampling) built on a seeded [`rand::rngs::SmallRng`].
+//!   (exponential inter-arrivals, Pareto service times, Gamma/Beta for
+//!   SOL's Thompson sampling) built on a seeded [`rand::rngs::SmallRng`].
 //! * [`stats`] provides log-bucketed latency histograms and time series.
 //! * [`cpu`] and [`turbo`] model host x86 cores vs. SmartNIC ARM cores,
 //!   SMT siblings, per-workload-class slowdown ratios, and the bracketed

@@ -51,24 +51,9 @@ impl SimTime {
         SimTime(s * 1_000_000_000)
     }
 
-    /// Creates a time from fractional microseconds, rounding to nanoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `us` is negative or not finite.
-    pub fn from_us_f64(us: f64) -> Self {
-        assert!(us.is_finite() && us >= 0.0, "invalid duration: {us}");
-        SimTime((us * 1e3).round() as u64)
-    }
-
     /// Nanosecond count.
     pub const fn as_ns(self) -> u64 {
         self.0
-    }
-
-    /// Whole microseconds (truncating).
-    pub const fn as_us(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Fractional microseconds.
@@ -90,11 +75,6 @@ impl SimTime {
     /// underflowing.
     pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
         SimTime(self.0.saturating_sub(rhs.0))
-    }
-
-    /// Checked addition.
-    pub fn checked_add(self, rhs: SimTime) -> Option<SimTime> {
-        self.0.checked_add(rhs.0).map(SimTime)
     }
 
     /// The later of two times.
@@ -203,7 +183,6 @@ mod tests {
         assert_eq!(SimTime::from_us(1), SimTime::from_ns(1_000));
         assert_eq!(SimTime::from_ms(1), SimTime::from_us(1_000));
         assert_eq!(SimTime::from_secs(1), SimTime::from_ms(1_000));
-        assert_eq!(SimTime::from_us_f64(1.5), SimTime::from_ns(1_500));
     }
 
     #[test]

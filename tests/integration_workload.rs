@@ -1,105 +1,12 @@
-//! Cross-crate integration tests: the streaming workload layer — CSV
-//! trace replay and the synthetic production-trace generator — driven
-//! end to end through the `wave` façade's scheduler.
+//! Cross-crate integration test: the synthetic production-trace
+//! generator of the streaming workload layer, driven end to end through
+//! the `wave` façade's scheduler.
 
-use wave::core::workload::{SyntheticConfig, TraceOptions, TraceSource, WorkloadSpec};
+use wave::core::workload::{SyntheticConfig, WorkloadSpec};
 use wave::core::OptLevel;
 use wave::ghost::policies::FifoPolicy;
 use wave::ghost::sim::{Placement, SchedConfig, SchedSim};
 use wave::sim::SimTime;
-
-const FIXTURE: &str = include_str!("fixtures/sample_trace.csv");
-
-fn trace_cfg(workers: u32, records: Vec<wave::core::workload::TraceRecord>) -> SchedConfig {
-    let mut c = SchedConfig::new(workers, Placement::Offloaded, OptLevel::full());
-    c.workload = WorkloadSpec::trace(records);
-    // Long enough for the clamped 100 ms giant (arriving ~85 ms in)
-    // to finish inside the run.
-    c.duration = SimTime::from_ms(250);
-    c.warmup = SimTime::from_ms(5);
-    c
-}
-
-#[test]
-fn fixture_parses_with_reorder_and_clamp_accounting() {
-    let src = TraceSource::from_csv(FIXTURE, &TraceOptions::default()).expect("fixture parses");
-    assert_eq!(src.len(), 1_000);
-    // Cluster traces are grouped by job, not globally sorted: the
-    // parser must count the out-of-place rows and re-sort.
-    assert!(src.reordered() > 0, "fixture has out-of-order rows");
-    assert!(
-        src.records().windows(2).all(|w| w[0].at <= w[1].at),
-        "records must come out sorted"
-    );
-    // Sub-microsecond and multi-second service times hit the clamps.
-    assert!(src.clamped() >= 3, "clamped {}", src.clamped());
-    let max = src.records().iter().map(|r| r.service).max().unwrap();
-    assert!(max <= TraceOptions::default().max_service);
-    // Some rows carry placement-affinity hints, most don't.
-    let hinted = src
-        .records()
-        .iter()
-        .filter(|r| r.affinity.is_some())
-        .count();
-    assert!(hinted > 100 && hinted < 500, "hinted {hinted}");
-}
-
-#[test]
-fn scheduler_replays_the_fixture_deterministically() {
-    let records = TraceSource::from_csv(FIXTURE, &TraceOptions::default())
-        .expect("fixture parses")
-        .records()
-        .as_ref()
-        .clone();
-    let run = |r: Vec<_>| SchedSim::new(trace_cfg(8, r), Box::new(FifoPolicy::new())).run();
-    let a = run(records.clone());
-    let b = run(records.clone());
-    assert_eq!(a.completed, b.completed);
-    assert_eq!(a.latency.p999, b.latency.p999);
-    // Every row arrives after warmup and the load is far from
-    // saturation: the whole trace replays without sheds.
-    let measured = records
-        .iter()
-        .filter(|r| r.at >= SimTime::from_ms(5))
-        .count() as u64;
-    assert_eq!(a.completed, measured, "trace rows must replay 1:1");
-    assert_eq!(a.dropped, 0);
-}
-
-#[test]
-fn affinity_hints_steer_wakeups_across_sharded_agents() {
-    let records = TraceSource::from_csv(FIXTURE, &TraceOptions::default())
-        .expect("fixture parses")
-        .records()
-        .as_ref()
-        .clone();
-    let mut c = trace_cfg(8, records);
-    c.agents = 4;
-    let rep = SchedSim::with_policy_factory(c, |_| Box::new(FifoPolicy::new())).run();
-    assert!(rep.completed > 900, "completed {}", rep.completed);
-    // Hinted tasks wake through their pinned shard; every shard must
-    // have taken decisions (the fixture's hints cover all four).
-    let idle = rep.per_agent_decisions.iter().filter(|&&d| d == 0).count();
-    assert_eq!(idle, 0, "decisions {:?}", rep.per_agent_decisions);
-}
-
-#[test]
-fn time_scale_compresses_the_replay() {
-    let opts = TraceOptions {
-        time_scale: 0.5,
-        ..TraceOptions::default()
-    };
-    let src = TraceSource::from_csv(FIXTURE, &opts).expect("fixture parses");
-    let last = src.records().last().unwrap().at;
-    assert!(
-        last < SimTime::from_ms(56),
-        "halved timestamps must end by ~55ms: {last}"
-    );
-    // Service times are untouched — compression raises offered load,
-    // it doesn't shrink the work.
-    let total: SimTime = src.records().iter().map(|r| r.service).sum();
-    assert!(total > SimTime::from_ms(100), "total service {total}");
-}
 
 #[test]
 fn synthetic_trace_is_deterministic_through_the_facade() {
