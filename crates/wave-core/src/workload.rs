@@ -189,7 +189,7 @@ pub struct Task {
     /// Optional placement-affinity hint: trace-shaped workloads carry a
     /// shard/locality key (e.g. a roaming hotspot); `None` leaves
     /// routing to the consumer's default (the scheduler's sequential
-    /// round-robin, bit-identical to the pre-source behavior).
+    /// spread, weighted by each shard's initial core count).
     pub affinity: Option<u32>,
 }
 

@@ -41,9 +41,10 @@ pub(super) struct Agents {
     /// (keeps the pump hot path allocation-free).
     owned_cores: Vec<Vec<u32>>,
     pub(super) rebalancer: Option<Rebalancer>,
-    /// Cumulative [`SchedConfig::wakeup_weights`] bounds, so an arrival
-    /// pays one mod plus a bucket probe.
-    wakeup_route: Option<Vec<u64>>,
+    /// Cumulative wakeup-weight bounds ([`SchedConfig::wakeup_weights`],
+    /// else the shards' initial core counts), so an arrival pays one mod
+    /// plus a bucket probe.
+    wakeup_route: Vec<u64>,
     /// Reused buffers: drained messages, the steal scan's class depths.
     msgs: Vec<SchedMsg>,
     class_scratch: Vec<(SloClass, usize)>,
@@ -91,7 +92,7 @@ impl Agents {
             }
         });
         let shards = shards.collect();
-        let owned_cores = (0..cfg.agents)
+        let owned_cores: Vec<Vec<u32>> = (0..cfg.agents)
             .map(|i| map.resources_of(i).map(|r| r as u32).collect())
             .collect();
         let rebalancer = cfg.rebalance.map(|rc| {
@@ -103,16 +104,25 @@ impl Agents {
             };
             Rebalancer::new(rc, Box::new(policy), cfg.agents)
         });
-        let wakeup_route = cfg.wakeup_weights.as_ref().map(|w| {
-            let valid = w.len() == cfg.agents as usize && w.iter().any(|&x| x > 0);
-            assert!(valid, "need one wakeup weight per agent, not all zero");
-            w.iter()
-                .scan(0, |acc, &x| {
-                    *acc += x as u64;
-                    Some(*acc)
-                })
-                .collect()
-        });
+        // Wakeups follow the shards' initial core counts unless the config
+        // skews them. Dividing by the gcd makes equal shards route
+        // exactly `seq % agents`.
+        let weights: Vec<u64> = match &cfg.wakeup_weights {
+            Some(w) => {
+                let valid = w.len() == cfg.agents as usize && w.iter().any(|&x| x > 0);
+                assert!(valid, "need one wakeup weight per agent, not all zero");
+                w.iter().map(|&x| x as u64).collect()
+            }
+            None => owned_cores.iter().map(|c| c.len() as u64).collect(),
+        };
+        let g = weights.iter().fold(0, |g, &w| gcd(g, w));
+        let wakeup_route = weights
+            .iter()
+            .scan(0, |acc, &w| {
+                *acc += w / g;
+                Some(*acc)
+            })
+            .collect();
         Agents {
             shards,
             owned_cores,
@@ -131,13 +141,21 @@ impl Agents {
 
     /// Which shard the `seq`-th admitted thread's wakeup goes to: the one
     /// its task's affinity hint names, else weighted round-robin over
-    /// [`SchedConfig::wakeup_weights`], or plain `seq % agents`.
+    /// [`SchedConfig::wakeup_weights`] or the shards' initial core counts.
     pub(super) fn route_wakeup(&self, seq: u64, affinity: Option<u32>) -> usize {
-        match (affinity, &self.wakeup_route) {
-            (Some(a), _) => a as usize % self.shards.len(),
-            (None, None) => (seq % self.shards.len() as u64) as usize,
-            (None, Some(cum)) => cum.partition_point(|&c| c <= seq % cum[cum.len() - 1]),
+        let cum = &self.wakeup_route;
+        match affinity {
+            Some(a) => a as usize % self.shards.len(),
+            None => cum.partition_point(|&c| c <= seq % cum[cum.len() - 1]),
         }
+    }
+}
+
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
     }
 }
 

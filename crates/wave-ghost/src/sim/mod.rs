@@ -27,7 +27,8 @@
 //! [`wave_core::runtime::AgentRuntime`]s. Core ownership lives in a
 //! generation-stamped [`ShardMap`], static unless
 //! [`SchedConfig::rebalance`] moves cores; new-thread wakeups are routed
-//! round-robin or per [`SchedConfig::wakeup_weights`], core-bound events
+//! in proportion to the shards' initial core counts or per
+//! [`SchedConfig::wakeup_weights`], core-bound events
 //! go to the core's owner, and [`SchedConfig::steal`] lets an idle shard
 //! steal from a sibling.
 
@@ -112,7 +113,8 @@ pub struct SchedConfig {
     /// Weighted routing of new-thread wakeups across the agent shards
     /// (skewed-load experiments): the `n`-th admitted thread goes to the
     /// shard whose cumulative weight bucket contains `n % total_weight`.
-    /// `None` routes round-robin (`n % agents`). A zero weight starves
+    /// `None` weighs each shard by its initial core count (plain
+    /// `n % agents` when the shards are equal). A zero weight starves
     /// that shard of *new* threads (it still serves its cores' events).
     pub wakeup_weights: Option<Vec<u32>>,
     /// Agent placement.

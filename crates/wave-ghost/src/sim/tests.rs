@@ -266,6 +266,27 @@ fn uneven_worker_split_covers_every_core() {
 }
 
 #[test]
+fn wakeups_follow_uneven_shard_sizes() {
+    // 16 cores over 3 shards: slices of 5/5/6. Saturated, each shard's
+    // share of decisions must track its share of cores, not a third.
+    let mut cfg = sharded_cfg(16, 3, 1.0);
+    cfg.workload.set_offered(cfg.worker_capacity() * 1.25);
+    cfg.max_outstanding = 8 * 16;
+    cfg.duration = SimTime::from_ms(20);
+    cfg.warmup = SimTime::from_ms(3);
+    let r = SchedSim::with_policy_factory(cfg, |_| Box::new(FifoPolicy::new())).run();
+    let total = r.per_agent_decisions.iter().sum::<u64>() as f64;
+    for (i, (&d, cores)) in r.per_agent_decisions.iter().zip([5, 5, 6]).enumerate() {
+        let (share, want) = (d as f64 / total, cores as f64 / 16.0);
+        assert!(
+            (share - want).abs() < 0.02,
+            "shard {i}: {share:.3} of decisions vs {want:.3} of cores ({:?})",
+            r.per_agent_decisions
+        );
+    }
+}
+
+#[test]
 fn steal_rebalances_idle_shards() {
     // Bimodal mix: a 10 ms RANGE clogs one shard's cores while its
     // siblings idle — stealing should kick in.

@@ -22,7 +22,6 @@ fn main() {
     fig6::report(&fig6::Fig6Config::multi_queue_quick()).print();
     upi::report(&upi::UpiConfig::quick()).print();
     mem::duration_report().print();
-    mem::runtime_iteration_report().print();
     mem::footprint_report(&mem::FootprintExperiment::quick()).print();
     scaling::report(&scaling::ScalingConfig::quick()).print();
     mem_scaling::report(&mem_scaling::MemScalingConfig::quick()).print();

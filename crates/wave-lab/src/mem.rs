@@ -11,7 +11,7 @@
 use rand::Rng;
 use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave_memmgr::runner::duration_table;
-use wave_memmgr::{sharded_iteration_cost, RunnerConfig, ShardedSolRunner, SolConfig};
+use wave_memmgr::{RunnerConfig, ShardedSolRunner, SolConfig};
 use wave_sim::cpu::{CoreClass, CpuModel};
 use wave_sim::stats::Histogram;
 use wave_sim::SimTime;
@@ -29,106 +29,37 @@ pub fn duration_report() -> Report {
     ];
     let table = duration_table(&[1, 2, 4, 8, 16]);
     let mut r = Report::new("§7.4.2: SOL per-iteration duration (ms)");
-    for ((cores, wave, onhost), (_, pw, po)) in table.into_iter().zip(paper) {
+    let ms = |t: SimTime| t.as_ms_f64();
+    for (&(cores, wave, onhost), (_, pw, po)) in table.iter().zip(paper) {
         r.push(PaperRow::new(
             format!("wave, {cores} cores"),
             pw,
-            wave,
+            ms(wave.total()),
             "ms",
         ));
         r.push(PaperRow::new(
             format!("on-host, {cores} cores"),
             po,
-            onhost,
+            ms(onhost.total()),
             "ms",
         ));
     }
+    // "Transferring the page table entries with DMA for the entire
+    // RocksDB address space takes ~1 ms."
+    let (_, wave16, _) = table[table.len() - 1];
+    r.push(PaperRow::new(
+        "PTE DMA in, full address space",
+        1.0,
+        ms(wave16.dma_in),
+        "ms",
+    ));
     r.note("two-phase model: serial memory-bound scan + parallel compute-bound classification; endpoints fitted, mid-points emergent");
-    r
-}
-
-/// Builds the runtime-backed iteration report: one real SOL iteration
-/// of the single agent ([`ShardedSolRunner`] with K=1) driven through
-/// the shared `AgentRuntime` (DMA ingest, slot staging, batched
-/// decision ship-back), with its leg-by-leg breakdown checked against
-/// the closed-form cost model — the two must agree exactly. A second
-/// section runs the same iteration K-sharded (one runtime per batch
-/// slice) and checks every shard's legs against the sharded model the
-/// same way.
-pub fn runtime_iteration_report() -> Report {
-    let fp = DbFootprint::new(FootprintConfig::paper(0.002), AccessPattern::Scattered, 42);
-    let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
-    let cpu = CpuModel::mount_evans();
-    let mut runner = ShardedSolRunner::new(cfg, cpu, 1, SolConfig::paper(), fp.batches(), 42);
-    let (stats, one) = runner.run_iteration(&fp, SimTime::ZERO);
-    let cost = one.per_shard[0];
-    let model = cfg.iteration_cost(cpu, fp.batches() as u64);
-
-    let mut r = Report::new("§4.2: SOL on the shared agent runtime (one iteration)");
-    let us = |t: SimTime| t.as_us_f64();
-    r.push(PaperRow::new(
-        "dma_in (PTE deltas)",
-        us(model.dma_in),
-        us(cost.dma_in),
-        "us",
-    ));
-    r.push(PaperRow::new(
-        "scan (serial)",
-        us(model.scan),
-        us(cost.scan),
-        "us",
-    ));
-    r.push(PaperRow::new(
-        "classify (parallel)",
-        us(model.classify),
-        us(cost.classify),
-        "us",
-    ));
-    r.push(PaperRow::new(
-        "dma_out (decisions)",
-        us(model.dma_out),
-        us(cost.dma_out),
-        "us",
-    ));
-    r.push(PaperRow::new(
-        "total",
-        us(model.total()),
-        us(cost.total()),
-        "us",
-    ));
     r.note(format!(
-        "runtime legs vs closed-form model (ratio must be 1.000); {} batches scanned, {} migration decisions staged+shipped",
-        stats.scanned,
-        runner.shipped_decisions()
-    ));
-    r.note("same AgentRuntime as the scheduler, bound to the DMA transport (delta-compressed ingest, batched slot-consume)");
-
-    // The K-sharded section: the same first iteration, partitioned
-    // across SHARDS runtimes, every shard's legs against the sharded
-    // closed-form model.
-    const SHARDS: u32 = 2;
-    let mut sharded = ShardedSolRunner::new(cfg, cpu, SHARDS, SolConfig::paper(), fp.batches(), 42);
-    let (sstats, scost) = sharded.run_iteration(&fp, SimTime::ZERO);
-    let smodel = sharded_iteration_cost(cfg, cpu, SHARDS, fp.batches() as u64);
-    for (i, (real, model)) in scost.per_shard.iter().zip(&smodel.per_shard).enumerate() {
-        r.push(PaperRow::new(
-            format!("shard {i}/{SHARDS} total"),
-            us(model.total()),
-            us(real.total()),
-            "us",
-        ));
-    }
-    r.push(PaperRow::new(
-        format!("sharded wall (K={SHARDS})"),
-        us(smodel.wall()),
-        us(scost.wall()),
-        "us",
-    ));
-    r.note(format!(
-        "sharded section: {} batches scanned across {} agent runtimes, per-shard shipments {:?}",
-        sstats.scanned,
-        SHARDS,
-        sharded.per_shard_shipped()
+        "wave, 16 cores legs: dma_in {:.3} ms, scan {:.3} ms, classify {:.3} ms, dma_out {:.3} ms",
+        ms(wave16.dma_in),
+        ms(wave16.scan),
+        ms(wave16.classify),
+        ms(wave16.dma_out)
     ));
     r
 }
@@ -305,26 +236,9 @@ mod tests {
     }
 
     #[test]
-    fn runtime_iteration_report_legs_match_model_exactly() {
-        // 5 single-agent legs + one total per shard + the sharded wall;
-        // every row must sit exactly on the model (ratio 1.000), the
-        // sharded ones included.
-        let r = runtime_iteration_report();
-        assert_eq!(r.rows.len(), 8);
-        for row in &r.rows {
-            assert_eq!(
-                row.ratio(),
-                Some(1.0),
-                "{}: runtime leg diverged from model",
-                row.label
-            );
-        }
-    }
-
-    #[test]
     fn duration_report_rows() {
         let r = duration_report();
-        assert_eq!(r.rows.len(), 10);
+        assert_eq!(r.rows.len(), 11);
         for row in &r.rows {
             assert!(
                 row.ratio().is_some_and(|x| (0.8..=1.25).contains(&x)),

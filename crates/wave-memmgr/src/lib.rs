@@ -10,24 +10,24 @@
 //! * [`sol`] — the SOL policy proper: per-batch Beta posterior, Thompson
 //!   classification, the scan-frequency ladder, epoch migration. Runs
 //!   for real against the [`wave_kvstore::DbFootprint`] workload model.
-//! * [`runner`] — the deployment model: [`RunnerConfig`], the two-phase
-//!   cost model (serial memory-bound scan + parallel compute-bound
-//!   classification) whose constants are derived in closed form from the
-//!   paper's §7.4.2 duration table ([`RunnerConfig::iteration_cost`]),
-//!   and the PTE deltas and migration decisions the agent exchanges with
-//!   the host.
+//! * [`runner`] — the deployment model: [`RunnerConfig`] (the two-phase
+//!   per-batch costs — serial memory-bound scan + parallel compute-bound
+//!   classification — fitted to the paper's §7.4.2 endpoints), the PTE
+//!   deltas and migration decisions the agent exchanges with the host,
+//!   and the §7.4.2 duration table, read off real single-agent
+//!   iterations ([`runner::duration_table`]).
 //! * [`shard`] — the agent itself, run on the shared
 //!   [`wave_core::runtime::AgentRuntime`] (DMA transport):
 //!   [`ShardedSolRunner`] partitions the batch space across K agent
 //!   runtimes, each with its own PTE-delta stream, decision outbox,
 //!   policy, and DMA channel. K=1 is the single agent;
-//!   K>1 fans out on real OS threads, and per-shard iteration costs
-//!   merge with explicit serial/parallel phase attribution.
+//!   K>1 fans out on real OS threads, and each shard reports its own
+//!   iteration legs.
 
 pub mod runner;
 pub mod shard;
 pub mod sol;
 
 pub use runner::{IterationCost, MigrationDecision, PteDelta, RunnerConfig};
-pub use shard::{sharded_iteration_cost, ShardedCost, ShardedSolRunner};
+pub use shard::{ShardedCost, ShardedSolRunner};
 pub use sol::{SolConfig, SolPolicy, SolStats};

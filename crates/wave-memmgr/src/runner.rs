@@ -1,5 +1,5 @@
-//! The SOL deployment model (§7.4.2): configuration, the closed-form
-//! iteration cost, and the messages the agent exchanges with the host.
+//! The SOL deployment model (§7.4.2): configuration, the messages the
+//! agent exchanges with the host, and the iteration-duration table.
 //!
 //! The paper's iteration-duration table is a two-phase story:
 //!
@@ -9,43 +9,48 @@
 //!   classification) that pays the full ARM slowdown but divides across
 //!   agent threads.
 //!
-//! Solving the paper's 1-core and 16-core rows on each platform gives
-//! per-batch costs of ≈689 ns (scan, serial) and ≈802 ns (classify,
-//! parallel) at host speed, with ARM ratios 1.11×/2.08× — see
-//! `DESIGN.md`. Those constants plus the ~1 ms DMA of the delta-
-//! compressed PTE stream reproduce all ten table cells within a few
-//! milliseconds; [`RunnerConfig::iteration_cost`] is that closed form.
+//! Writing an iteration over `n` batches on `c` threads as
+//! `n · (scan + classify / c)` and solving the paper's 1- and 16-core
+//! on-host rows (623 → 309 ms at 417,792 batches) gives ≈689 ns (scan)
+//! and ≈802 ns (classify) per batch at host speed; the Wave rows
+//! (1,018 → 364 ms) then give ARM ratios of ≈1.11× memory-bound and
+//! ≈2.08× compute-bound, the [`CpuModel::mount_evans`] constants. Those
+//! per-batch costs are [`RunnerConfig::paper`]'s; the ~1 ms DMA of the
+//! delta-compressed PTE stream rides on top.
 //!
-//! # Runtime-backed execution
+//! # The iteration
 //!
-//! The real iteration runs the policy on a
+//! The iteration runs the policy on a
 //! [`wave_core::runtime::AgentRuntime`] bound to the DMA transport, one
 //! runtime per agent of a [`ShardedSolRunner`] (K=1 is the single
-//! agent). The three legs of an iteration map onto runtime primitives:
+//! agent). The four legs of an [`IterationCost`] map onto runtime
+//! primitives:
 //!
-//! 1. **ingest** — the host pushes one [`PteDelta`] per due batch and
-//!    flushes; the queue's delta-compressed DMA batch *is* the
-//!    `dma_in` leg, and the agent polls the stream at its completion
-//!    instant;
-//! 2. **stage** — the scan/classify pass runs the real
-//!    [`SolPolicy`](crate::SolPolicy), and each classification flip is
-//!    staged as a [`MigrationDecision`] under its batch's slot id into
-//!    the runtime's decision outbox;
-//! 3. **ship** — one batched transfer drains the outbox back to host
-//!    DRAM: the `dma_out` leg.
+//! 1. **`dma_in`** — the host pushes one [`PteDelta`] per due batch and
+//!    flushes; the queue's delta-compressed DMA batch is the leg, and
+//!    the agent polls the stream at its completion instant;
+//! 2. **`scan` + `classify`** — the two CPU phases above, run by the real
+//!    [`SolPolicy`](crate::SolPolicy) over the batches shipped; each
+//!    classification flip is staged as a [`MigrationDecision`] under its
+//!    batch's slot id into the runtime's decision outbox;
+//! 3. **`dma_out`** — one batched transfer drains the outbox back to host
+//!    DRAM.
 //!
-//! The modelled [`IterationCost`] is derived from those same runtime
-//! legs and is bit-identical to [`RunnerConfig::iteration_cost`] at any
-//! configuration — pinned by `tests/integration_memmgr_runtime.rs`.
+//! [`duration_table`] is the §7.4.2 table read off those legs: one
+//! first iteration (every batch due) per cell.
 //!
 //! [`ShardedSolRunner`]: crate::ShardedSolRunner
 
 use wave_core::runtime::RuntimeConfig;
-use wave_pcie::config::Side;
-use wave_pcie::{DmaDirection, Interconnect, PteType, SocPteMode};
+use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
+use wave_pcie::{PteType, SocPteMode};
 use wave_queue::Transport;
-use wave_sim::cpu::{CoreClass, CpuModel, WorkloadClass};
+use wave_sim::cpu::{CoreClass, CpuModel};
+use wave_sim::par::par_map;
 use wave_sim::SimTime;
+
+use crate::shard::ShardedSolRunner;
+use crate::sol::SolConfig;
 
 /// One entry of the host→agent delta-compressed PTE stream (§4.2): the
 /// access-bit delta for one 64-page batch.
@@ -102,57 +107,6 @@ impl RunnerConfig {
         }
     }
 
-    /// The two CPU phases of an iteration over `batches` batches:
-    /// `(scan, classify)` — serial memory-bound scan at full cost,
-    /// parallel compute-bound classification divided across agent
-    /// cores. Shared by the closed-form model and the runtime-backed
-    /// iteration so their equality holds by construction.
-    pub(crate) fn phase_costs(&self, cpu: &CpuModel, batches: u64) -> (SimTime, SimTime) {
-        let scan = cpu.cost(
-            self.placement,
-            WorkloadClass::MemoryBound,
-            SimTime::from_ns(self.scan_ns_per_batch * batches),
-        );
-        let classify = cpu
-            .cost(
-                self.placement,
-                WorkloadClass::ComputeBound,
-                SimTime::from_ns(self.classify_ns_per_batch * batches),
-            )
-            .scale(1.0 / self.cores as f64);
-        (scan, classify)
-    }
-
-    /// The closed-form duration of an iteration that scans `batches`
-    /// batches, with both DMA legs on a fresh [`Interconnect::pcie`] —
-    /// the reference the runtime-backed iteration is checked against.
-    pub fn iteration_cost(&self, cpu: CpuModel, batches: u64) -> IterationCost {
-        let mut ic = Interconnect::pcie();
-        let wire = batches * self.wire_bytes_per_batch;
-        let t_in = ic.dma.transfer(
-            SimTime::ZERO,
-            wire.max(64),
-            DmaDirection::HostToNic,
-            Side::Host,
-        );
-        let dma_in = t_in.complete_at;
-        let (scan, classify) = self.phase_costs(&cpu, batches);
-        // Decisions back: only a subset migrates; <1 ms per the paper.
-        let t_out = ic.dma.transfer(
-            dma_in + scan + classify,
-            (wire / 4).max(64),
-            DmaDirection::NicToHost,
-            Side::Nic,
-        );
-        let dma_out = t_out.complete_at - (dma_in + scan + classify);
-        IterationCost {
-            dma_in,
-            scan,
-            classify,
-            dma_out,
-        }
-    }
-
     /// The runtime configuration for a batch space of `n` batches:
     /// DMA-Async ingest carrying the delta-compressed PTE stream, one
     /// decision slot id per batch. Capacity leaves headroom for the lazy head
@@ -205,50 +159,57 @@ impl IterationCost {
     }
 }
 
-/// Convenience: the §7.4.2 duration table — per-iteration durations for
-/// the paper's full 100 GiB address space (417,792 batches), for each
-/// core count, on each platform. Returns `(cores, wave_ms, onhost_ms)`.
-pub fn duration_table(core_counts: &[u32]) -> Vec<(u32, f64, f64)> {
-    const FULL_BATCHES: u64 = 417_792;
-    let cpu = CpuModel::mount_evans();
+/// Seed of the footprint and policy behind [`duration_table`]. The legs
+/// depend only on the batch count — at t=0 every batch is due, and
+/// `dma_out` ships a quarter of the ingest bytes, not the flips — so the
+/// table reads the same at any seed.
+const TABLE_SEED: u64 = 42;
+
+/// The §7.4.2 duration table over the paper's full 100 GiB address space
+/// (417,792 batches): for each core count, the legs of one first
+/// iteration (every batch due) of a single agent (K=1
+/// [`ShardedSolRunner`]), on the NIC and on the host, the cells fanned
+/// out across threads. Returns `(cores, wave, onhost)`.
+pub fn duration_table(core_counts: &[u32]) -> Vec<(u32, IterationCost, IterationCost)> {
+    let fp = DbFootprint::new(
+        FootprintConfig::paper(1.0),
+        AccessPattern::Scattered,
+        TABLE_SEED,
+    );
+    let cells: Vec<(u32, CoreClass)> = core_counts
+        .iter()
+        .flat_map(|&cores| [(cores, CoreClass::NicArm), (cores, CoreClass::HostX86)])
+        .collect();
+    let legs = par_map(&cells, |&(cores, placement)| {
+        let mut agent = ShardedSolRunner::new(
+            RunnerConfig::paper(placement, cores),
+            CpuModel::mount_evans(),
+            1,
+            SolConfig::paper(),
+            fp.batches(),
+            TABLE_SEED,
+        );
+        agent.run_iteration(&fp, SimTime::ZERO).1.per_shard[0]
+    });
     core_counts
         .iter()
-        .map(|&cores| {
-            let wave = RunnerConfig::paper(CoreClass::NicArm, cores)
-                .iteration_cost(cpu, FULL_BATCHES)
-                .total();
-            let onhost = RunnerConfig::paper(CoreClass::HostX86, cores)
-                .iteration_cost(cpu, FULL_BATCHES)
-                .total();
-            (cores, wave.as_ms_f64(), onhost.as_ms_f64())
-        })
+        .zip(legs.chunks_exact(2))
+        .map(|(&cores, cell)| (cores, cell[0], cell[1]))
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardedSolRunner;
-    use crate::sol::SolConfig;
-    use wave_kvstore::{AccessPattern, DbFootprint, FootprintConfig};
-
-    /// The paper's §7.4.2 table (ms).
-    const PAPER: [(u32, f64, f64); 5] = [
-        (1, 1_018.0, 623.0),
-        (2, 576.0, 431.0),
-        (4, 437.0, 354.0),
-        (8, 384.0, 322.0),
-        (16, 364.0, 309.0),
-    ];
 
     fn world() -> DbFootprint {
         DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3)
     }
 
-    /// The single-agent deployment (K=1) of 16 threads at `placement`.
-    fn single_agent(fp: &DbFootprint, placement: CoreClass) -> ShardedSolRunner {
+    /// The single-agent deployment (K=1) of `cores` threads at `placement`.
+    fn single_agent(fp: &DbFootprint, placement: CoreClass, cores: u32) -> ShardedSolRunner {
         ShardedSolRunner::new(
-            RunnerConfig::paper(placement, 16),
+            RunnerConfig::paper(placement, cores),
             CpuModel::mount_evans(),
             1,
             SolConfig::paper(),
@@ -258,47 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn duration_table_matches_paper() {
-        let table = duration_table(&[1, 2, 4, 8, 16]);
-        for ((cores, wave, onhost), (pc, pw, po)) in table.into_iter().zip(PAPER) {
-            assert_eq!(cores, pc);
-            let werr = (wave - pw).abs() / pw;
-            let oerr = (onhost - po).abs() / po;
-            // Endpoints (1 and 16 cores) pin the two-phase fit exactly;
-            // the paper's own 2-core NIC point is slightly super-Amdahl
-            // relative to its endpoints, so mid-points get a looser
-            // bound (see EXPERIMENTS.md).
-            let bound = if cores == 1 || cores == 16 {
-                0.03
-            } else {
-                0.17
-            };
-            assert!(
-                werr < bound,
-                "{cores} cores wave {wave:.0} vs paper {pw} ({werr:.2})"
-            );
-            assert!(
-                oerr < bound,
-                "{cores} cores onhost {onhost:.0} vs paper {po} ({oerr:.2})"
-            );
-        }
-    }
-
-    #[test]
     fn pte_dma_is_about_1ms() {
         // "Transferring the page table entries with DMA for the entire
         // RocksDB address space takes ~1 ms."
-        let cost = RunnerConfig::paper(CoreClass::NicArm, 16)
-            .iteration_cost(CpuModel::mount_evans(), 417_792);
-        let dma_ms = cost.dma_in.as_ms_f64();
+        let (_, wave, _) = duration_table(&[16])[0];
+        let dma_ms = wave.dma_in.as_ms_f64();
         assert!((0.7..=1.5).contains(&dma_ms), "dma {dma_ms} ms");
     }
 
     #[test]
     fn more_cores_shrink_only_parallel_phase() {
-        let cpu = CpuModel::mount_evans();
-        let one = RunnerConfig::paper(CoreClass::NicArm, 1).iteration_cost(cpu, 100_000);
-        let sixteen = RunnerConfig::paper(CoreClass::NicArm, 16).iteration_cost(cpu, 100_000);
+        let fp = world();
+        let first = |cores| {
+            let mut agent = single_agent(&fp, CoreClass::NicArm, cores);
+            agent.run_iteration(&fp, SimTime::ZERO).1.per_shard[0]
+        };
+        let (one, sixteen) = (first(1), first(16));
         assert_eq!(one.scan, sixteen.scan, "serial phase unaffected");
         assert!(sixteen.classify < one.classify / 10);
     }
@@ -306,31 +242,16 @@ mod tests {
     #[test]
     fn real_iteration_runs() {
         let fp = world();
-        let mut one = single_agent(&fp, CoreClass::NicArm);
+        let mut one = single_agent(&fp, CoreClass::NicArm, 16);
         let (stats, cost) = one.run_iteration(&fp, SimTime::ZERO);
         assert_eq!(stats.scanned as usize, fp.batches());
         assert!(cost.wall() > SimTime::ZERO);
     }
 
     #[test]
-    fn runtime_backed_iteration_matches_closed_form_cost() {
-        // The iteration's cost, derived from the runtime's actual DMA
-        // legs, is bit-identical to the closed-form model.
-        let fp = world();
-        for placement in [CoreClass::NicArm, CoreClass::HostX86] {
-            let mut one = single_agent(&fp, placement);
-            // At t=0 every batch is due.
-            let (_, cost) = one.run_iteration(&fp, SimTime::ZERO);
-            let model = RunnerConfig::paper(placement, 16)
-                .iteration_cost(CpuModel::mount_evans(), fp.batches() as u64);
-            assert_eq!(cost.per_shard, vec![model], "{placement:?}");
-        }
-    }
-
-    #[test]
     fn iteration_ships_classification_flips() {
         let fp = world();
-        let mut one = single_agent(&fp, CoreClass::NicArm);
+        let mut one = single_agent(&fp, CoreClass::NicArm, 16);
         one.run_iteration(&fp, SimTime::ZERO);
         // The first scan flips a bunch of optimistic hot batches cold;
         // each flip must have been staged and shipped through the outbox.
@@ -346,9 +267,9 @@ mod tests {
     #[test]
     fn heartbeat_iteration_when_nothing_due() {
         // Right after a full scan nothing is due: the stream still ships
-        // its header and the cost model charges the single-batch floor.
+        // its header and the iteration charges the single-batch floor.
         let fp = world();
-        let mut one = single_agent(&fp, CoreClass::NicArm);
+        let mut one = single_agent(&fp, CoreClass::NicArm, 16);
         one.run_iteration(&fp, SimTime::ZERO);
         // 1 ms later no batch has its next scan due yet (base 600 ms).
         let (stats, cost) = one.run_iteration(&fp, SimTime::from_ms(1));

@@ -26,23 +26,14 @@
 //! # Cost attribution
 //!
 //! One sharded iteration returns a [`ShardedCost`]: the per-shard
-//! [`IterationCost`]s plus explicit phase attribution. Within one agent
-//! only the classification phase divides across threads (§7.4.2's
-//! two-phase story); across K *agents* every phase divides, because each
-//! shard scans, classifies, and DMAs only its slice:
-//!
-//! * [`ShardedCost::wall`] — the iteration's wall clock, the slowest
-//!   shard's total (agents run concurrently);
-//! * [`ShardedCost::serial_phase`] — the slowest shard's memory-bound
-//!   scan: serial *within* an agent, divided K ways *across* agents;
-//! * [`ShardedCost::parallel_phase`] — the slowest shard's
-//!   classification (already divided by per-agent threads);
-//! * [`ShardedCost::dma`] — the slowest shard's combined transport legs.
-//!
-//! Each shard's legs equal the closed-form
-//! [`RunnerConfig::iteration_cost`] over its slice when every batch is
-//! due ([`sharded_iteration_cost`]); K=1 reproduces the §7.4.2 duration
-//! table (pinned by `tests/integration_memmgr_runtime.rs`).
+//! [`IterationCost`]s, each read off that shard's own runtime legs.
+//! Within one agent only the classification phase divides across
+//! threads (§7.4.2's two-phase story); across K *agents* every phase
+//! divides, because each shard scans, classifies, and DMAs only its
+//! slice. [`ShardedCost::wall`] is the iteration's wall clock, the
+//! slowest shard's total (agents run concurrently), and
+//! [`ShardedCost::aggregate`] the leg-wise maximum over the shards. K=1
+//! produces the §7.4.2 duration table ([`crate::runner::duration_table`]).
 //!
 //! # Dynamic rebalancing
 //!
@@ -77,7 +68,7 @@ use wave_core::shard_map::{
 use wave_core::workload::{MemPhase, PhaseSchedule};
 use wave_kvstore::DbFootprint;
 use wave_pcie::Interconnect;
-use wave_sim::cpu::CpuModel;
+use wave_sim::cpu::{CpuModel, WorkloadClass};
 use wave_sim::par::par_map_mut;
 use wave_sim::SimTime;
 
@@ -100,36 +91,6 @@ impl ShardedCost {
         self.per_shard
             .iter()
             .map(IterationCost::total)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// The serial (memory-bound scan) phase on the critical path — the
-    /// phase agent threads cannot shrink but agent *sharding* divides.
-    pub fn serial_phase(&self) -> SimTime {
-        self.per_shard
-            .iter()
-            .map(|c| c.scan)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// The parallel (compute-bound classification) phase on the
-    /// critical path, already divided by each agent's threads.
-    pub fn parallel_phase(&self) -> SimTime {
-        self.per_shard
-            .iter()
-            .map(|c| c.classify)
-            .max()
-            .unwrap_or(SimTime::ZERO)
-    }
-
-    /// The transport legs (PTE ingest + decision ship-back) on the
-    /// critical path.
-    pub fn dma(&self) -> SimTime {
-        self.per_shard
-            .iter()
-            .map(|c| c.dma_in + c.dma_out)
             .max()
             .unwrap_or(SimTime::ZERO)
     }
@@ -229,7 +190,21 @@ impl MemShard {
         let dma_in = arrive - now;
         let batches = due.max(1);
         let wire = batches * cfg.wire_bytes_per_batch;
-        let (scan, classify) = cfg.phase_costs(cpu, batches);
+        // The two CPU phases: the memory-bound scan runs serially at full
+        // cost, the compute-bound classification divides across the
+        // agent's cores.
+        let scan = cpu.cost(
+            cfg.placement,
+            WorkloadClass::MemoryBound,
+            SimTime::from_ns(cfg.scan_ns_per_batch * batches),
+        );
+        let classify = cpu
+            .cost(
+                cfg.placement,
+                WorkloadClass::ComputeBound,
+                SimTime::from_ns(cfg.classify_ns_per_batch * batches),
+            )
+            .scale(1.0 / cfg.cores as f64);
 
         // Agent leg: pick the stream up at arrival and run the two-phase
         // pass over exactly the batches the host shipped.
@@ -681,27 +656,6 @@ impl ShardedSolRunner {
     }
 }
 
-/// Closed-form cost of one sharded iteration over the full batch space:
-/// per-shard [`RunnerConfig::iteration_cost`] over the shard's slice,
-/// each on its own fresh interconnect (each agent owns its DMA channel).
-/// The K=1 case is the single-agent model — and therefore the pinned
-/// §7.4.2 duration table.
-pub fn sharded_iteration_cost(
-    cfg: RunnerConfig,
-    cpu: CpuModel,
-    shards: u32,
-    total_batches: u64,
-) -> ShardedCost {
-    assert!(shards >= 1, "need at least one shard");
-    let per_shard = (0..shards as usize)
-        .map(|i| {
-            let slice = shard_range(total_batches as usize, shards as usize, i);
-            cfg.iteration_cost(cpu, slice.len() as u64)
-        })
-        .collect();
-    ShardedCost { per_shard }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -745,19 +699,21 @@ mod tests {
 
     #[test]
     fn sharding_divides_both_phases_and_the_wall_clock() {
-        let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
-        let cpu = CpuModel::mount_evans();
-        const FULL: u64 = 417_792;
-        let one = sharded_iteration_cost(cfg, cpu, 1, FULL);
-        let four = sharded_iteration_cost(cfg, cpu, 4, FULL);
+        let fp = world(0.001);
+        let (_, one) = sharded(&fp, 1).run_iteration(&fp, SimTime::ZERO);
+        let (_, four) = sharded(&fp, 4).run_iteration(&fp, SimTime::ZERO);
         // Across agents *both* phases divide — the serial scan too,
         // unlike adding threads within one agent.
-        let serial_ratio = four.serial_phase().as_ns() as f64 / one.serial_phase().as_ns() as f64;
+        let ratio = |leg: fn(&IterationCost) -> SimTime| {
+            let max = four.per_shard.iter().map(leg).max().unwrap();
+            max.as_ns() as f64 / leg(&one.per_shard[0]).as_ns() as f64
+        };
+        let serial_ratio = ratio(|c| c.scan);
         assert!(
             (serial_ratio - 0.25).abs() < 0.01,
             "serial phase ratio {serial_ratio}"
         );
-        let par_ratio = four.parallel_phase().as_ns() as f64 / one.parallel_phase().as_ns() as f64;
+        let par_ratio = ratio(|c| c.classify);
         assert!(
             (par_ratio - 0.25).abs() < 0.01,
             "parallel ratio {par_ratio}"
@@ -765,33 +721,6 @@ mod tests {
         assert!(four.wall() < one.wall().scale(0.3), "wall did not scale");
         // And the aggregate view upper-bounds the wall clock.
         assert!(four.aggregate().total() >= four.wall());
-    }
-
-    #[test]
-    fn closed_form_k1_matches_unsharded_model_bit_identically() {
-        let cfg = RunnerConfig::paper(CoreClass::NicArm, 16);
-        let cpu = CpuModel::mount_evans();
-        const FULL: u64 = 417_792;
-        let sharded = sharded_iteration_cost(cfg, cpu, 1, FULL);
-        let model = cfg.iteration_cost(cpu, FULL);
-        assert_eq!(sharded.per_shard, vec![model]);
-        assert_eq!(sharded.wall(), model.total());
-    }
-
-    #[test]
-    fn real_legs_match_closed_form_per_shard() {
-        // The runtime-backed sharded iteration must agree with the
-        // closed-form model shard by shard (all batches due at t=0).
-        let fp = world(0.001);
-        let mut k2 = sharded(&fp, 2);
-        let (_, cost) = k2.run_iteration(&fp, SimTime::ZERO);
-        let model = sharded_iteration_cost(
-            RunnerConfig::paper(CoreClass::NicArm, 16),
-            CpuModel::mount_evans(),
-            2,
-            fp.batches() as u64,
-        );
-        assert_eq!(cost, model);
     }
 
     #[test]

@@ -22,8 +22,9 @@ pub enum InterconnectKind {
 /// All latency/bandwidth constants of the interconnect model.
 ///
 /// Field defaults come from the paper's Table 2 plus the decompositions
-/// discussed in `DESIGN.md`; experiments that sweep hardware parameters
-/// (e.g. §7.3.3) construct modified copies.
+/// given on each field below (see also `docs/ARCHITECTURE.md`);
+/// experiments that sweep hardware parameters (e.g. §7.3.3) construct
+/// modified copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PcieConfig {
     /// Interconnect family.

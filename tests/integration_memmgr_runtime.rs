@@ -1,12 +1,12 @@
 //! Pins the memory agent's runtime-backed iteration to its goldens: the
-//! §7.4.2 duration table and the single agent's (K=1) `IterationCost`
-//! breakdown (recaptured once, deliberately, when the per-iteration DMA
-//! clock was retired), its determinism, and the K=2 deployment's
-//! per-shard legs.
+//! §7.4.2 duration table (read off real single-agent iterations), the
+//! single agent's (K=1) `IterationCost` breakdown (recaptured once,
+//! deliberately, when the per-iteration DMA clock was retired), its
+//! determinism, and the K=2 deployment's per-shard legs.
 
 use wave::kvstore::{AccessPattern, DbFootprint, FootprintConfig};
 use wave::memmgr::runner::{duration_table, RunnerConfig};
-use wave::memmgr::{sharded_iteration_cost, IterationCost, ShardedSolRunner, SolConfig, SolStats};
+use wave::memmgr::{IterationCost, ShardedSolRunner, SolConfig, SolStats};
 use wave::sim::cpu::{CoreClass, CpuModel};
 use wave::sim::SimTime;
 
@@ -20,10 +20,22 @@ const GOLDEN_TABLE: [(u32, f64, f64); 5] = [
     (16, 3.644_152_32e2, 3.101_336_06e2),
 ];
 
+/// The paper's §7.4.2 table (ms): `(cores, wave, on-host)`.
+const PAPER_TABLE: [(u32, f64, f64); 5] = [
+    (1, 1_018.0, 623.0),
+    (2, 576.0, 431.0),
+    (4, 437.0, 354.0),
+    (8, 384.0, 322.0),
+    (16, 364.0, 309.0),
+];
+
 #[test]
 fn duration_table_pinned_to_pre_refactor_goldens() {
     let table = duration_table(&[1, 2, 4, 8, 16]);
-    for ((cores, wave, onhost), (gc, gw, go)) in table.into_iter().zip(GOLDEN_TABLE) {
+    for (((cores, wave, onhost), (gc, gw, go)), (_, pw, po)) in
+        table.into_iter().zip(GOLDEN_TABLE).zip(PAPER_TABLE)
+    {
+        let (wave, onhost) = (wave.total().as_ms_f64(), onhost.total().as_ms_f64());
         assert_eq!(cores, gc);
         assert!(
             (wave - gw).abs() < 1e-9,
@@ -32,6 +44,24 @@ fn duration_table_pinned_to_pre_refactor_goldens() {
         assert!(
             (onhost - go).abs() < 1e-9,
             "{cores} cores onhost {onhost} != golden {go}"
+        );
+        // Against the paper: the 1- and 16-core rows pin the two-phase
+        // fit, so they sit within 3%. The paper's own 2-core Wave point is
+        // faster than a serial + parallel split of its endpoints allows,
+        // so the mid-points get a looser bound.
+        let bound = if cores == 1 || cores == 16 {
+            0.03
+        } else {
+            0.17
+        };
+        let (werr, oerr) = ((wave - pw).abs() / pw, (onhost - po).abs() / po);
+        assert!(
+            werr < bound,
+            "{cores} cores wave {wave:.0} vs paper {pw} ({werr:.2})"
+        );
+        assert!(
+            oerr < bound,
+            "{cores} cores onhost {onhost:.0} vs paper {po} ({oerr:.2})"
         );
     }
 }
@@ -149,51 +179,4 @@ fn k2_sharded_rebalance_off_matches_pre_shardmap_goldens() {
     assert_eq!(sharded.per_shard_shipped(), vec![254, 245]);
     assert!(sharded.rebalance_history().is_empty());
     assert_eq!(sharded.shard_map().generation(), 0);
-}
-
-#[test]
-fn k1_sharded_closed_form_reproduces_duration_table() {
-    // The sharded cost model with one shard must reproduce the §7.4.2
-    // duration-table goldens bit-identically, for every core count and
-    // both placements.
-    for (cores, wave_ms, onhost_ms) in GOLDEN_TABLE {
-        let cpu = CpuModel::mount_evans();
-        let wave = sharded_iteration_cost(
-            RunnerConfig::paper(CoreClass::NicArm, cores),
-            cpu,
-            1,
-            417_792,
-        );
-        let onhost = sharded_iteration_cost(
-            RunnerConfig::paper(CoreClass::HostX86, cores),
-            cpu,
-            1,
-            417_792,
-        );
-        assert!(
-            (wave.wall().as_ms_f64() - wave_ms).abs() < 1e-9,
-            "{cores} cores wave"
-        );
-        assert!(
-            (onhost.wall().as_ms_f64() - onhost_ms).abs() < 1e-9,
-            "{cores} cores onhost"
-        );
-    }
-}
-
-#[test]
-fn run_iteration_total_matches_closed_form_at_paper_defaults() {
-    // Cross-check the single agent against the unchanged closed-form
-    // model: every field of the breakdown, both placements.
-    for placement in [CoreClass::NicArm, CoreClass::HostX86] {
-        let fp = DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3);
-        let cfg = RunnerConfig::paper(placement, 16);
-        let cpu = CpuModel::mount_evans();
-        let mut runner = ShardedSolRunner::new(cfg, cpu, 1, SolConfig::paper(), fp.batches(), 4);
-        let (_, one) = runner.run_iteration(&fp, SimTime::ZERO);
-        let cost = one.per_shard[0];
-        let model = cfg.iteration_cost(cpu, fp.batches() as u64);
-        assert_eq!(cost, model, "{placement:?}");
-        assert_eq!(cost.total(), model.total(), "{placement:?} total");
-    }
 }
