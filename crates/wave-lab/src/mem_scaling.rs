@@ -203,8 +203,9 @@ mod tests {
     #[test]
     fn real_legs_match_the_model_in_every_cell() {
         // The model of a K-shard cell is K independent single agents,
-        // one per slice: its wall clock is the slowest of their K=1
-        // first iterations. And every shard pulls its weight.
+        // each over a batch space the size of one slice: its wall clock
+        // is the slowest of their K=1 first iterations. And every shard
+        // pulls its weight.
         let cfg = test_cfg();
         let fp = DbFootprint::new(
             FootprintConfig::paper(cfg.scales[0]),
