@@ -202,6 +202,15 @@ pub fn duration_table(core_counts: &[u32]) -> Vec<(u32, IterationCost, Iteration
 mod tests {
     use super::*;
 
+    /// The paper's §7.4.2 table (ms): `(cores, wave, on-host)`.
+    const PAPER: [(u32, f64, f64); 5] = [
+        (1, 1_018.0, 623.0),
+        (2, 576.0, 431.0),
+        (4, 437.0, 354.0),
+        (8, 384.0, 322.0),
+        (16, 364.0, 309.0),
+    ];
+
     fn world() -> DbFootprint {
         DbFootprint::new(FootprintConfig::paper(0.001), AccessPattern::Scattered, 3)
     }
@@ -216,6 +225,34 @@ mod tests {
             fp.batches(),
             4,
         )
+    }
+
+    #[test]
+    fn duration_table_matches_paper() {
+        let table = duration_table(&[1, 2, 4, 8, 16]);
+        for ((cores, wave, onhost), (pc, pw, po)) in table.into_iter().zip(PAPER) {
+            let (wave, onhost) = (wave.total().as_ms_f64(), onhost.total().as_ms_f64());
+            assert_eq!(cores, pc);
+            let werr = (wave - pw).abs() / pw;
+            let oerr = (onhost - po).abs() / po;
+            // The 1- and 16-core rows pin the two-phase fit, so they sit
+            // within 3%. The paper's own 2-core Wave point is faster than
+            // a serial + parallel split of its endpoints allows, so the
+            // mid-points get a looser bound.
+            let bound = if cores == 1 || cores == 16 {
+                0.03
+            } else {
+                0.17
+            };
+            assert!(
+                werr < bound,
+                "{cores} cores wave {wave:.0} vs paper {pw} ({werr:.2})"
+            );
+            assert!(
+                oerr < bound,
+                "{cores} cores onhost {onhost:.0} vs paper {po} ({oerr:.2})"
+            );
+        }
     }
 
     #[test]
